@@ -1,16 +1,14 @@
 """Numerical verification of weighted trapezoid bounds for functions whose
 derivative powers are (alpha, m)-convex, plus the special-means corollaries."""
 
-from .core import (BoundReport, CoefficientSet, Config, DomainError, GateError,
-                   Interval, NonFiniteError, ParamError, Params, TestFunction,
+from .core import (BoundReport, CoefficientSet, DomainError, GateError, Interval,
+                   NonFiniteError, ParamError, Params, TestFunction,
                    builtin_corpus, corpus_by_id, power_function, reflect,
                    validate_params)
 from .quadrature import QuadResult, integrate, kernel_moment
 from .convexity import ConvexityVerdict, check_alpha_m_convex, derivative_power
 from .coefficients import K_factors, M_factors, gamma_coeffs, mu_factors, nu_coeffs
-from .bounds import (Deviation, bound_bop_am, bound_bop_m, bound_da, bound_hh,
-                     bound_sso, bound_thm11, bound_thm211, bound_thm22,
-                     deviation, lemma21_residual, verify)
+from .bounds import Deviation, bound_hh, deviation, lemma21_residual, verify
 from .means import MeanKind, MeanValue, PropositionResult, mean, proposition_check
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,24 +1,25 @@
 """Exact LHS evaluation and every closed-form RHS, plus the identity check.
 
-Each ``bound_*`` operation pairs the quadrature LHS with one theorem's RHS
-and returns a BoundReport; ``verify`` dispatches by theorem id after gating
-the bound's convexity hypothesis.  RHS-only helpers (``*_rhs``) are exposed
+``THEOREMS`` declares each bound once: its LHS, its convexity hypothesis,
+whether it needs q > 1, and its RHS.  ``assess`` runs one cell through
+lookup, applicability, gate, LHS and RHS; ``verify`` is its library entry
+(``verify(..., gate=False)`` checks a bound without gating) and
+``cli.eval_row`` its sweep entry.  RHS-only helpers (``*_rhs``) are exposed
 separately so the means module can compare against them without integrating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .convexity import ConvexityVerdict, check_alpha_m_convex, derivative_power
 from .coefficients import K_factors, M_factors, gamma_coeffs, mu_factors, nu_coeffs
-from .core import (BoundReport, GateError, Interval, ParamError, Params,
-                   TestFunction, make_report, validate_params)
+from .core import (HOLDS_SLACK, BoundReport, DomainError, GateError, Interval,
+                   ParamError, Params, TestFunction, make_report, validate_params)
 from .quadrature import integrate
 
 DEFAULT_LHS_TOL = 1e-9
-
-THEOREM_IDS = ("da", "sso", "bop_m", "bop_am", "thm11", "thm211", "thm22")
 
 
 @dataclass(frozen=True)
@@ -36,12 +37,16 @@ def integral_mean(fn: TestFunction, iv: Interval, tol: float = DEFAULT_LHS_TOL):
     return res.value / iv.width, res.error_estimate / iv.width
 
 
+def _weighted_endpoint(fn: TestFunction, iv: Interval, lam: float, mu: float) -> float:
+    return (lam * fn.f(iv.a) + mu * fn.f(iv.b)) / (lam + mu)
+
+
 def deviation(fn: TestFunction, iv: Interval, lam: float, mu: float,
               tol: float = DEFAULT_LHS_TOL) -> Deviation:
     if lam < 0 or mu < 0 or lam + mu <= 0:
         raise ParamError(f"weights must be nonnegative with lam + mu > 0, got {lam}, {mu}")
     fn.require(iv.a)
-    endpoint = (lam * fn.f(iv.a) + mu * fn.f(iv.b)) / (lam + mu)
+    endpoint = _weighted_endpoint(fn, iv, lam, mu)
     mean, err = integral_mean(fn, iv, tol)
     return Deviation(weighted_endpoint_value=endpoint, integral_mean=mean,
                      lhs_abs=abs(endpoint - mean), quad_error=err)
@@ -159,101 +164,133 @@ def thm22_rhs(fn: TestFunction, iv: Interval, p: Params) -> tuple[float, dict]:
 
 
 # ---------------------------------------------------------------------------
-# Full bound checks (LHS quadrature + RHS closed form).
+# The theorem table and the one verification path.
 
-def bound_da(fn: TestFunction, iv: Interval, tol: float = DEFAULT_LHS_TOL) -> BoundReport:
-    dev = deviation(fn, iv, 1.0, 1.0, tol=tol)
-    return make_report("da", dev.lhs_abs, da_rhs(fn, iv), dev.quad_error)
+@dataclass(frozen=True)
+class Theorem:
+    """Everything the verification path needs to know about one bound.
 
+    ``lhs`` is "mean" (the integral mean itself), "equal" (the deviation with
+    lam = mu = 1) or "weighted" (the deviation with the cell's lam, mu).
+    ``hypothesis`` maps the cell's Params to (g, alpha, m, q) of the convexity
+    hypothesis, g being "f" or "df" (|f'|^q); q is 1 where the hypothesis
+    does not depend on it, so that equal hypotheses share one cached verdict
+    in a sweep.  ``rhs`` maps (fn, iv, p) to (rhs, branches); it calls the
+    ``*_rhs`` functions through this module's globals so that replacing one
+    of them replaces it here too.
+    """
 
-def bound_sso(fn: TestFunction, iv: Interval, alpha: float, m: float,
-              tol: float = DEFAULT_LHS_TOL) -> BoundReport:
-    mean, err = integral_mean(fn, iv, tol)
-    rhs, branches = sso_rhs(fn, iv, alpha, m)
-    return make_report("sso", mean, rhs, err, branches)
-
-
-def bound_bop_m(fn: TestFunction, iv: Interval, m: float, q: float,
-                tol: float = DEFAULT_LHS_TOL) -> BoundReport:
-    dev = deviation(fn, iv, 1.0, 1.0, tol=tol)
-    rhs, branches = bop_m_rhs(fn, iv, m, q)
-    return make_report("bop_m", dev.lhs_abs, rhs, dev.quad_error, branches)
-
-
-def bound_bop_am(fn: TestFunction, iv: Interval, alpha: float, m: float, q: float,
-                 tol: float = DEFAULT_LHS_TOL) -> BoundReport:
-    dev = deviation(fn, iv, 1.0, 1.0, tol=tol)
-    rhs, branches = bop_am_rhs(fn, iv, alpha, m, q)
-    return make_report("bop_am", dev.lhs_abs, rhs, dev.quad_error, branches)
+    lhs: str
+    hypothesis: Callable[[Params], tuple[str, float, float, float]]
+    needs_q_gt_1: bool
+    rhs: Callable[[TestFunction, Interval, Params], tuple[float, dict]]
 
 
-def bound_thm11(fn: TestFunction, iv: Interval, p: Params,
-                tol: float = DEFAULT_LHS_TOL) -> BoundReport:
-    dev = deviation(fn, iv, p.lam, p.mu, tol=tol)
-    rhs, branches = thm11_rhs(fn, iv, p)
-    return make_report("thm11", dev.lhs_abs, rhs, dev.quad_error, branches)
+def _df_q(p: Params):
+    return "df", p.alpha, p.m, p.q
 
 
-def bound_thm211(fn: TestFunction, iv: Interval, p: Params,
-                 tol: float = DEFAULT_LHS_TOL) -> BoundReport:
-    dev = deviation(fn, iv, p.lam, p.mu, tol=tol)
-    rhs, branches = thm211_rhs(fn, iv, p)
-    return make_report("thm211", dev.lhs_abs, rhs, dev.quad_error, branches)
-
-
-def bound_thm22(fn: TestFunction, iv: Interval, p: Params,
-                tol: float = DEFAULT_LHS_TOL) -> BoundReport:
-    dev = deviation(fn, iv, p.lam, p.mu, tol=tol)
-    rhs, branches = thm22_rhs(fn, iv, p)
-    return make_report("thm22", dev.lhs_abs, rhs, dev.quad_error, branches)
-
-
-# ---------------------------------------------------------------------------
-# Gated dispatch.
-
-def gate_verdict(fn: TestFunction, iv: Interval, p: Params, theorem_id: str,
-                 grid_n: int = 16) -> ConvexityVerdict:
-    """Run the convexity check matching one theorem's hypothesis class."""
-    upper = max(iv.b, iv.b / p.m)
-    if theorem_id == "da":
-        return check_alpha_m_convex(lambda x: abs(fn.df(x)), iv.b, 1.0, 1.0, grid_n)
-    if theorem_id == "sso":
-        return check_alpha_m_convex(fn.f, upper, p.alpha, p.m, grid_n)
-    if theorem_id == "bop_m":
-        return check_alpha_m_convex(derivative_power(fn, p.q), upper, 1.0, p.m, grid_n)
-    if theorem_id in ("bop_am", "thm11", "thm211", "thm22"):
-        return check_alpha_m_convex(derivative_power(fn, p.q), upper, p.alpha, p.m, grid_n)
-    raise ParamError(f"unknown theorem id {theorem_id!r}")
-
-
-_DISPATCH = {
-    "da": lambda fn, iv, p, tol: bound_da(fn, iv, tol),
-    "sso": lambda fn, iv, p, tol: bound_sso(fn, iv, p.alpha, p.m, tol),
-    "bop_m": lambda fn, iv, p, tol: bound_bop_m(fn, iv, p.m, p.q, tol),
-    "bop_am": lambda fn, iv, p, tol: bound_bop_am(fn, iv, p.alpha, p.m, p.q, tol),
-    "thm11": bound_thm11,
-    "thm211": bound_thm211,
-    "thm22": bound_thm22,
+THEOREMS = {
+    "da": Theorem("equal", lambda p: ("df", 1.0, 1.0, 1.0), False,
+                  lambda fn, iv, p: (da_rhs(fn, iv), {})),
+    "sso": Theorem("mean", lambda p: ("f", p.alpha, p.m, 1.0), False,
+                   lambda fn, iv, p: sso_rhs(fn, iv, p.alpha, p.m)),
+    "bop_m": Theorem("equal", lambda p: ("df", 1.0, p.m, p.q), True,
+                     lambda fn, iv, p: bop_m_rhs(fn, iv, p.m, p.q)),
+    "bop_am": Theorem("equal", _df_q, False,
+                      lambda fn, iv, p: bop_am_rhs(fn, iv, p.alpha, p.m, p.q)),
+    "thm11": Theorem("weighted", _df_q, False, lambda fn, iv, p: thm11_rhs(fn, iv, p)),
+    "thm211": Theorem("weighted", _df_q, True, lambda fn, iv, p: thm211_rhs(fn, iv, p)),
+    "thm22": Theorem("weighted", _df_q, True, lambda fn, iv, p: thm22_rhs(fn, iv, p)),
 }
+
+THEOREM_IDS = tuple(THEOREMS)
+
+
+def hypothesis_verdict(fn: TestFunction, g: str, upper: float, alpha: float, m: float,
+                       q: float, grid_n: int) -> ConvexityVerdict:
+    """Sample the (alpha, m)-convexity of f (g = "f") or |f'|^q (g = "df") on [0, upper]."""
+    func = fn.f if g == "f" else derivative_power(fn, q)
+    return check_alpha_m_convex(func, upper, alpha, m, grid_n)
+
+
+class Outcome(NamedTuple):
+    """Result of one (function, interval, params, theorem) cell.
+
+    ``status`` is ok, violation, gate_skipped, not_applicable or input_error;
+    ``error`` is the exception ``verify`` raises for the last two, and
+    ``verdict`` the gate's verdict once it has run.
+    """
+
+    status: str
+    report: BoundReport | None = None
+    error: Exception | None = None
+    verdict: ConvexityVerdict | None = None
+
+
+def assess(fn: TestFunction, a: float, b: float, alpha: float, m: float, lam: float,
+           mu: float, q: float, theorem_id: str, tol: float = DEFAULT_LHS_TOL,
+           holds_tol: float = HOLDS_SLACK, gate_grid_n: int = 16,
+           mean_of=integral_mean, gate_of=hypothesis_verdict) -> Outcome:
+    """Look up the theorem, check it applies, gate its hypothesis, then
+    compare the quadrature LHS with the closed-form RHS.
+
+    ``mean_of(fn, iv, tol)`` gives the integral mean and its error;
+    ``gate_of(fn, g, upper, alpha, m, q, grid_n)`` the convexity verdict, or
+    pass None to skip the gate.  Callers that evaluate many cells pass
+    cached providers.
+    """
+    thm = THEOREMS.get(theorem_id)
+    if thm is not None and thm.needs_q_gt_1 and q == 1:
+        return Outcome("not_applicable", None, ParamError(f"{theorem_id} needs q > 1"))
+    try:
+        iv = Interval(a, b)
+        p = Params(alpha=alpha, m=m, lam=lam, mu=mu, q=q)
+        if thm is None:
+            raise ParamError(f"unknown theorem id {theorem_id!r}")
+        validate_params(p, iv, fn)
+    except DomainError as exc:
+        return Outcome("not_applicable", None, exc)
+    except ParamError as exc:
+        return Outcome("input_error", None, exc)
+
+    verdict = None
+    if gate_of is not None:
+        g, g_alpha, g_m, g_q = thm.hypothesis(p)
+        verdict = gate_of(fn, g, max(b, b / g_m), g_alpha, g_m, g_q, gate_grid_n)
+        if not verdict.holds:
+            return Outcome("gate_skipped", None, None, verdict)
+
+    try:
+        lhs, err = mean_of(fn, iv, tol)
+        if thm.lhs != "mean":
+            weights = (lam, mu) if thm.lhs == "weighted" else (1.0, 1.0)
+            lhs = abs(_weighted_endpoint(fn, iv, *weights) - lhs)
+        rhs, branches = thm.rhs(fn, iv, p)
+    except (ParamError, DomainError) as exc:
+        return Outcome("input_error", None, exc, verdict)
+    report = make_report(theorem_id, float(lhs), float(rhs), float(err), branches, holds_tol)
+    return Outcome("ok" if report.holds else "violation", report, None, verdict)
 
 
 def verify(fn: TestFunction, iv: Interval, p: Params, theorem_id: str,
            tol: float = DEFAULT_LHS_TOL, gate: bool = True,
            gate_grid_n: int = 16) -> BoundReport:
-    """Gate the hypothesis, then check the named bound.
+    """Check the named bound; ``gate=False`` skips the hypothesis check.
 
-    Raises GateError (with the sampled witness) when the hypothesis fails;
-    a gate failure is never a theorem violation.
+    Raises ParamError (unknown theorem, q = 1 for a bound that needs q > 1),
+    DomainError (the function is undefined where the bound evaluates it) or
+    GateError (with the sampled witness) when the hypothesis fails; a gate
+    failure is never a theorem violation.
     """
-    if theorem_id not in _DISPATCH:
-        raise ParamError(f"unknown theorem id {theorem_id!r}")
-    validate_params(p, iv, fn)
-    if gate:
-        verdict = gate_verdict(fn, iv, p, theorem_id, gate_grid_n)
-        if not verdict.holds:
-            raise GateError(
-                f"convexity hypothesis of {theorem_id} fails for {fn.id} "
-                f"(violation {verdict.worst_violation:.3e} at {verdict.witness})",
-                witness=verdict.witness, worst_violation=verdict.worst_violation,
-            )
-    return _DISPATCH[theorem_id](fn, iv, p, tol)
+    outcome = assess(fn, iv.a, iv.b, p.alpha, p.m, p.lam, p.mu, p.q, theorem_id,
+                     tol=tol, gate_grid_n=gate_grid_n,
+                     gate_of=hypothesis_verdict if gate else None)
+    if outcome.status == "gate_skipped":
+        v = outcome.verdict
+        raise GateError(f"convexity hypothesis of {theorem_id} fails for {fn.id} "
+                        f"(violation {v.worst_violation:.3e} at {v.witness})",
+                        witness=v.witness, worst_violation=v.worst_violation)
+    if outcome.error is not None:
+        raise outcome.error
+    return outcome.report

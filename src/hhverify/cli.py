@@ -1,6 +1,9 @@
 """Batch verification harness: single checks, sweeps, tightness tables, means.
 
-Subcommands: verify | sweep | tightness | means.  CSV and JSON outputs use a
+Subcommands: verify | sweep | tightness | means.  Every (function, interval,
+params, theorem) cell goes through ``eval_row``, which runs ``bounds.assess``
+(the path behind the library's ``verify``) with per-process caches of the
+integral means and gate verdicts.  CSV and JSON outputs use a
 fixed column order and shortest round-trip float formatting so identical
 inputs always produce byte-identical files (schema version 1).
 
@@ -15,7 +18,6 @@ import csv
 import io
 import itertools
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -23,9 +25,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import bounds, coefficients, quadrature
-from .convexity import check_alpha_m_convex, derivative_power
-from .core import (DomainError, GateError, Interval, ParamError, Params,
-                   corpus_by_id, make_report)
+from .core import (DomainError, GateError, Interval, NonFiniteError, ParamError,
+                   Params, corpus_by_id, make_report)
 from .means import proposition_check
 
 SCHEMA_VERSION = 1
@@ -36,8 +37,6 @@ COLUMNS = [
     "branch1", "branch2", "rhs_loose", "gate_violation",
 ]
 
-QUADRATIC_ONLY = {"bop_m", "thm211", "thm22"}  # bounds needing q > 1
-
 
 def _fmt(v) -> str:
     if v is None:
@@ -45,119 +44,65 @@ def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # numpy scalars repr as np.float64(...)
     return str(v)
 
 
 # ---------------------------------------------------------------------------
-# Cached per-process building blocks for sweeps.
+# Cached per-process building blocks for sweeps, keyed by corpus id.
 
 @lru_cache(maxsize=None)
 def _cached_mean(fn_id: str, a: float, b: float, tol: float) -> tuple[float, float]:
-    fn = corpus_by_id()[fn_id]
-    res = quadrature.integrate(fn.f, (a, b), tol=tol)
-    return res.value / (b - a), res.error_estimate / (b - a)
+    return bounds.integral_mean(corpus_by_id()[fn_id], Interval(a, b), tol)
 
 
 @lru_cache(maxsize=None)
-def _cached_gate(fn_id: str, kind: str, upper: float, alpha: float, m: float,
+def _cached_gate(fn_id: str, g: str, upper: float, alpha: float, m: float,
                  q: float, grid_n: int):
-    fn = corpus_by_id()[fn_id]
-    if kind == "absdf":
-        g = lambda x: abs(fn.df(x))
-    elif kind == "f":
-        g = fn.f
-    else:
-        g = derivative_power(fn, q)
-    verdict = check_alpha_m_convex(g, upper, alpha, m, grid_n)
-    return verdict.holds, verdict.worst_violation, verdict.witness
+    return bounds.hypothesis_verdict(corpus_by_id()[fn_id], g, upper, alpha, m, q, grid_n)
 
 
-def _gate_for(fn_id: str, theorem: str, iv: Interval, p: Params, grid_n: int):
-    upper = max(iv.b, iv.b / p.m)
-    if theorem == "da":
-        return _cached_gate(fn_id, "absdf", iv.b, 1.0, 1.0, 1.0, grid_n)
-    if theorem == "sso":
-        return _cached_gate(fn_id, "f", upper, p.alpha, p.m, 1.0, grid_n)
-    if theorem == "bop_m":
-        return _cached_gate(fn_id, "dpow", upper, 1.0, p.m, p.q, grid_n)
-    return _cached_gate(fn_id, "dpow", upper, p.alpha, p.m, p.q, grid_n)
+def _mean_of(fn, iv, tol):
+    return _cached_mean(fn.id, iv.a, iv.b, tol)
+
+
+def _gate_of(fn, g, upper, alpha, m, q, grid_n):
+    return _cached_gate(fn.id, g, upper, alpha, m, q, grid_n)
+
+
+def _report_cells(report) -> dict:
+    return {"lhs": report.lhs, "rhs": report.rhs, "slack": report.slack,
+            "holds": report.holds, "quad_error": report.quad_error}
 
 
 def eval_row(fn_id: str, a: float, b: float, alpha: float, m: float,
              lam: float, mu: float, q: float, theorem: str,
              quad_tol: float = 1e-9, holds_tol: float = 1e-12,
              gate_grid_n: int = 16) -> dict:
-    """Evaluate one (config, theorem) cell and return a report row."""
-    row = {c: None for c in COLUMNS}
+    """Evaluate one (config, theorem) cell through ``bounds.assess`` and
+    return a report row."""
+    row = dict.fromkeys(COLUMNS)
     row.update({"schema": SCHEMA_VERSION, "fn": fn_id, "a": a, "b": b,
                 "alpha": alpha, "m": m, "lambda": lam, "mu": mu, "q": q,
                 "theorem": theorem})
-    corpus = corpus_by_id()
-    if fn_id not in corpus:
+    fn = corpus_by_id().get(fn_id)
+    if fn is None:
         row["status"] = "input_error"
         return row
-    fn = corpus[fn_id]
-    if theorem in QUADRATIC_ONLY and q == 1:
-        row["status"] = "not_applicable"
+    outcome = bounds.assess(fn, a, b, alpha, m, lam, mu, q, theorem, tol=quad_tol,
+                            holds_tol=holds_tol, gate_grid_n=gate_grid_n,
+                            mean_of=_mean_of, gate_of=_gate_of)
+    row["status"] = outcome.status
+    if outcome.verdict is not None:
+        row["gate_violation"] = outcome.verdict.worst_violation
+    report = outcome.report
+    if report is None:
         return row
-    try:
-        iv = Interval(a, b)
-        p = Params(alpha=alpha, m=m, lam=lam, mu=mu, q=q)
-        if theorem not in bounds.THEOREM_IDS:
-            raise ParamError(f"unknown theorem {theorem!r}")
-        if min(a, a / m) < fn.domain_min:
-            row["status"] = "not_applicable"
-            return row
-    except (ParamError, DomainError):
-        row["status"] = "input_error"
-        return row
-
-    holds_gate, worst, _witness = _gate_for(fn_id, theorem, iv, p, gate_grid_n)
-    if not holds_gate:
-        row["status"] = "gate_skipped"
-        row["gate_violation"] = worst
-        return row
-    row["gate_violation"] = worst
-
-    try:
-        if theorem == "sso":
-            lhs, err = _cached_mean(fn_id, a, b, quad_tol)
-            rhs, branches = bounds.sso_rhs(fn, iv, alpha, m)
-        else:
-            if theorem in ("thm11", "thm211", "thm22"):
-                wl, wm = lam, mu
-            else:
-                wl, wm = 1.0, 1.0
-            mean, err = _cached_mean(fn_id, a, b, quad_tol)
-            endpoint = (wl * float(fn.f(a)) + wm * float(fn.f(b))) / (wl + wm)
-            lhs = abs(endpoint - mean)
-            if theorem == "da":
-                rhs, branches = bounds.da_rhs(fn, iv), {}
-            elif theorem == "bop_m":
-                rhs, branches = bounds.bop_m_rhs(fn, iv, m, q)
-            elif theorem == "bop_am":
-                rhs, branches = bounds.bop_am_rhs(fn, iv, alpha, m, q)
-            elif theorem == "thm11":
-                rhs, branches = bounds.thm11_rhs(fn, iv, p)
-            elif theorem == "thm211":
-                rhs, branches = bounds.thm211_rhs(fn, iv, p)
-            else:
-                rhs, branches = bounds.thm22_rhs(fn, iv, p)
-    except (ParamError, DomainError):
-        row["status"] = "input_error"
-        return row
-
-    report = make_report(theorem, float(lhs), float(rhs), float(err))
-    # Tolerance on top of the quadrature error, widened by the caller's knob.
-    holds = report.lhs <= report.rhs + report.quad_error + holds_tol
-    row.update({"status": "ok" if holds else "violation",
-                "lhs": report.lhs, "rhs": report.rhs, "slack": report.slack,
-                "holds": holds, "quad_error": report.quad_error})
-    keys = sorted(k for k in branches if k != "loose")
+    row.update(_report_cells(report))
+    keys = sorted(k for k in report.branches if k != "loose")
     if len(keys) >= 2:
-        row["branch1"], row["branch2"] = branches[keys[0]], branches[keys[1]]
-    row["rhs_loose"] = branches.get("loose")
+        row["branch1"], row["branch2"] = report.branches[keys[0]], report.branches[keys[1]]
+    row["rhs_loose"] = report.branches.get("loose")
     return row
 
 
@@ -208,6 +153,13 @@ def default_sweep_spec() -> SweepSpec:
     )
 
 
+def _number(text: str, where: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ParamError(f"{where}: {text!r} is not a number") from None
+
+
 def parse_sweep_file(path: str) -> SweepSpec:
     """Flat ``key = comma separated values`` format; intervals as a:b pairs."""
     spec = SweepSpec()
@@ -221,21 +173,23 @@ def parse_sweep_file(path: str) -> SweepSpec:
             key, _, rest = line.partition("=")
             key = key.strip().lower()
             items = [s.strip() for s in rest.split(",") if s.strip()]
+            where = f"{path}:{lineno}"
             if key in ("functions", "theorems"):
                 setattr(spec, key, items)
             elif key == "intervals":
-                pairs = []
-                for item in items:
-                    a, _, b = item.partition(":")
-                    pairs.append((float(a), float(b)))
-                spec.intervals = pairs
+                pairs = [item.split(":") for item in items]
+                if any(len(pair) != 2 for pair in pairs):
+                    raise ParamError(f"{where}: intervals must be a:b pairs")
+                spec.intervals = [(_number(a, where), _number(b, where)) for a, b in pairs]
             elif key in ("alpha", "m", "lambda", "mu", "q"):
                 setattr(spec, "lam" if key == "lambda" else key,
-                        [float(s) for s in items])
+                        [_number(s, where) for s in items])
             elif key in ("quad_tol", "holds_tol"):
-                setattr(spec, key, float(items[0]))
+                if len(items) != 1:
+                    raise ParamError(f"{where}: {key} takes one value")
+                setattr(spec, key, _number(items[0], where))
             else:
-                raise ParamError(f"{path}:{lineno}: unknown key {key!r}")
+                raise ParamError(f"{where}: unknown key {key!r}")
     if not spec.functions or not spec.intervals:
         raise ParamError(f"{path}: functions and intervals must be non-empty")
     return spec
@@ -375,17 +329,15 @@ def cmd_tightness(args) -> int:
         if args.a >= fn.domain_min:
             lower, upper = bounds.bound_hh(fn, iv)
             mean, err = _cached_mean(args.fn, args.a, args.b, args.tol)
-            base = {c: None for c in COLUMNS}
+            base = dict.fromkeys(COLUMNS)
             base.update({"schema": SCHEMA_VERSION, "fn": args.fn, "a": args.a,
                          "b": args.b, "alpha": args.alpha, "m": args.m,
                          "lambda": args.lam, "mu": args.mu, "q": args.q,
-                         "theorem": "hh_upper", "status": "ok", "lhs": mean,
-                         "rhs": upper, "slack": upper - mean,
-                         "holds": mean <= upper + err + 1e-12, "quad_error": err,
-                         "branch1": lower})
+                         "theorem": "hh_upper", "status": "ok", "branch1": lower,
+                         **_report_cells(make_report("hh_upper", mean, upper, err))})
             rows.append(base)
-    except (ParamError, DomainError):
-        pass
+    except (KeyError, ParamError, DomainError):
+        pass  # eval_row has already marked these rows input_error
 
     ranked = sorted((r for r in rows if r["status"] in ("ok", "violation")),
                     key=lambda r: r["slack"])
@@ -479,7 +431,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParamError, DomainError) as exc:
+    except (ParamError, DomainError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except GateError as exc:

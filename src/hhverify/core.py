@@ -128,15 +128,6 @@ class TestFunction:
 
 
 @dataclass(frozen=True)
-class Config:
-    """A validated (params, interval, function) triple."""
-
-    params: Params
-    interval: Interval
-    fn: TestFunction
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """Outcome of checking one bound: exact LHS vs closed-form RHS."""
 
@@ -150,9 +141,10 @@ class BoundReport:
 
 
 def make_report(theorem_id: str, lhs: float, rhs: float, quad_error: float,
-                branches: dict | None = None) -> BoundReport:
+                branches: dict | None = None, holds_tol: float = HOLDS_SLACK) -> BoundReport:
+    """The bound holds when lhs <= rhs + quad_error + holds_tol."""
     slack = rhs - lhs
-    holds = lhs <= rhs + quad_error + HOLDS_SLACK
+    holds = lhs <= rhs + quad_error + holds_tol
     return BoundReport(theorem_id=theorem_id, lhs=lhs, rhs=rhs, slack=slack,
                        holds=holds, quad_error=quad_error, branches=branches or {})
 
@@ -175,7 +167,7 @@ class CoefficientSet:
         return self.values[name]
 
 
-def validate_params(params: Params, interval: Interval, fn: TestFunction) -> Config:
+def validate_params(params: Params, interval: Interval, fn: TestFunction) -> None:
     """Check that the function's domain covers every point the bounds touch.
 
     With m <= 1 the stretched endpoints a/m, b/m never fall below a, so the
@@ -187,7 +179,6 @@ def validate_params(params: Params, interval: Interval, fn: TestFunction) -> Con
             f"{fn.id} needs evaluation down to {lo} but is only defined on "
             f"[{fn.domain_min}, inf)"
         )
-    return Config(params=params, interval=interval, fn=fn)
 
 
 # Positive lower bound for corpus members that blow up at the origin.

@@ -121,7 +121,7 @@ def integrate(f: Callable, iv: Interval | tuple[float, float], tol: float = 1e-9
     value = math.fsum(item[3] for item in heap)
     total_err = sum(item[4] for item in heap)
     return QuadResult(value=value, error_estimate=total_err,
-                      evaluations=evals, converged=True)
+                      evaluations=evals, converged=total_err <= tol)
 
 
 _WEIGHTS = {

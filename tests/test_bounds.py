@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from hhverify import (GateError, Interval, ParamError, Params, TestFunction,
-                      bound_bop_am, bound_bop_m, bound_da, bound_hh, bound_sso,
-                      bound_thm11, bound_thm211, bound_thm22, corpus_by_id,
-                      deviation, lemma21_residual, reflect, verify)
+                      bound_hh, corpus_by_id, deviation, lemma21_residual,
+                      reflect, verify)
 from hhverify.bounds import thm11_rhs
 
 POW2 = corpus_by_id()["pow2"]
@@ -78,31 +77,31 @@ class TestBaselineBounds:
         assert lower == upper == 4.0
 
     def test_da(self):
-        report = bound_da(POW2, Interval(0, 1))
+        report = verify(POW2, Interval(0, 1), Params(), "da", gate=False)
         assert math.isclose(report.rhs, 0.25)
         assert math.isclose(report.lhs, 1.0 / 6.0, abs_tol=1e-12)
         assert report.holds
 
     def test_da_shifted(self):
-        report = bound_da(POW2, Interval(1, 2))
+        report = verify(POW2, Interval(1, 2), Params(), "da", gate=False)
         assert math.isclose(report.rhs, 0.75)
         assert math.isclose(report.lhs, 1.0 / 6.0, abs_tol=1e-12)
 
     def test_sso(self):
-        report = bound_sso(POW2, Interval(0, 1), 1.0, 1.0)
+        report = verify(POW2, Interval(0, 1), Params(alpha=1.0, m=1.0), "sso", gate=False)
         assert math.isclose(report.rhs, 0.5)
         assert math.isclose(report.lhs, 1.0 / 3.0, abs_tol=1e-12)
         assert report.holds
 
     def test_sso_shifted(self):
-        report = bound_sso(POW2, Interval(1, 2), 1.0, 1.0)
+        report = verify(POW2, Interval(1, 2), Params(alpha=1.0, m=1.0), "sso", gate=False)
         assert math.isclose(report.rhs, 2.5)
         assert math.isclose(report.lhs, 7.0 / 3.0, abs_tol=1e-12)
 
 
 class TestMConvexBound:
     def test_tight_and_loose(self):
-        report = bound_bop_m(POW2, Interval(1, 2), 1.0, 2.0)
+        report = verify(POW2, Interval(1, 2), Params(m=1.0, q=2.0), "bop_m", gate=False)
         loose = (math.sqrt(6.5) + math.sqrt(12.5)) / 4.0
         tight = loose * math.sqrt(1.0 / 3.0)
         assert math.isclose(report.branches["loose"], loose, rel_tol=1e-14)
@@ -113,21 +112,23 @@ class TestMConvexBound:
 
 class TestEqualWeightPowerMeanBound:
     def test_unit_case(self):
-        report = bound_bop_am(POW2, Interval(1, 2), 1.0, 1.0, 1.0)
+        report = verify(POW2, Interval(1, 2), Params(alpha=1.0, m=1.0, q=1.0), "bop_am",
+                        gate=False)
         assert math.isclose(report.rhs, 0.75, rel_tol=1e-14)
         assert report.holds
 
     def test_linear_function(self):
         lin = TestFunction("lin", lambda x: 2.0 * x,
                            lambda x: 2.0 * np.ones_like(np.asarray(x, dtype=float)))
-        report = bound_bop_am(lin, Interval(1, 2), 1.0, 1.0, 1.0)
+        report = verify(lin, Interval(1, 2), Params(alpha=1.0, m=1.0, q=1.0), "bop_am",
+                        gate=False)
         assert report.lhs <= 1e-12
         assert report.holds
 
 
 class TestWeightedPowerMeanBound:
     def test_worked_value(self):
-        report = bound_thm11(POW2, Interval(1, 2), Params(lam=2.0, mu=1.0))
+        report = verify(POW2, Interval(1, 2), Params(lam=2.0, mu=1.0), "thm11", gate=False)
         assert math.isclose(report.rhs, 61.0 / 81.0, abs_tol=1e-12)
         assert math.isclose(report.lhs, 1.0 / 3.0, abs_tol=1e-12)
         assert report.holds
@@ -135,14 +136,15 @@ class TestWeightedPowerMeanBound:
                             rel_tol=1e-14)
 
     def test_reduces_to_equal_weight_form(self):
-        r1 = bound_thm11(POW2, Interval(1, 2), Params(lam=1.0, mu=1.0))
-        r2 = bound_bop_am(POW2, Interval(1, 2), 1.0, 1.0, 1.0)
+        r1 = verify(POW2, Interval(1, 2), Params(lam=1.0, mu=1.0), "thm11", gate=False)
+        r2 = verify(POW2, Interval(1, 2), Params(alpha=1.0, m=1.0, q=1.0), "bop_am",
+                    gate=False)
         assert math.isclose(r1.rhs, r2.rhs, rel_tol=1e-12)
         assert math.isclose(r1.rhs, 0.75, rel_tol=1e-14)
 
     def test_reduces_to_endpoint_slope_form(self):
-        r1 = bound_thm11(POW2, Interval(1, 2), Params(lam=3.0, mu=3.0))
-        r2 = bound_da(POW2, Interval(1, 2))
+        r1 = verify(POW2, Interval(1, 2), Params(lam=3.0, mu=3.0), "thm11", gate=False)
+        r2 = verify(POW2, Interval(1, 2), Params(), "da", gate=False)
         assert math.isclose(r1.rhs, r2.rhs, rel_tol=1e-12)
         assert math.isclose(r1.rhs, 0.75, rel_tol=1e-14)
 
@@ -154,37 +156,38 @@ class TestWeightedPowerMeanBound:
 
 class TestHoelderSplitBound:
     def test_symmetric_weights(self):
-        report = bound_thm211(POW2, Interval(1, 2), Params(q=2.0))
+        report = verify(POW2, Interval(1, 2), Params(q=2.0), "thm211", gate=False)
         expected = 0.25 * math.sqrt(1.0 / 3.0) * (math.sqrt(6.5) + math.sqrt(12.5))
         assert math.isclose(report.rhs, expected, rel_tol=1e-14)
         assert report.holds
 
     def test_matches_m_convex_tight_bound(self):
-        r1 = bound_thm211(POW2, Interval(1, 2), Params(q=2.0))
-        r2 = bound_bop_m(POW2, Interval(1, 2), 1.0, 2.0)
+        r1 = verify(POW2, Interval(1, 2), Params(q=2.0), "thm211", gate=False)
+        r2 = verify(POW2, Interval(1, 2), Params(m=1.0, q=2.0), "bop_m", gate=False)
         assert math.isclose(r1.rhs, r2.rhs, rel_tol=1e-12)
 
     def test_asymmetric_weights(self):
-        report = bound_thm211(POW2, Interval(1, 2), Params(lam=2.0, mu=1.0, q=2.0))
+        report = verify(POW2, Interval(1, 2), Params(lam=2.0, mu=1.0, q=2.0), "thm211",
+                        gate=False)
         expected = (1.0 / 9.0) * math.sqrt(1.0 / 3.0) * (
             4.0 * math.sqrt(68.0 / 9.0) + math.sqrt(122.0 / 9.0))
         assert math.isclose(report.rhs, expected, rel_tol=1e-14)
 
     def test_q1_rejected(self):
         with pytest.raises(ParamError):
-            bound_thm211(POW2, Interval(1, 2), Params(q=1.0))
+            verify(POW2, Interval(1, 2), Params(q=1.0), "thm211", gate=False)
 
 
 class TestGlobalHoelderBound:
     def test_symmetric_unit_case(self):
-        report = bound_thm22(POW2, Interval(1, 2), Params(q=2.0))
+        report = verify(POW2, Interval(1, 2), Params(q=2.0), "thm22", gate=False)
         # (1/2) * (1/3)^(1/2) * (1/2)^(1/2) * sqrt(20)
         assert math.isclose(report.rhs, math.sqrt(5.0 / 6.0), abs_tol=1e-12)
         assert report.holds
 
     def test_equal_weight_closed_form(self):
         p = Params(lam=2.0, mu=2.0, q=2.0)
-        report = bound_thm22(POW2, Interval(1, 2), p)
+        report = verify(POW2, Interval(1, 2), p, "thm22", gate=False)
         conj = p.p
         expected = (0.5 * (1.0 / (conj + 1.0)) ** (1.0 / conj)
                     * (0.5) ** (1.0 / p.q) * 20.0 ** (1.0 / p.q))
@@ -192,7 +195,7 @@ class TestGlobalHoelderBound:
 
     def test_q1_rejected(self):
         with pytest.raises(ParamError):
-            bound_thm22(POW2, Interval(1, 2), Params(q=1.0))
+            verify(POW2, Interval(1, 2), Params(q=1.0), "thm22", gate=False)
 
 
 class TestVerify:
@@ -216,6 +219,11 @@ class TestVerify:
             verify(EXP, Interval(0, 1), Params(m=0.5), "bop_am")
         assert err.value.witness is not None
         assert err.value.worst_violation > 1e-9
+
+    def test_q1_rejected_before_gate(self):
+        # thm22 needs q > 1; that is reported even where its gate would fail
+        with pytest.raises(ParamError):
+            verify(EXP, Interval(0, 1), Params(m=0.5), "thm22")
 
     def test_unknown_theorem(self):
         with pytest.raises(ParamError):

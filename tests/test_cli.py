@@ -5,7 +5,20 @@ import math
 
 import pytest
 
-from hhverify import cli
+from hhverify import (DomainError, GateError, Interval, ParamError, Params, cli,
+                      corpus_by_id, verify)
+
+# Every theorem and every status but violation: q = 1 makes bop_m/thm211/
+# thm22 not applicable, lam = mu = 0 is an input error, recip on [0, 1]
+# leaves its domain and exp with m = 0.5 fails the gate.
+ALL_STATUS_SPEC = (
+    "functions = pow2, exp, recip\n"
+    "intervals = 0:1, 1:2\n"
+    "alpha = 0.5, 1\n"
+    "m = 0.5, 1\n"
+    "lambda = 0, 2\n"
+    "mu = 0, 1\n"
+    "q = 1, 2\n")
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +157,55 @@ class TestSweep:
         (row,) = json.loads(out_file.read_text())
         assert row["theorem"] == "da" and row["rhs"] == 0.25
 
+    def test_csv_numbers_match_json(self, tmp_path, capsys):
+        # exp, sinh and xlogx return numpy scalars, which must be written as
+        # plain numbers
+        spec = tmp_path / "numpy.spec"
+        spec.write_text("functions = exp, sinh, xlogx\nintervals = 0.5:1, 1:2\n"
+                        "alpha = 0.5, 1\nm = 0.5, 1\nq = 1, 2\n")
+        f_csv, f_json = tmp_path / "rows.csv", tmp_path / "rows.json"
+        assert run_cli(capsys, "sweep", str(spec), "-o", str(f_csv))[0] == 0
+        assert run_cli(capsys, "sweep", str(spec), "-o", str(f_json),
+                       "--format", "json")[0] == 0
+        json_rows = json.loads(f_json.read_text())
+        csv_rows = list(csv.DictReader(f_csv.open()))
+        assert len(csv_rows) == len(json_rows) > 0
+        filled = 0
+        for c_row, j_row in zip(csv_rows, json_rows):
+            for col in ("lhs", "rhs", "slack", "quad_error", "branch1", "branch2",
+                        "rhs_loose", "gate_violation"):
+                if j_row[col] is None:
+                    assert c_row[col] == ""
+                else:
+                    assert float(c_row[col]) == j_row[col]
+                    filled += 1
+        assert filled > 0
+
+    @pytest.mark.parametrize("text", [
+        "functions = pow2\nintervals = 1-2\n",
+        "functions = pown2\nintervals = 0.001:1\nq = 40\ntheorems = thm11\n",
+    ], ids=["malformed_interval", "non_finite_gate"])
+    def test_bad_spec_is_an_input_error(self, tmp_path, capsys, text):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(text)
+        code, _, err = run_cli(capsys, "sweep", str(spec), "-o", str(tmp_path / "o.csv"))
+        assert code == 3
+        assert err.startswith("error:")
+
+    def test_jobs_output_matches_serial(self, tmp_path, capsys):
+        # holds_tol = -0.5 turns rows whose slack is below 0.5 into violations
+        spec = tmp_path / "all.spec"
+        spec.write_text(ALL_STATUS_SPEC + "holds_tol = -0.5\n")
+        serial, jobs2 = tmp_path / "serial.csv", tmp_path / "jobs2.csv"
+        assert run_cli(capsys, "sweep", str(spec), "-o", str(serial))[0] == 1
+        assert run_cli(capsys, "sweep", str(spec), "-o", str(jobs2),
+                       "--jobs", "2")[0] == 1
+        rows = list(csv.DictReader(serial.open()))
+        assert {r["theorem"] for r in rows} == set(cli.bounds.THEOREM_IDS)
+        assert {r["status"] for r in rows} == {
+            "ok", "violation", "gate_skipped", "not_applicable", "input_error"}
+        assert serial.read_bytes() == jobs2.read_bytes()
+
     def test_deterministic_output(self, tmp_path, capsys):
         spec = tmp_path / "small.spec"
         spec.write_text(
@@ -158,6 +220,33 @@ class TestSweep:
         assert f1.read_bytes() == f2.read_bytes()
 
 
+def test_eval_row_agrees_with_verify(tmp_path):
+    # includes exp, m = 0.5, q = 1 under thm22: not applicable, so verify
+    # raises ParamError although the gate would fail there
+    spec = tmp_path / "all.spec"
+    spec.write_text(ALL_STATUS_SPEC)
+    sweep = cli.parse_sweep_file(str(spec))
+    expected_errors = {"gate_skipped": (GateError,), "input_error": (ParamError,),
+                       "not_applicable": (ParamError, DomainError)}
+    seen = set()
+    for cfg in sweep.configs():
+        fn_id, a, b, alpha, m, lam, mu, q, theorem, quad_tol, holds_tol = cfg
+        row = cli.eval_row(*cfg)
+        try:
+            report = verify(corpus_by_id()[fn_id], Interval(a, b),
+                            Params(alpha=alpha, m=m, lam=lam, mu=mu, q=q), theorem,
+                            tol=quad_tol)
+        except (GateError, ParamError, DomainError) as exc:
+            assert isinstance(exc, expected_errors[row["status"]]), (cfg, row["status"])
+            seen.add(row["status"])
+            continue
+        assert row["status"] in ("ok", "violation"), cfg
+        assert (row["lhs"], row["rhs"], row["quad_error"], row["holds"]) == (
+            report.lhs, report.rhs, report.quad_error, report.holds)
+        seen.add(row["status"])
+    assert seen == {"ok", "gate_skipped", "not_applicable", "input_error"}
+
+
 class TestTightness:
     def test_ranking(self, capsys):
         code, out, _ = run_cli(capsys, "tightness", "--fn", "pow2", "--a", "1",
@@ -166,6 +255,12 @@ class TestTightness:
         assert code == 0
         assert "tightest:" in out
         assert "hh_upper" in out  # baseline row is always appended
+
+    def test_unknown_function_is_input_error(self, capsys):
+        code, out, _ = run_cli(capsys, "tightness", "--fn", "nope", "--a", "1",
+                               "--b", "2", "--theorems", "da,thm11")
+        assert code == 3
+        assert out.count("status=input_error") == 2
 
     def test_needs_two_theorems(self, capsys):
         code, _, err = run_cli(capsys, "tightness", "--fn", "pow2", "--a", "1",

@@ -42,13 +42,11 @@ class TestParams:
 
 class TestValidateParams:
     def test_interior_config_accepted(self):
-        cfg = validate_params(Params(), Interval(1, 2), corpus_by_id()["pow2"])
-        assert cfg.fn.id == "pow2"
+        validate_params(Params(), Interval(1, 2), corpus_by_id()["pow2"])
 
     def test_stretched_domain_accepted(self):
         # m = 0.5 needs the derivative at b/m = 4; 1/x covers it.
-        cfg = validate_params(Params(m=0.5), Interval(1, 2), corpus_by_id()["recip"])
-        assert cfg.params.m == 0.5
+        validate_params(Params(m=0.5), Interval(1, 2), corpus_by_id()["recip"])
 
     def test_zero_weights_rejected(self):
         with pytest.raises(ParamError):
@@ -96,13 +94,12 @@ class TestCorpus:
 
 
 def test_validate_params_is_total():
-    # Every input yields either a config or a typed error, never a crash.
+    # Every input is either accepted or rejected with a typed error, never a crash.
     fns = builtin_corpus()
     for fn in fns:
         for m in (0.3, 1.0):
             for a, b in ((0.0, 1.0), (1.0, 2.0)):
                 try:
-                    cfg = validate_params(Params(m=m), Interval(a, b), fn)
-                    assert cfg.interval.a == a
+                    validate_params(Params(m=m), Interval(a, b), fn)
                 except (ParamError, DomainError):
                     pass

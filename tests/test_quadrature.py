@@ -49,6 +49,13 @@ class TestIntegrate:
         assert res.evaluations <= 200
         assert abs(res.value - (0.3 ** 1.5 + 0.7 ** 1.5) * 2 / 3) < 1e-3
 
+    def test_width_floor_exit_reports_unmet_tolerance(self):
+        # the singularity at 0 stalls bisection at the panel-width floor
+        # before the error total reaches tol
+        res = integrate(lambda x: x ** -0.5, (0.0, 1.0), tol=1e-12)
+        assert res.converged is False
+        assert res.error_estimate > 1e-12
+
     def test_non_finite_integrand_raises(self):
         with pytest.raises(NonFiniteError):
             integrate(lambda x: float("nan") if 0.4 < x < 0.6 else x, (0.0, 1.0))
