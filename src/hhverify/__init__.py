@@ -7,7 +7,7 @@ from .core import (BoundReport, CoefficientSet, DomainError, GateError, Interval
                    validate_params)
 from .quadrature import QuadResult, integrate, kernel_moment
 from .convexity import ConvexityVerdict, check_alpha_m_convex, derivative_power
-from .coefficients import K_factors, M_factors, gamma_coeffs, mu_factors, nu_coeffs
+from .coefficients import gamma_coeffs, nu_coeffs
 from .bounds import Deviation, bound_hh, deviation, lemma21_residual, verify
 from .means import MeanKind, MeanValue, PropositionResult, mean, proposition_check
 

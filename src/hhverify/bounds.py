@@ -1,11 +1,12 @@
 """Exact LHS evaluation and every closed-form RHS, plus the identity check.
 
-``THEOREMS`` declares each bound once: its LHS, its convexity hypothesis,
-whether it needs q > 1, and its RHS.  ``assess`` runs one cell through
-lookup, applicability, gate, LHS and RHS; ``verify`` is its library entry
+``THEOREMS`` declares each bound once: its LHS, its convexity hypothesis
+and whether it needs q > 1.  Its RHS is ``<id>_rhs(fn, iv, p)``, which
+returns (rhs, branches) without integrating, so the means module can
+compare against it directly.  ``assess`` runs one cell through lookup,
+applicability, gate, LHS and RHS; ``verify`` is its library entry
 (``verify(..., gate=False)`` checks a bound without gating) and
-``cli.eval_row`` its sweep entry.  RHS-only helpers (``*_rhs``) are exposed
-separately so the means module can compare against them without integrating.
+``cli.eval_row`` its sweep entry.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .convexity import ConvexityVerdict, check_alpha_m_convex, derivative_power
-from .coefficients import K_factors, M_factors, gamma_coeffs, mu_factors, nu_coeffs
-from .core import (HOLDS_SLACK, BoundReport, DomainError, GateError, Interval,
-                   ParamError, Params, TestFunction, make_report, validate_params)
+from .coefficients import gamma_coeffs, nu_coeffs
+from .core import (HOLDS_SLACK, BoundReport, CoefficientSet, DomainError, GateError,
+                   Interval, ParamError, Params, TestFunction, make_report,
+                   validate_params)
 from .quadrature import integrate
 
 DEFAULT_LHS_TOL = 1e-9
@@ -82,34 +84,49 @@ def bound_hh(fn: TestFunction, iv: Interval) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# RHS evaluators (no quadrature) -- one per bound family.
+# RHS evaluators (no quadrature), one per bound: ``<id>_rhs(fn, iv, p)``
+# returns (rhs, branches).  Params has already checked alpha, m, the weights
+# and q >= 1; a bound that needs q > 1 reads ``p.p``, which raises ParamError
+# at q = 1.  With a >= 0 and m <= 1 every sample point (a, b, a/m, b/m, the
+# midpoint, z and their m-stretches) lies at or above a, so on a domain
+# [domain_min, inf) requiring a alone covers them all.
 
-def da_rhs(fn: TestFunction, iv: Interval) -> float:
+def da_rhs(fn: TestFunction, iv: Interval, p: Params) -> tuple[float, dict]:
     fn.require(iv.a)
-    return iv.width / 8.0 * (abs(fn.df(iv.a)) + abs(fn.df(iv.b)))
+    return iv.width / 8.0 * (abs(fn.df(iv.a)) + abs(fn.df(iv.b))), {}
 
 
-def sso_rhs(fn: TestFunction, iv: Interval, alpha: float, m: float) -> tuple[float, dict]:
-    a, b = iv.a, iv.b
-    fn.require(a, b, a / m, b / m)
+def sso_rhs(fn: TestFunction, iv: Interval, p: Params) -> tuple[float, dict]:
+    a, b, alpha, m = iv.a, iv.b, p.alpha, p.m
+    fn.require(a)
     branch1 = (fn.f(a) + alpha * m * fn.f(b / m)) / (alpha + 1.0)
     branch2 = (fn.f(b) + alpha * m * fn.f(a / m)) / (alpha + 1.0)
     return min(branch1, branch2), {"branch1": branch1, "branch2": branch2}
 
 
-def bop_m_rhs(fn: TestFunction, iv: Interval, m: float, q: float) -> tuple[float, dict]:
-    coeffs = mu_factors(fn, iv, m, q)
+def bop_m_rhs(fn: TestFunction, iv: Interval, p: Params) -> tuple[float, dict]:
+    """m-convex midpoint bound; mu1/mu2 are min-of-averages factors of
+    |f'|^q over the two half-intervals."""
+    p.p  # raises ParamError at q = 1
+    a, b, m, q = iv.a, iv.b, p.m, p.q
+    mid = 0.5 * (a + b)
+    fn.require(a)
+    da_, db_, dmid = (abs(fn.df(x)) ** q for x in (a, b, mid))
+    dam, dbm, dmidm = (abs(fn.df(x / m)) ** q for x in (a, b, mid))
+    coeffs = CoefficientSet("bop_m", {
+        "mu1": min((da_ + m * dmidm) / 2.0, (dmid + m * dam) / 2.0),
+        "mu2": min((db_ + m * dmidm) / 2.0, (dmid + m * dbm) / 2.0),
+    })
     spread = coeffs["mu1"] ** (1.0 / q) + coeffs["mu2"] ** (1.0 / q)
     loose = iv.width / 4.0 * spread
     tight = loose * ((q - 1.0) / (2.0 * q - 1.0)) ** ((q - 1.0) / q)
-    return tight, {"loose": loose, "mu1": coeffs["mu1"], "mu2": coeffs["mu2"]}
+    return tight, {"loose": loose, **coeffs.values}
 
 
-def bop_am_rhs(fn: TestFunction, iv: Interval, alpha: float, m: float,
-               q: float) -> tuple[float, dict]:
-    a, b = iv.a, iv.b
-    fn.require(a, b, a / m, b / m)
-    coeffs = nu_coeffs(alpha)
+def bop_am_rhs(fn: TestFunction, iv: Interval, p: Params) -> tuple[float, dict]:
+    a, b, m, q = iv.a, iv.b, p.m, p.q
+    fn.require(a)
+    coeffs = nu_coeffs(p.alpha)
     nu1, nu2 = coeffs["nu1"], coeffs["nu2"]
     da_, db_ = abs(fn.df(a)) ** q, abs(fn.df(b)) ** q
     dam = abs(fn.df(a / m)) ** q
@@ -123,7 +140,7 @@ def bop_am_rhs(fn: TestFunction, iv: Interval, alpha: float, m: float,
 def thm11_rhs(fn: TestFunction, iv: Interval, p: Params) -> tuple[float, dict]:
     a, b = iv.a, iv.b
     m, q, lam, mu = p.m, p.q, p.lam, p.mu
-    fn.require(a, b, a / m, b / m)
+    fn.require(a)
     g = gamma_coeffs(p.alpha, lam, mu)
     db_ = abs(fn.df(b)) ** q
     da_ = abs(fn.df(a)) ** q
@@ -143,24 +160,40 @@ def thm11_rhs(fn: TestFunction, iv: Interval, p: Params) -> tuple[float, dict]:
 
 
 def thm211_rhs(fn: TestFunction, iv: Interval, p: Params) -> tuple[float, dict]:
+    """Hoelder split bound; M1/M2 are per-segment factors of |f'|^q around
+    the interior node z = (lam*b + mu*a)/(lam + mu)."""
     conj = p.p  # raises ParamError at q = 1
-    coeffs = M_factors(fn, iv, p.alpha, p.m, p.lam, p.mu, p.q)
-    total = p.lam + p.mu
+    a, b, alpha, m, lam, mu, q = iv.a, iv.b, p.alpha, p.m, p.lam, p.mu, p.q
+    z = (lam * b + mu * a) / (lam + mu)
+    fn.require(a)
+    da_, db_, dz = (abs(fn.df(x)) ** q for x in (a, b, z))
+    dam, dbm, dzm = (abs(fn.df(x / m)) ** q for x in (a, b, z))
+    denom = alpha + 1.0
+    coeffs = CoefficientSet("thm211", {
+        "M1": min((da_ + alpha * m * dzm) / denom, (dz + alpha * m * dam) / denom),
+        "M2": min((db_ + alpha * m * dzm) / denom, (dz + alpha * m * dbm) / denom),
+    })
+    total = lam + mu
     rhs = (iv.width / total ** 2 * (1.0 / (conj + 1.0)) ** (1.0 / conj)
-           * (p.lam ** 2 * coeffs["M1"] ** (1.0 / p.q)
-              + p.mu ** 2 * coeffs["M2"] ** (1.0 / p.q)))
-    return rhs, {"M1": coeffs["M1"], "M2": coeffs["M2"]}
+           * (lam ** 2 * coeffs["M1"] ** (1.0 / q) + mu ** 2 * coeffs["M2"] ** (1.0 / q)))
+    return rhs, coeffs.values
 
 
 def thm22_rhs(fn: TestFunction, iv: Interval, p: Params) -> tuple[float, dict]:
-    conj = p.p
-    coeffs = K_factors(fn, iv, p.alpha, p.m, p.q)
+    """Global Hoelder bound; K1/K2 are endpoint factors of |f'|^q."""
+    conj = p.p  # raises ParamError at q = 1
+    a, b, alpha, m, q = iv.a, iv.b, p.alpha, p.m, p.q
+    fn.require(a)
+    coeffs = CoefficientSet("thm22", {
+        "K1": abs(fn.df(b)) ** q + m * alpha * abs(fn.df(a / m)) ** q,
+        "K2": abs(fn.df(a)) ** q + m * alpha * abs(fn.df(b / m)) ** q,
+    })
     total = p.lam + p.mu
     kernel = ((p.lam ** (conj + 1.0) + p.mu ** (conj + 1.0))
               / ((conj + 1.0) * total)) ** (1.0 / conj)
-    rhs = (iv.width / total * kernel * (1.0 / (p.alpha + 1.0)) ** (1.0 / p.q)
-           * min(coeffs["K1"], coeffs["K2"]) ** (1.0 / p.q))
-    return rhs, {"K1": coeffs["K1"], "K2": coeffs["K2"]}
+    rhs = (iv.width / total * kernel * (1.0 / (alpha + 1.0)) ** (1.0 / q)
+           * min(coeffs["K1"], coeffs["K2"]) ** (1.0 / q))
+    return rhs, coeffs.values
 
 
 # ---------------------------------------------------------------------------
@@ -168,22 +201,20 @@ def thm22_rhs(fn: TestFunction, iv: Interval, p: Params) -> tuple[float, dict]:
 
 @dataclass(frozen=True)
 class Theorem:
-    """Everything the verification path needs to know about one bound.
+    """Everything the verification path needs to know about one bound
+    besides its RHS, which is this module's ``<id>_rhs``.
 
     ``lhs`` is "mean" (the integral mean itself), "equal" (the deviation with
     lam = mu = 1) or "weighted" (the deviation with the cell's lam, mu).
     ``hypothesis`` maps the cell's Params to (g, alpha, m, q) of the convexity
     hypothesis, g being "f" or "df" (|f'|^q); q is 1 where the hypothesis
     does not depend on it, so that equal hypotheses share one cached verdict
-    in a sweep.  ``rhs`` maps (fn, iv, p) to (rhs, branches); it calls the
-    ``*_rhs`` functions through this module's globals so that replacing one
-    of them replaces it here too.
+    in a sweep.  ``needs_q_gt_1`` makes q = 1 not applicable before the gate.
     """
 
     lhs: str
     hypothesis: Callable[[Params], tuple[str, float, float, float]]
     needs_q_gt_1: bool
-    rhs: Callable[[TestFunction, Interval, Params], tuple[float, dict]]
 
 
 def _df_q(p: Params):
@@ -191,17 +222,13 @@ def _df_q(p: Params):
 
 
 THEOREMS = {
-    "da": Theorem("equal", lambda p: ("df", 1.0, 1.0, 1.0), False,
-                  lambda fn, iv, p: (da_rhs(fn, iv), {})),
-    "sso": Theorem("mean", lambda p: ("f", p.alpha, p.m, 1.0), False,
-                   lambda fn, iv, p: sso_rhs(fn, iv, p.alpha, p.m)),
-    "bop_m": Theorem("equal", lambda p: ("df", 1.0, p.m, p.q), True,
-                     lambda fn, iv, p: bop_m_rhs(fn, iv, p.m, p.q)),
-    "bop_am": Theorem("equal", _df_q, False,
-                      lambda fn, iv, p: bop_am_rhs(fn, iv, p.alpha, p.m, p.q)),
-    "thm11": Theorem("weighted", _df_q, False, lambda fn, iv, p: thm11_rhs(fn, iv, p)),
-    "thm211": Theorem("weighted", _df_q, True, lambda fn, iv, p: thm211_rhs(fn, iv, p)),
-    "thm22": Theorem("weighted", _df_q, True, lambda fn, iv, p: thm22_rhs(fn, iv, p)),
+    "da": Theorem("equal", lambda p: ("df", 1.0, 1.0, 1.0), False),
+    "sso": Theorem("mean", lambda p: ("f", p.alpha, p.m, 1.0), False),
+    "bop_m": Theorem("equal", lambda p: ("df", 1.0, p.m, p.q), True),
+    "bop_am": Theorem("equal", _df_q, False),
+    "thm11": Theorem("weighted", _df_q, False),
+    "thm211": Theorem("weighted", _df_q, True),
+    "thm22": Theorem("weighted", _df_q, True),
 }
 
 THEOREM_IDS = tuple(THEOREMS)
@@ -266,7 +293,8 @@ def assess(fn: TestFunction, a: float, b: float, alpha: float, m: float, lam: fl
         if thm.lhs != "mean":
             weights = (lam, mu) if thm.lhs == "weighted" else (1.0, 1.0)
             lhs = abs(_weighted_endpoint(fn, iv, *weights) - lhs)
-        rhs, branches = thm.rhs(fn, iv, p)
+        # looked up on each call so that a replaced ``<id>_rhs`` is the one used
+        rhs, branches = globals()[f"{theorem_id}_rhs"](fn, iv, p)
     except (ParamError, DomainError) as exc:
         return Outcome("input_error", None, exc, verdict)
     report = make_report(theorem_id, float(lhs), float(rhs), float(err), branches, holds_tol)

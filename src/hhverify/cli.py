@@ -2,10 +2,11 @@
 
 Subcommands: verify | sweep | tightness | means.  Every (function, interval,
 params, theorem) cell goes through ``eval_row``, which runs ``bounds.assess``
-(the path behind the library's ``verify``) with per-process caches of the
-integral means and gate verdicts.  CSV and JSON outputs use a
-fixed column order and shortest round-trip float formatting so identical
-inputs always produce byte-identical files (schema version 1).
+(the path behind the library's ``verify``) with ``lru_cache``d
+``bounds.integral_mean`` and ``bounds.hypothesis_verdict``; the corpus is
+built once, so its functions key those caches directly.  CSV and JSON
+outputs use a fixed column order and shortest round-trip float formatting
+so identical inputs always produce byte-identical files (schema version 1).
 
 Exit codes: 0 all bounds hold, 1 a violation was found, 2 a convexity gate
 failed (hypothesis not satisfied, not a violation), 3 input error.
@@ -25,8 +26,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import bounds, coefficients, quadrature
-from .core import (DomainError, GateError, Interval, NonFiniteError, ParamError,
-                   Params, corpus_by_id, make_report)
+from .core import (HOLDS_SLACK, DomainError, GateError, Interval, ParamError, Params,
+                   corpus_by_id, make_report)
 from .means import proposition_check
 
 SCHEMA_VERSION = 1
@@ -49,25 +50,10 @@ def _fmt(v) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Cached per-process building blocks for sweeps, keyed by corpus id.
+# Per-process caches for sweeps, keyed by the corpus functions themselves.
 
-@lru_cache(maxsize=None)
-def _cached_mean(fn_id: str, a: float, b: float, tol: float) -> tuple[float, float]:
-    return bounds.integral_mean(corpus_by_id()[fn_id], Interval(a, b), tol)
-
-
-@lru_cache(maxsize=None)
-def _cached_gate(fn_id: str, g: str, upper: float, alpha: float, m: float,
-                 q: float, grid_n: int):
-    return bounds.hypothesis_verdict(corpus_by_id()[fn_id], g, upper, alpha, m, q, grid_n)
-
-
-def _mean_of(fn, iv, tol):
-    return _cached_mean(fn.id, iv.a, iv.b, tol)
-
-
-def _gate_of(fn, g, upper, alpha, m, q, grid_n):
-    return _cached_gate(fn.id, g, upper, alpha, m, q, grid_n)
+_cached_mean = lru_cache(maxsize=None)(bounds.integral_mean)
+_cached_gate = lru_cache(maxsize=None)(bounds.hypothesis_verdict)
 
 
 def _report_cells(report) -> dict:
@@ -77,7 +63,7 @@ def _report_cells(report) -> dict:
 
 def eval_row(fn_id: str, a: float, b: float, alpha: float, m: float,
              lam: float, mu: float, q: float, theorem: str,
-             quad_tol: float = 1e-9, holds_tol: float = 1e-12,
+             quad_tol: float = bounds.DEFAULT_LHS_TOL, holds_tol: float = HOLDS_SLACK,
              gate_grid_n: int = 16) -> dict:
     """Evaluate one (config, theorem) cell through ``bounds.assess`` and
     return a report row."""
@@ -91,7 +77,7 @@ def eval_row(fn_id: str, a: float, b: float, alpha: float, m: float,
         return row
     outcome = bounds.assess(fn, a, b, alpha, m, lam, mu, q, theorem, tol=quad_tol,
                             holds_tol=holds_tol, gate_grid_n=gate_grid_n,
-                            mean_of=_mean_of, gate_of=_gate_of)
+                            mean_of=_cached_mean, gate_of=_cached_gate)
     row["status"] = outcome.status
     if outcome.verdict is not None:
         row["gate_violation"] = outcome.verdict.worst_violation
@@ -123,8 +109,8 @@ class SweepSpec:
     mu: list = field(default_factory=lambda: [1.0])
     q: list = field(default_factory=lambda: [1.0])
     theorems: list = field(default_factory=lambda: list(bounds.THEOREM_IDS))
-    quad_tol: float = 1e-9
-    holds_tol: float = 1e-12
+    quad_tol: float = bounds.DEFAULT_LHS_TOL
+    holds_tol: float = HOLDS_SLACK
 
     def size(self) -> int:
         return (len(self.functions) * len(self.intervals) * len(self.alpha)
@@ -203,12 +189,11 @@ def _row_sort_key(row):
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> tuple[list, dict]:
     """Evaluate the full cross product; rows come back sorted and the
     summary counts every status plus the minimum observed slack."""
-    configs = list(spec.configs())
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_eval_row_tuple, configs, chunksize=64))
+            rows = list(pool.map(_eval_row_tuple, spec.configs(), chunksize=64))
     else:
-        rows = [_eval_row_tuple(cfg) for cfg in configs]
+        rows = [_eval_row_tuple(cfg) for cfg in spec.configs()]
     rows.sort(key=_row_sort_key)
 
     summary = {"total": len(rows), "holds": 0, "violations": 0,
@@ -328,7 +313,7 @@ def cmd_tightness(args) -> int:
         iv = Interval(args.a, args.b)
         if args.a >= fn.domain_min:
             lower, upper = bounds.bound_hh(fn, iv)
-            mean, err = _cached_mean(args.fn, args.a, args.b, args.tol)
+            mean, err = _cached_mean(fn, iv, args.tol)
             base = dict.fromkeys(COLUMNS)
             base.update({"schema": SCHEMA_VERSION, "fn": args.fn, "a": args.a,
                          "b": args.b, "alpha": args.alpha, "m": args.m,
@@ -383,7 +368,7 @@ def _add_point_flags(sub) -> None:
     sub.add_argument("--lambda", dest="lam", type=float, default=1.0)
     sub.add_argument("--mu", type=float, default=1.0)
     sub.add_argument("--q", type=float, default=1.0)
-    sub.add_argument("--tol", type=float, default=1e-9)
+    sub.add_argument("--tol", type=float, default=bounds.DEFAULT_LHS_TOL)
     sub.add_argument("--format", choices=["json", "csv", "text"], default="text")
 
 
@@ -431,7 +416,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParamError, DomainError, NonFiniteError) as exc:
+    except (ParamError, DomainError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except GateError as exc:

@@ -1,13 +1,14 @@
-"""Closed forms for every coefficient family used by the bounds.
+"""Closed forms of the kernel-moment coefficient families of the bounds.
 
-Each family is an exact antiderivative of a kinked kernel moment (or a min
-of weighted endpoint averages); ``quadrature.kernel_moment`` is the
-independent oracle the tests check them against.
+Each family is an exact antiderivative of a kinked kernel moment;
+``quadrature.kernel_moment`` is the independent oracle the tests check them
+against.  The factors that sample |f'|^q (mu, M, K) live in the ``*_rhs``
+of the bound they serve.
 """
 
 from __future__ import annotations
 
-from .core import CoefficientSet, DomainError, Interval, ParamError, TestFunction
+from .core import CoefficientSet, ParamError
 
 
 def _check_weights(alpha: float, lam: float, mu: float) -> None:
@@ -48,59 +49,3 @@ def nu_coeffs(alpha: float) -> CoefficientSet:
     nu1 = (alpha + 0.5 ** alpha) / denom
     nu2 = ((alpha ** 2 + alpha + 2.0) / 2.0 - 0.5 ** alpha) / denom
     return CoefficientSet("bop_am", {"nu1": nu1, "nu2": nu2})
-
-
-def _dpow(fn: TestFunction, x: float, q: float) -> float:
-    return abs(fn.df(x)) ** q
-
-
-def mu_factors(fn: TestFunction, iv: Interval, m: float, q: float) -> CoefficientSet:
-    """Min-of-averages factors of the m-convex midpoint bound (q > 1)."""
-    if q <= 1:
-        raise ParamError(f"q must satisfy q > 1, got {q}")
-    if not 0 < m <= 1:
-        raise ParamError(f"m must lie in (0, 1], got {m}")
-    a, b = iv.a, iv.b
-    mid = 0.5 * (a + b)
-    fn.require(a / m, b / m, mid / m, a, b, mid)
-    mu1 = min((_dpow(fn, a, q) + m * _dpow(fn, mid / m, q)) / 2.0,
-              (_dpow(fn, mid, q) + m * _dpow(fn, a / m, q)) / 2.0)
-    mu2 = min((_dpow(fn, b, q) + m * _dpow(fn, mid / m, q)) / 2.0,
-              (_dpow(fn, mid, q) + m * _dpow(fn, b / m, q)) / 2.0)
-    return CoefficientSet("bop_m", {"mu1": mu1, "mu2": mu2})
-
-
-def M_factors(fn: TestFunction, iv: Interval, alpha: float, m: float,
-              lam: float, mu: float, q: float) -> CoefficientSet:
-    """Per-segment factors of the Hoelder split bound, with the interior
-    node z = (lam*b + mu*a)/(lam + mu)."""
-    _check_weights(alpha, lam, mu)
-    if q <= 1:
-        raise ParamError(f"q must satisfy q > 1, got {q}")
-    if not 0 < m <= 1:
-        raise ParamError(f"m must lie in (0, 1], got {m}")
-    a, b = iv.a, iv.b
-    z = (lam * b + mu * a) / (lam + mu)
-    fn.require(a, b, z, a / m, b / m, z / m)
-    denom = alpha + 1.0
-    m1 = min((_dpow(fn, a, q) + alpha * m * _dpow(fn, z / m, q)) / denom,
-             (_dpow(fn, z, q) + alpha * m * _dpow(fn, a / m, q)) / denom)
-    m2 = min((_dpow(fn, b, q) + alpha * m * _dpow(fn, z / m, q)) / denom,
-             (_dpow(fn, z, q) + alpha * m * _dpow(fn, b / m, q)) / denom)
-    return CoefficientSet("thm211", {"M1": m1, "M2": m2})
-
-
-def K_factors(fn: TestFunction, iv: Interval, alpha: float, m: float,
-              q: float) -> CoefficientSet:
-    """Endpoint factors of the global Hoelder bound (q > 1)."""
-    if not 0 < alpha <= 1:
-        raise ParamError(f"alpha must lie in (0, 1], got {alpha}")
-    if q <= 1:
-        raise ParamError(f"q must satisfy q > 1, got {q}")
-    if not 0 < m <= 1:
-        raise ParamError(f"m must lie in (0, 1], got {m}")
-    a, b = iv.a, iv.b
-    fn.require(a, b, a / m, b / m)
-    k1 = _dpow(fn, b, q) + m * alpha * _dpow(fn, a / m, q)
-    k2 = _dpow(fn, a, q) + m * alpha * _dpow(fn, b / m, q)
-    return CoefficientSet("thm22", {"K1": k1, "K2": k2})

@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -185,25 +186,33 @@ def validate_params(params: Params, interval: Interval, fn: TestFunction) -> Non
 SINGULAR_EPS = 1e-12
 
 
-def builtin_corpus() -> list[TestFunction]:
-    """The compiled-in function corpus, each with its analytic derivative."""
-    return [
-        TestFunction("pow2", lambda x: x ** 2, lambda x: 2.0 * x),
-        TestFunction("pow3", lambda x: x ** 3, lambda x: 3.0 * x ** 2),
-        TestFunction("pow4", lambda x: x ** 4, lambda x: 4.0 * x ** 3),
-        TestFunction("pown2", lambda x: x ** -2.0, lambda x: -2.0 * x ** -3.0,
-                     domain_min=SINGULAR_EPS),
-        TestFunction("recip", lambda x: 1.0 / x, lambda x: -1.0 / x ** 2,
-                     domain_min=SINGULAR_EPS),
-        TestFunction("exp", np.exp, np.exp),
-        TestFunction("xlogx", lambda x: x * np.log(x), lambda x: np.log(x) + 1.0,
-                     domain_min=SINGULAR_EPS),
-        TestFunction("sinh", np.sinh, np.cosh),
-    ]
+_CORPUS = (
+    TestFunction("pow2", lambda x: x ** 2, lambda x: 2.0 * x),
+    TestFunction("pow3", lambda x: x ** 3, lambda x: 3.0 * x ** 2),
+    TestFunction("pow4", lambda x: x ** 4, lambda x: 4.0 * x ** 3),
+    TestFunction("pown2", lambda x: x ** -2.0, lambda x: -2.0 * x ** -3.0,
+                 domain_min=SINGULAR_EPS),
+    TestFunction("recip", lambda x: 1.0 / x, lambda x: -1.0 / x ** 2,
+                 domain_min=SINGULAR_EPS),
+    TestFunction("exp", np.exp, np.exp),
+    TestFunction("xlogx", lambda x: x * np.log(x), lambda x: np.log(x) + 1.0,
+                 domain_min=SINGULAR_EPS),
+    TestFunction("sinh", np.sinh, np.cosh),
+)
+_CORPUS_BY_ID = MappingProxyType({fn.id: fn for fn in _CORPUS})
 
 
-def corpus_by_id() -> dict[str, TestFunction]:
-    return {fn.id: fn for fn in builtin_corpus()}
+def builtin_corpus() -> tuple[TestFunction, ...]:
+    """The compiled-in function corpus, each with its analytic derivative.
+
+    Built once: every call returns the same objects, so they can key caches.
+    """
+    return _CORPUS
+
+
+def corpus_by_id() -> Mapping[str, TestFunction]:
+    """The corpus by id, as a read-only view of the one corpus."""
+    return _CORPUS_BY_ID
 
 
 def power_function(n: int) -> TestFunction:

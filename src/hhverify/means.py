@@ -11,7 +11,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .core import DomainError, Interval, ParamError, Params, power_function
+from .core import HOLDS_SLACK, DomainError, Interval, ParamError, Params, power_function
 from .bounds import thm11_rhs, thm211_rhs, thm22_rhs
 from .coefficients import gamma_coeffs
 
@@ -197,7 +197,7 @@ def proposition_check(k: int, a: float, b: float, p: Params,
                     "relative to the bound it substitutes into")
 
     residual = abs(mean_rhs - corollary_rhs)
-    holds = mean_lhs <= corollary_rhs + 1e-12
+    holds = mean_lhs <= corollary_rhs + HOLDS_SLACK
     return PropositionResult(prop=k, mean_lhs=mean_lhs, mean_rhs=mean_rhs,
                              corollary_rhs=corollary_rhs, residual=residual,
                              holds=holds, note=note)

@@ -97,17 +97,18 @@ def test_criterion_4_reduction_identities():
             for m in (0.5, 1.0):
                 for q in (1.0, 2.0, 3.0):
                     r1, _ = thm11_rhs(fn, iv, Params(alpha=alpha, m=m, lam=c, mu=c, q=q))
-                    r2, _ = bop_am_rhs(fn, iv, alpha, m, q)
+                    r2, _ = bop_am_rhs(fn, iv, Params(alpha=alpha, m=m, q=q))
                     track(r1, r2)
         # ... and with m = alpha = q = 1 onto the endpoint-slope bound
         r1, _ = thm11_rhs(fn, iv, Params(lam=c, mu=c, q=1.0))
-        track(r1, da_rhs(fn, iv))
+        r2, _ = da_rhs(fn, iv, Params())
+        track(r1, r2)
         # the Hoelder split at equal weights and alpha = 1 gives the tight
         # m-convex bound
         for m in (0.5, 1.0):
             for q in (2.0, 3.0):
                 r1, _ = thm211_rhs(fn, iv, Params(m=m, lam=c, mu=c, q=q))
-                r2, _ = bop_m_rhs(fn, iv, m, q)
+                r2, _ = bop_m_rhs(fn, iv, Params(m=m, q=q))
                 track(r1, r2)
         # global Hoelder bound at equal weights, independent closed form
         for alpha in (0.5, 1.0):

@@ -6,6 +6,7 @@ import pytest
 from hhverify import (GateError, Interval, ParamError, Params, TestFunction,
                       bound_hh, corpus_by_id, deviation, lemma21_residual,
                       reflect, verify)
+from hhverify import bounds
 from hhverify.bounds import thm11_rhs
 
 POW2 = corpus_by_id()["pow2"]
@@ -228,6 +229,21 @@ class TestVerify:
     def test_unknown_theorem(self):
         with pytest.raises(ParamError):
             verify(POW2, Interval(0, 1), Params(), "nope")
+
+    @pytest.mark.parametrize("theorem", bounds.THEOREM_IDS)
+    def test_calls_the_module_rhs_once(self, theorem, monkeypatch):
+        # the path looks up bounds.<id>_rhs on each call, so a replacement
+        # (a tracer, say) sees every evaluation
+        original = getattr(bounds, f"{theorem}_rhs")
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(bounds, f"{theorem}_rhs", counting)
+        verify(POW2, Interval(1, 2), Params(q=2.0), theorem, gate=False)
+        assert len(calls) == 1
 
     def test_swap_symmetry_sample(self):
         iv = Interval(1.0, 2.0)

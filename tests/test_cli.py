@@ -136,6 +136,13 @@ class TestSweep:
         assert statuses == ["input_error", "ok", "ok", "ok"]
         assert "input_error=1" in out
 
+    def test_mean_cache_holds_one_entry_per_function_and_interval(self):
+        cli._cached_mean.cache_clear()
+        spec = cli.SweepSpec(functions=["pow2", "exp"], intervals=[(1.0, 2.0), (0.5, 3.0)],
+                             lam=[1.0, 2.0], q=[1.0, 2.0], theorems=["da", "thm11"])
+        cli.run_sweep(spec)
+        assert cli._cached_mean.cache_info().currsize == 4
+
     def test_missing_spec_file(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "/no/such/file.spec")
         assert code == 3
@@ -283,6 +290,13 @@ class TestMeansCommand:
                                "--b", "2", "--n", "1")
         assert code == 3
         assert "error" in err
+
+    def test_overflow_is_input_error(self, capsys):
+        # b^n overflows a Python float
+        code, _, err = run_cli(capsys, "means", "--prop", "1", "--a", "1",
+                               "--b", "1e200", "--n", "3")
+        assert code == 3
+        assert err.startswith("error:")
 
     def test_prop6_notes_extra_factor(self, capsys):
         code, out, _ = run_cli(capsys, "means", "--prop", "6", "--a", "1",

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from hhverify import (DomainError, Interval, ParamError, corpus_by_id,
-                      gamma_coeffs, kernel_moment, K_factors, M_factors,
-                      mu_factors, nu_coeffs)
+from hhverify import (DomainError, Interval, ParamError, Params, corpus_by_id,
+                      gamma_coeffs, kernel_moment, nu_coeffs)
+from hhverify.bounds import bop_m_rhs, thm211_rhs, thm22_rhs
 
 GRID = [0.0, 0.5, 1.0, 2.0, 5.0]
 WEIGHT_PAIRS = [(l, m) for l in GRID for m in GRID if l + m > 0]
@@ -94,17 +94,20 @@ class TestNuCoeffs:
         assert math.isclose(nu["nu1"] + nu["nu2"], 0.5, abs_tol=1e-14)
 
 
+# The factors that sample |f'|^q are the branches of the RHS they serve:
+# mu1/mu2 of bop_m, M1/M2 of thm211 and K1/K2 of thm22.
+
 class TestMuFactors:
     def test_square_unit_m(self):
         fn = corpus_by_id()["pow2"]
-        mu = mu_factors(fn, Interval(1, 2), 1.0, 2.0)
+        _, mu = bop_m_rhs(fn, Interval(1, 2), Params(m=1.0, q=2.0))
         assert mu["mu1"] == 6.5
         assert mu["mu2"] == 12.5
 
     def test_symmetric_branches_coincide_at_m1(self):
         # |f'| symmetric around the midpoint makes both averages identical
         fn = corpus_by_id()["pow2"]
-        mu = mu_factors(fn, Interval(1, 2), 1.0, 2.0)
+        _, mu = bop_m_rhs(fn, Interval(1, 2), Params(m=1.0, q=2.0))
         mid, q = 1.5, 2.0
         avg1 = (abs(fn.df(1.0)) ** q + abs(fn.df(mid)) ** q) / 2
         avg2 = (abs(fn.df(mid)) ** q + abs(fn.df(1.0)) ** q) / 2
@@ -112,54 +115,54 @@ class TestMuFactors:
 
     def test_q1_rejected(self):
         with pytest.raises(ParamError):
-            mu_factors(corpus_by_id()["pow2"], Interval(1, 2), 1.0, 1.0)
+            bop_m_rhs(corpus_by_id()["pow2"], Interval(1, 2), Params(m=1.0, q=1.0))
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            mu_factors(corpus_by_id()["recip"], Interval(0.0, 1.0), 1.0, 2.0)
+            bop_m_rhs(corpus_by_id()["recip"], Interval(0.0, 1.0), Params(m=1.0, q=2.0))
 
 
 class TestMFactors:
     def test_reduces_to_mu_at_equal_weights(self):
         fn = corpus_by_id()["pow2"]
-        M = M_factors(fn, Interval(1, 2), 1.0, 1.0, 1.0, 1.0, 2.0)
+        _, M = thm211_rhs(fn, Interval(1, 2), Params(1.0, 1.0, 1.0, 1.0, 2.0))
         assert M["M1"] == 6.5 and M["M2"] == 12.5
 
     def test_asymmetric_weights(self):
         fn = corpus_by_id()["pow2"]
-        M = M_factors(fn, Interval(1, 2), 1.0, 1.0, 2.0, 1.0, 2.0)
+        _, M = thm211_rhs(fn, Interval(1, 2), Params(1.0, 1.0, 2.0, 1.0, 2.0))
         assert math.isclose(M["M1"], 68.0 / 9.0, rel_tol=1e-15)
         assert math.isclose(M["M2"], 122.0 / 9.0, rel_tol=1e-15)
 
     def test_alpha_one_m_one_is_plain_average(self):
         fn = corpus_by_id()["pow3"]
-        M = M_factors(fn, Interval(1, 2), 1.0, 1.0, 1.0, 3.0, 2.0)
+        _, M = thm211_rhs(fn, Interval(1, 2), Params(1.0, 1.0, 1.0, 3.0, 2.0))
         z = (1.0 * 2 + 3.0 * 1) / 4.0
         q = 2.0
         assert math.isclose(M["M1"], (fn.df(1.0) ** q + fn.df(z) ** q) / 2, rel_tol=1e-15)
 
     def test_q1_rejected(self):
         with pytest.raises(ParamError):
-            M_factors(corpus_by_id()["pow2"], Interval(1, 2), 1.0, 1.0, 1.0, 1.0, 1.0)
+            thm211_rhs(corpus_by_id()["pow2"], Interval(1, 2), Params(1.0, 1.0, 1.0, 1.0, 1.0))
 
 
 class TestKFactors:
     def test_symmetric(self):
-        K = K_factors(corpus_by_id()["pow2"], Interval(1, 2), 1.0, 1.0, 2.0)
+        _, K = thm22_rhs(corpus_by_id()["pow2"], Interval(1, 2), Params(alpha=1.0, m=1.0, q=2.0))
         assert K["K1"] == 20.0 and K["K2"] == 20.0
 
     def test_stretched_domain(self):
         # a/m = 2 so K1 picks up the derivative there; q > 1 is required,
         # so use q = 2: K1 = |f'(2)|^2 + 0.5 * |f'(2)|^2 = 24
-        K = K_factors(corpus_by_id()["pow2"], Interval(1, 2), 1.0, 0.5, 2.0)
+        _, K = thm22_rhs(corpus_by_id()["pow2"], Interval(1, 2), Params(alpha=1.0, m=0.5, q=2.0))
         assert math.isclose(K["K1"], 16.0 + 0.5 * 16.0, rel_tol=1e-15)
         assert math.isclose(K["K2"], 4.0 + 0.5 * 64.0, rel_tol=1e-15)
 
     def test_symmetry_when_endpoint_slopes_match(self):
         fn = corpus_by_id()["pow2"]
-        K = K_factors(fn, Interval(1, 2), 1.0, 1.0, 3.0)
+        _, K = thm22_rhs(fn, Interval(1, 2), Params(alpha=1.0, m=1.0, q=3.0))
         assert K["K1"] == abs(fn.df(2.0)) ** 3 + abs(fn.df(1.0)) ** 3 == K["K2"]
 
     def test_q1_rejected(self):
         with pytest.raises(ParamError):
-            K_factors(corpus_by_id()["pow2"], Interval(1, 2), 1.0, 1.0, 1.0)
+            thm22_rhs(corpus_by_id()["pow2"], Interval(1, 2), Params(alpha=1.0, m=1.0, q=1.0))

@@ -63,6 +63,10 @@ class TestCorpus:
         assert {"pow2", "pow3", "pow4", "pown2", "recip", "exp", "xlogx"} <= ids
         assert len(ids) == 8
 
+    def test_built_once(self):
+        assert corpus_by_id()["pow2"] is corpus_by_id()["pow2"]
+        assert builtin_corpus()[0] is corpus_by_id()["pow2"]
+
     def test_pow2_entry(self):
         fn = corpus_by_id()["pow2"]
         assert fn.f(3.0) == 9.0 and fn.df(3.0) == 6.0 and fn.domain_min <= 0.0
