@@ -22,6 +22,7 @@ from .core import (HOLDS_SLACK, BoundReport, CoefficientSet, DomainError, GateEr
 from .quadrature import integrate
 
 DEFAULT_LHS_TOL = 1e-9
+GATE_GRID_N = 16  # grid of the convexity gate (check_alpha_m_convex's grid_n)
 
 
 @dataclass(frozen=True)
@@ -257,15 +258,15 @@ class Outcome(NamedTuple):
 
 def assess(fn: TestFunction, a: float, b: float, alpha: float, m: float, lam: float,
            mu: float, q: float, theorem_id: str, tol: float = DEFAULT_LHS_TOL,
-           holds_tol: float = HOLDS_SLACK, gate_grid_n: int = 16,
-           mean_of=integral_mean, gate_of=hypothesis_verdict) -> Outcome:
+           holds_tol: float = HOLDS_SLACK, mean_of=integral_mean,
+           gate_of=hypothesis_verdict) -> Outcome:
     """Look up the theorem, check it applies, gate its hypothesis, then
     compare the quadrature LHS with the closed-form RHS.
 
     ``mean_of(fn, iv, tol)`` gives the integral mean and its error;
-    ``gate_of(fn, g, upper, alpha, m, q, grid_n)`` the convexity verdict, or
-    pass None to skip the gate.  Callers that evaluate many cells pass
-    cached providers.
+    ``gate_of(fn, g, upper, alpha, m, q, GATE_GRID_N)`` the convexity
+    verdict, or pass None to skip the gate.  Callers that evaluate many
+    cells pass cached providers.
     """
     thm = THEOREMS.get(theorem_id)
     if thm is not None and thm.needs_q_gt_1 and q == 1:
@@ -284,7 +285,7 @@ def assess(fn: TestFunction, a: float, b: float, alpha: float, m: float, lam: fl
     verdict = None
     if gate_of is not None:
         g, g_alpha, g_m, g_q = thm.hypothesis(p)
-        verdict = gate_of(fn, g, max(b, b / g_m), g_alpha, g_m, g_q, gate_grid_n)
+        verdict = gate_of(fn, g, max(b, b / g_m), g_alpha, g_m, g_q, GATE_GRID_N)
         if not verdict.holds:
             return Outcome("gate_skipped", None, None, verdict)
 
@@ -302,8 +303,7 @@ def assess(fn: TestFunction, a: float, b: float, alpha: float, m: float, lam: fl
 
 
 def verify(fn: TestFunction, iv: Interval, p: Params, theorem_id: str,
-           tol: float = DEFAULT_LHS_TOL, gate: bool = True,
-           gate_grid_n: int = 16) -> BoundReport:
+           tol: float = DEFAULT_LHS_TOL, gate: bool = True) -> BoundReport:
     """Check the named bound; ``gate=False`` skips the hypothesis check.
 
     Raises ParamError (unknown theorem, q = 1 for a bound that needs q > 1),
@@ -312,8 +312,7 @@ def verify(fn: TestFunction, iv: Interval, p: Params, theorem_id: str,
     failure is never a theorem violation.
     """
     outcome = assess(fn, iv.a, iv.b, p.alpha, p.m, p.lam, p.mu, p.q, theorem_id,
-                     tol=tol, gate_grid_n=gate_grid_n,
-                     gate_of=hypothesis_verdict if gate else None)
+                     tol=tol, gate_of=hypothesis_verdict if gate else None)
     if outcome.status == "gate_skipped":
         v = outcome.verdict
         raise GateError(f"convexity hypothesis of {theorem_id} fails for {fn.id} "

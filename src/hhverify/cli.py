@@ -4,9 +4,10 @@ Subcommands: verify | sweep | tightness | means.  Every (function, interval,
 params, theorem) cell goes through ``eval_row``, which runs ``bounds.assess``
 (the path behind the library's ``verify``) with ``lru_cache``d
 ``bounds.integral_mean`` and ``bounds.hypothesis_verdict``; the corpus is
-built once, so its functions key those caches directly.  CSV and JSON
-outputs use a fixed column order and shortest round-trip float formatting
-so identical inputs always produce byte-identical files (schema version 1).
+built once, so its functions key those caches directly.  A row is a dict
+keyed by ``COLUMNS``, in that order, and holds plain values (str, int,
+float, bool or None); the writers write them as they are, floats in
+shortest round-trip form, so identical inputs give byte-identical files.
 
 Exit codes: 0 all bounds hold, 1 a violation was found, 2 a convexity gate
 failed (hypothesis not satisfied, not a violation), 3 input error.
@@ -19,11 +20,13 @@ import csv
 import io
 import itertools
 import json
-import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 
 from . import bounds, coefficients, quadrature
 from .core import (HOLDS_SLACK, DomainError, GateError, Interval, ParamError, Params,
@@ -44,8 +47,6 @@ def _fmt(v) -> str:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(float(v))  # numpy scalars repr as np.float64(...)
     return str(v)
 
 
@@ -63,8 +64,8 @@ def _report_cells(report) -> dict:
 
 def eval_row(fn_id: str, a: float, b: float, alpha: float, m: float,
              lam: float, mu: float, q: float, theorem: str,
-             quad_tol: float = bounds.DEFAULT_LHS_TOL, holds_tol: float = HOLDS_SLACK,
-             gate_grid_n: int = 16) -> dict:
+             quad_tol: float = bounds.DEFAULT_LHS_TOL,
+             holds_tol: float = HOLDS_SLACK) -> dict:
     """Evaluate one (config, theorem) cell through ``bounds.assess`` and
     return a report row."""
     row = dict.fromkeys(COLUMNS)
@@ -76,8 +77,8 @@ def eval_row(fn_id: str, a: float, b: float, alpha: float, m: float,
         row["status"] = "input_error"
         return row
     outcome = bounds.assess(fn, a, b, alpha, m, lam, mu, q, theorem, tol=quad_tol,
-                            holds_tol=holds_tol, gate_grid_n=gate_grid_n,
-                            mean_of=_cached_mean, gate_of=_cached_gate)
+                            holds_tol=holds_tol, mean_of=_cached_mean,
+                            gate_of=_cached_gate)
     row["status"] = outcome.status
     if outcome.verdict is not None:
         row["gate_violation"] = outcome.verdict.worst_violation
@@ -181,9 +182,7 @@ def parse_sweep_file(path: str) -> SweepSpec:
     return spec
 
 
-def _row_sort_key(row):
-    return (row["fn"], row["a"], row["b"], row["alpha"], row["m"],
-            row["lambda"], row["mu"], row["q"], row["theorem"])
+_row_sort_key = itemgetter(*COLUMNS[1:10])  # fn, a, b, alpha, m, lambda, mu, q, theorem
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> tuple[list, dict]:
@@ -196,42 +195,38 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> tuple[list, dict]:
         rows = [_eval_row_tuple(cfg) for cfg in spec.configs()]
     rows.sort(key=_row_sort_key)
 
-    summary = {"total": len(rows), "holds": 0, "violations": 0,
-               "gate_skipped": 0, "not_applicable": 0, "input_error": 0,
-               "min_slack": None, "min_slack_config": None}
-    for row in rows:
-        status = row["status"]
-        if status == "ok":
-            summary["holds"] += 1
-            if summary["min_slack"] is None or row["slack"] < summary["min_slack"]:
-                summary["min_slack"] = row["slack"]
-                summary["min_slack_config"] = _row_sort_key(row)
-        elif status == "violation":
-            summary["violations"] += 1
-        elif status == "gate_skipped":
-            summary["gate_skipped"] += 1
-        elif status == "not_applicable":
-            summary["not_applicable"] += 1
-        else:
-            summary["input_error"] += 1
+    counts = Counter(row["status"] for row in rows)
+    # min keeps the first of equal slacks, so ties go to the earliest row
+    tightest = min((row for row in rows if row["status"] == "ok"),
+                   key=itemgetter("slack"), default=None)
+    summary = {"total": len(rows), "holds": counts["ok"], "violations": counts["violation"],
+               **{s: counts[s] for s in ("gate_skipped", "not_applicable", "input_error")},
+               "min_slack": tightest and tightest["slack"],
+               "min_slack_config": tightest and _row_sort_key(tightest)}
     return rows, summary
 
 
 # ---------------------------------------------------------------------------
 # Output helpers.
 
+_HOLDS = COLUMNS.index("holds")
+
+
 def rows_to_csv(rows: list) -> str:
+    """csv writes floats in shortest round-trip form and None as an empty
+    cell; only the bool ``holds`` needs ``_fmt``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(COLUMNS)
     for row in rows:
-        writer.writerow([_fmt(row.get(c)) for c in COLUMNS])
+        cells = list(row.values())
+        cells[_HOLDS] = _fmt(cells[_HOLDS])
+        writer.writerow(cells)
     return buf.getvalue()
 
 
 def rows_to_json(rows: list) -> str:
-    return json.dumps([{c: row.get(c) for c in COLUMNS} for row in rows],
-                      indent=2, sort_keys=False) + "\n"
+    return json.dumps(rows, indent=2) + "\n"
 
 
 def _emit_rows(rows: list, fmt: str, out) -> None:
@@ -241,8 +236,7 @@ def _emit_rows(rows: list, fmt: str, out) -> None:
         out.write(rows_to_json(rows))
     else:
         for row in rows:
-            pairs = (f"{c}={_fmt(row.get(c))}" for c in COLUMNS
-                     if row.get(c) is not None)
+            pairs = (f"{c}={_fmt(v)}" for c, v in row.items() if v is not None)
             out.write("  ".join(pairs) + "\n")
 
 
@@ -283,13 +277,9 @@ def cmd_sweep(args) -> int:
           f"{len(spec.lam)}x{len(spec.mu)} weights x {len(spec.q)} q x "
           f"{len(spec.theorems)} theorems)")
     rows, summary = run_sweep(spec, jobs=args.jobs)
-
-    output = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(output)
-    else:
-        sys.stdout.write(output)
+    with (open(args.output, "w", encoding="utf-8", newline="") if args.output
+          else nullcontext(sys.stdout)) as out:
+        _emit_rows(rows, args.format, out)
 
     print(f"total={summary['total']} holds={summary['holds']} "
           f"violations={summary['violations']} gate_skipped={summary['gate_skipped']} "
@@ -353,7 +343,7 @@ def cmd_means(args) -> int:
         print(json.dumps(payload, indent=2))
     else:
         for key, value in payload.items():
-            print(f"{key}={_fmt(value) if not isinstance(value, str) else value}")
+            print(f"{key}={_fmt(value)}")
     return 0 if result.holds else 1
 
 
@@ -388,8 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("spec", help="spec file path, or 'default' for the acceptance sweep")
     p_sweep.add_argument("--output", "-o", help="write CSV/JSON here instead of stdout")
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_sweep.add_argument("--jobs", type=int,
-                         default=int(os.environ.get("HH_VERIFY_JOBS", "1")))
+    p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_tight = subs.add_parser("tightness", help="rank several bounds on one configuration")

@@ -59,7 +59,7 @@ def check_alpha_m_convex(g: Callable, b: float, alpha: float, m: float,
             g0 = float(g(0.0))
         if not np.isfinite(g0):
             raise ArithmeticError
-    except (ArithmeticError, ZeroDivisionError, ValueError, OverflowError, FloatingPointError):
+    except (ArithmeticError, ValueError):
         lo = 1e-8 * b
         clipped = True
 

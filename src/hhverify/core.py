@@ -143,11 +143,13 @@ class BoundReport:
 
 def make_report(theorem_id: str, lhs: float, rhs: float, quad_error: float,
                 branches: dict | None = None, holds_tol: float = HOLDS_SLACK) -> BoundReport:
-    """The bound holds when lhs <= rhs + quad_error + holds_tol."""
+    """The bound holds when lhs <= rhs + quad_error + holds_tol.  The
+    branches are stored as Python floats, whatever scalar type the RHS used."""
     slack = rhs - lhs
     holds = lhs <= rhs + quad_error + holds_tol
     return BoundReport(theorem_id=theorem_id, lhs=lhs, rhs=rhs, slack=slack,
-                       holds=holds, quad_error=quad_error, branches=branches or {})
+                       holds=holds, quad_error=quad_error,
+                       branches={k: float(v) for k, v in (branches or {}).items()})
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .core import HOLDS_SLACK, DomainError, Interval, ParamError, Params, power_function
+from .core import (HOLDS_SLACK, DomainError, Interval, NonFiniteError, ParamError, Params,
+                   power_function)
 from .bounds import thm11_rhs, thm211_rhs, thm22_rhs
 from .coefficients import gamma_coeffs
 
@@ -105,7 +106,8 @@ def proposition_check(k: int, a: float, b: float, p: Params,
     generic bound it substitutes into.  The two must agree to rounding,
     except proposition 6 whose display carries a spurious (1/2)^(1/q)
     factor relative to the bound it cites; that mismatch is reported in
-    ``note`` rather than normalized away.
+    ``note`` rather than normalized away.  Raises NonFiniteError when a
+    power of a or b leaves the float range.
     """
     _require_positive_pair(a, b)
     if k not in range(1, 7):
@@ -117,7 +119,21 @@ def proposition_check(k: int, a: float, b: float, p: Params,
         if n is None or abs(n) < 2 or n != int(n):
             raise ParamError(f"propositions 1-3 require integer |n| >= 2, got {n}")
         n = int(n)
+    try:
+        mean_lhs, mean_rhs, corollary_rhs, note = _mean_forms(k, a, b, p, n)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NonFiniteError(f"proposition {k}: a power of a or b is out of float "
+                             f"range on ({a}, {b}) ({exc})") from None
+    residual = abs(mean_rhs - corollary_rhs)
+    holds = mean_lhs <= corollary_rhs + HOLDS_SLACK
+    return PropositionResult(prop=k, mean_lhs=mean_lhs, mean_rhs=mean_rhs,
+                             corollary_rhs=corollary_rhs, residual=residual,
+                             holds=holds, note=note)
 
+
+def _mean_forms(k: int, a: float, b: float, p: Params, n: int | None):
+    """(mean_lhs, mean_rhs, corollary_rhs, note) of a validated proposition k."""
+    lam, mu, q = p.lam, p.mu, p.q
     iv = Interval(a, b)
     total = lam + mu
     w = lam / total
@@ -195,9 +211,4 @@ def proposition_check(k: int, a: float, b: float, p: Params,
             corollary_rhs, _ = thm22_rhs(fn, iv, generic)
             note = ("displayed mean form carries an extra (1/2)^(1/q) factor "
                     "relative to the bound it substitutes into")
-
-    residual = abs(mean_rhs - corollary_rhs)
-    holds = mean_lhs <= corollary_rhs + HOLDS_SLACK
-    return PropositionResult(prop=k, mean_lhs=mean_lhs, mean_rhs=mean_rhs,
-                             corollary_rhs=corollary_rhs, residual=residual,
-                             holds=holds, note=note)
+    return mean_lhs, mean_rhs, corollary_rhs, note

@@ -100,14 +100,7 @@ def integrate(f: Callable, iv: Interval | tuple[float, float], tol: float = 1e-9
         evals += 15
         heapq.heappush(heap, (-err, lo, hi, val, err))
 
-    while True:
-        total_err = sum(item[4] for item in heap)
-        if total_err <= tol:
-            break
-        if evals + 30 > max_evals:
-            value = math.fsum(item[3] for item in heap)
-            return QuadResult(value=value, error_estimate=total_err,
-                              evaluations=evals, converged=False)
+    while sum(item[4] for item in heap) > tol and evals + 30 <= max_evals:
         _, lo, hi, _, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         for seg in ((lo, mid), (mid, hi)):

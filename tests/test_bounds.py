@@ -245,6 +245,18 @@ class TestVerify:
         verify(POW2, Interval(1, 2), Params(q=2.0), theorem, gate=False)
         assert len(calls) == 1
 
+    def test_gate_runs_on_the_fixed_grid(self):
+        seen = []
+
+        def gate_of(*args):
+            seen.append(args[-1])
+            return bounds.hypothesis_verdict(*args)
+
+        outcome = bounds.assess(POW2, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 2.0, "thm11",
+                                gate_of=gate_of)
+        assert outcome.status == "ok"
+        assert seen == [bounds.GATE_GRID_N] == [16]
+
     def test_swap_symmetry_sample(self):
         iv = Interval(1.0, 2.0)
         p = Params(alpha=0.75, m=1.0, lam=2.0, mu=0.5, q=2.0)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -93,6 +94,16 @@ class TestEvalRow:
     def test_zero_weights_are_input_error(self):
         row = cli.eval_row("pow2", 1.0, 2.0, 1.0, 1.0, 0.0, 0.0, 2.0, "thm11")
         assert row["status"] == "input_error"
+
+    @pytest.mark.parametrize("fn_id", sorted(corpus_by_id()))
+    def test_cells_are_plain_values(self, fn_id):
+        # exp, sinh and xlogx compute their branches as numpy scalars;
+        # make_report stores them as Python floats
+        for theorem in cli.bounds.THEOREM_IDS:
+            row = cli.eval_row(fn_id, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 2.0, theorem)
+            assert list(row) == cli.COLUMNS
+            for col, value in row.items():
+                assert type(value) in (str, int, float, bool, type(None)), (theorem, col)
 
     def test_m_below_one_stretches_domain(self):
         # a/m = 2 lands below recip's pole only when a > 0, so this is fine
@@ -213,6 +224,41 @@ class TestSweep:
             "ok", "violation", "gate_skipped", "not_applicable", "input_error"}
         assert serial.read_bytes() == jobs2.read_bytes()
 
+    def test_summary_recounts_rows(self, tmp_path):
+        spec = tmp_path / "all.spec"
+        spec.write_text(ALL_STATUS_SPEC + "holds_tol = -0.5\n")
+        rows, summary = cli.run_sweep(cli.parse_sweep_file(str(spec)))
+        counts = Counter(r["status"] for r in rows)
+        assert summary == {
+            "total": len(rows), "holds": counts["ok"], "violations": counts["violation"],
+            "gate_skipped": counts["gate_skipped"],
+            "not_applicable": counts["not_applicable"],
+            "input_error": counts["input_error"],
+            "min_slack": summary["min_slack"], "min_slack_config": summary["min_slack_config"]}
+        assert sum(counts.values()) == len(rows) and len(counts) == 5
+        ok = [r for r in rows if r["status"] == "ok"]
+        least = min(r["slack"] for r in ok)
+        first = next(r for r in ok if r["slack"] == least)
+        assert summary["min_slack"] == least
+        assert summary["min_slack_config"] == tuple(first[c] for c in cli.COLUMNS[1:10])
+
+    def test_stdout_matches_output_file(self, tmp_path, capsys):
+        spec = tmp_path / "point.spec"
+        spec.write_text("functions = pow2, exp\nintervals = 0:1\ntheorems = da, sso\n")
+        for fmt in ("csv", "json"):
+            out_file = tmp_path / f"rows.{fmt}"
+            run_cli(capsys, "sweep", str(spec), "-o", str(out_file), "--format", fmt)
+            code, out, _ = run_cli(capsys, "sweep", str(spec), "--format", fmt)
+            assert code == 0
+            header, *body, totals, min_slack = out.splitlines(keepends=True)
+            assert header.startswith("sweep:") and totals.startswith("total=")
+            assert min_slack.startswith("min_slack=")
+            assert "".join(body) == out_file.read_text()
+
+    def test_jobs_defaults_to_one(self, monkeypatch):
+        monkeypatch.setenv("HH_VERIFY_JOBS", "2")
+        assert cli.build_parser().parse_args(["sweep", "default"]).jobs == 1
+
     def test_deterministic_output(self, tmp_path, capsys):
         spec = tmp_path / "small.spec"
         spec.write_text(
@@ -297,6 +343,17 @@ class TestMeansCommand:
                                "--b", "1e200", "--n", "3")
         assert code == 3
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("--prop", "4", "--a", "1e-200", "--b", "1"),
+        ("--prop", "1", "--a", "1e-200", "--b", "1", "--n", "-3"),
+    ], ids=["underflow", "negative_power_overflow"])
+    def test_out_of_range_power_is_named(self, capsys, argv):
+        # a^(2q) underflows to 0 (prop 4); a^n overflows (prop 1, n = -3)
+        code, _, err = run_cli(capsys, "means", *argv)
+        assert code == 3
+        assert err.startswith(f"error: proposition {argv[1]}:")
+        assert "a power of a or b is out of float range" in err
 
     def test_prop6_notes_extra_factor(self, capsys):
         code, out, _ = run_cli(capsys, "means", "--prop", "6", "--a", "1",

@@ -5,6 +5,7 @@ import pytest
 
 from hhverify import (DomainError, Interval, ParamError, Params, TestFunction,
                       builtin_corpus, corpus_by_id, validate_params)
+from hhverify.core import make_report
 
 
 class TestInterval:
@@ -95,6 +96,12 @@ class TestCorpus:
         xs = np.linspace(max(fn.domain_min, 1e-6), 20.0, 50)
         assert np.all(np.isfinite([fn.f(x) for x in xs]))
         assert np.all(np.isfinite([fn.df(x) for x in xs]))
+
+
+def test_make_report_stores_branches_as_python_floats():
+    report = make_report("sso", 1.0, 2.0, 0.0, {"branch1": np.float64(2.5), "branch2": 3})
+    assert report.branches == {"branch1": 2.5, "branch2": 3.0}
+    assert all(type(v) is float for v in report.branches.values())
 
 
 def test_validate_params_is_total():
