@@ -3,10 +3,11 @@
 ``THEOREMS`` declares each bound once: its LHS, its convexity hypothesis
 and whether it needs q > 1.  Its RHS is ``<id>_rhs(fn, iv, p)``, which
 returns (rhs, branches) without integrating, so the means module can
-compare against it directly.  ``assess`` runs one cell through lookup,
-applicability, gate, LHS and RHS; ``verify`` is its library entry
-(``verify(..., gate=False)`` checks a bound without gating) and
-``cli.eval_row`` its sweep entry.
+compare against it directly.  ``assess_group`` runs each cell of one
+(function, interval) group through lookup, applicability, gate, LHS and
+RHS.  ``assess`` is its one-cell call, behind the library's ``verify``
+(``verify(..., gate=False)`` checks a bound without gating); the CLI's
+rows come from ``cli.group_rows``.
 """
 
 from __future__ import annotations
@@ -256,50 +257,67 @@ class Outcome(NamedTuple):
     verdict: ConvexityVerdict | None = None
 
 
+def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
+                 tol: float = DEFAULT_LHS_TOL, holds_tol: float = HOLDS_SLACK,
+                 mean_of=integral_mean, gate_of=hypothesis_verdict):
+    """Yield the Outcome of each cell of one (function, interval) group, in
+    ``itertools.product(params, theorem_ids)`` order; ``params`` holds
+    (alpha, m, lam, mu, q) tuples.  The Interval and the integral mean are
+    made once per group, each Params and its domain check once per tuple.
+    ``mean_of(fn, iv, tol)`` gives the mean and its error; ``gate_of(fn, g,
+    upper, alpha, m, q, GATE_GRID_N)`` the gate's verdict, or None skips it.
+    """
+    # looked up per group so that a replaced ``<id>_rhs`` is the one used
+    thms = [(tid, THEOREMS.get(tid), globals().get(f"{tid}_rhs")) for tid in theorem_ids]
+    iv = mean = None
+    for alpha, m, lam, mu, q in params:
+        error = None
+        try:
+            iv = iv or Interval(a, b)
+            p = Params(alpha=alpha, m=m, lam=lam, mu=mu, q=q)
+            validate_params(p, iv, fn)
+        except (ParamError, DomainError) as exc:
+            error = exc
+        for theorem_id, thm, rhs_of in thms:
+            # precedence: the q > 1 rule, bad input, an unknown id, the domain
+            if thm is not None and thm.needs_q_gt_1 and q == 1:
+                yield Outcome("not_applicable", None, ParamError(f"{theorem_id} needs q > 1"))
+            elif thm is None and not isinstance(error, ParamError):
+                yield Outcome("input_error", None,
+                              ParamError(f"unknown theorem id {theorem_id!r}"))
+            elif error is not None:
+                yield Outcome("not_applicable" if isinstance(error, DomainError)
+                              else "input_error", None, error)
+            else:
+                verdict = None
+                if gate_of is not None:
+                    g, g_alpha, g_m, g_q = thm.hypothesis(p)
+                    verdict = gate_of(fn, g, max(b, b / g_m), g_alpha, g_m, g_q, GATE_GRID_N)
+                    if not verdict.holds:
+                        yield Outcome("gate_skipped", None, None, verdict)
+                        continue
+                try:
+                    mean = mean or mean_of(fn, iv, tol)
+                    lhs, err = mean
+                    if thm.lhs != "mean":
+                        weights = (lam, mu) if thm.lhs == "weighted" else (1.0, 1.0)
+                        lhs = abs(_weighted_endpoint(fn, iv, *weights) - lhs)
+                    rhs, branches = rhs_of(fn, iv, p)
+                except (ParamError, DomainError) as exc:
+                    yield Outcome("input_error", None, exc, verdict)
+                    continue
+                report = make_report(theorem_id, float(lhs), float(rhs), float(err),
+                                     branches, holds_tol)
+                yield Outcome("ok" if report.holds else "violation", report, None, verdict)
+
+
 def assess(fn: TestFunction, a: float, b: float, alpha: float, m: float, lam: float,
            mu: float, q: float, theorem_id: str, tol: float = DEFAULT_LHS_TOL,
            holds_tol: float = HOLDS_SLACK, mean_of=integral_mean,
            gate_of=hypothesis_verdict) -> Outcome:
-    """Look up the theorem, check it applies, gate its hypothesis, then
-    compare the quadrature LHS with the closed-form RHS.
-
-    ``mean_of(fn, iv, tol)`` gives the integral mean and its error;
-    ``gate_of(fn, g, upper, alpha, m, q, GATE_GRID_N)`` the convexity
-    verdict, or pass None to skip the gate.  Callers that evaluate many
-    cells pass cached providers.
-    """
-    thm = THEOREMS.get(theorem_id)
-    if thm is not None and thm.needs_q_gt_1 and q == 1:
-        return Outcome("not_applicable", None, ParamError(f"{theorem_id} needs q > 1"))
-    try:
-        iv = Interval(a, b)
-        p = Params(alpha=alpha, m=m, lam=lam, mu=mu, q=q)
-        if thm is None:
-            raise ParamError(f"unknown theorem id {theorem_id!r}")
-        validate_params(p, iv, fn)
-    except DomainError as exc:
-        return Outcome("not_applicable", None, exc)
-    except ParamError as exc:
-        return Outcome("input_error", None, exc)
-
-    verdict = None
-    if gate_of is not None:
-        g, g_alpha, g_m, g_q = thm.hypothesis(p)
-        verdict = gate_of(fn, g, max(b, b / g_m), g_alpha, g_m, g_q, GATE_GRID_N)
-        if not verdict.holds:
-            return Outcome("gate_skipped", None, None, verdict)
-
-    try:
-        lhs, err = mean_of(fn, iv, tol)
-        if thm.lhs != "mean":
-            weights = (lam, mu) if thm.lhs == "weighted" else (1.0, 1.0)
-            lhs = abs(_weighted_endpoint(fn, iv, *weights) - lhs)
-        # looked up on each call so that a replaced ``<id>_rhs`` is the one used
-        rhs, branches = globals()[f"{theorem_id}_rhs"](fn, iv, p)
-    except (ParamError, DomainError) as exc:
-        return Outcome("input_error", None, exc, verdict)
-    report = make_report(theorem_id, float(lhs), float(rhs), float(err), branches, holds_tol)
-    return Outcome("ok" if report.holds else "violation", report, None, verdict)
+    """The Outcome of one cell: a one-cell group of ``assess_group``."""
+    return next(assess_group(fn, a, b, [(alpha, m, lam, mu, q)], [theorem_id], tol,
+                             holds_tol, mean_of, gate_of))
 
 
 def verify(fn: TestFunction, iv: Interval, p: Params, theorem_id: str,

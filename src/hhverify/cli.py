@@ -1,10 +1,11 @@
 """Batch verification harness: single checks, sweeps, tightness tables, means.
 
 Subcommands: verify | sweep | tightness | means.  Every (function, interval,
-params, theorem) cell goes through ``eval_row``, which runs ``bounds.assess``
-(the path behind the library's ``verify``) with ``lru_cache``d
-``bounds.integral_mean`` and ``bounds.hypothesis_verdict``; the corpus is
-built once, so its functions key those caches directly.  A row is a dict
+params, theorem) cell goes through ``group_rows``, which runs one (function,
+interval) group through ``bounds.assess_group`` (the path behind the
+library's ``verify``) with ``lru_cache``d ``bounds.integral_mean`` and
+``bounds.hypothesis_verdict``; ``eval_row`` is its one-cell call.  The
+corpus is built once, so its functions key those caches.  A row is a dict
 keyed by ``COLUMNS``, in that order, and holds plain values (str, int,
 float, bool or None); the writers write them as they are, floats in
 shortest round-trip form, so identical inputs give byte-identical files.
@@ -57,44 +58,38 @@ _cached_mean = lru_cache(maxsize=None)(bounds.integral_mean)
 _cached_gate = lru_cache(maxsize=None)(bounds.hypothesis_verdict)
 
 
-def _report_cells(report) -> dict:
-    return {"lhs": report.lhs, "rhs": report.rhs, "slack": report.slack,
-            "holds": report.holds, "quad_error": report.quad_error}
+def group_rows(fn_id: str, a: float, b: float, params, theorems,
+               quad_tol: float = bounds.DEFAULT_LHS_TOL,
+               holds_tol: float = HOLDS_SLACK) -> list:
+    """The rows of one (function, interval) group, one per cell of
+    ``bounds.assess_group`` and in its order, as lists in ``COLUMNS`` order
+    (lists, since CPython keeps up to 2,000 freed 20-tuples on a free list)."""
+    fn = corpus_by_id().get(fn_id)
+    outcomes = (itertools.repeat(bounds.Outcome("input_error")) if fn is None
+                else bounds.assess_group(fn, a, b, params, theorems, quad_tol, holds_tol,
+                                         _cached_mean, _cached_gate))
+    rows = []
+    for (p, theorem), (status, report, _, verdict) in zip(
+            itertools.product(params, theorems), outcomes):
+        cells = (None,) * 8
+        if report is not None:
+            branches = report.branches
+            names = sorted(k for k in branches if k != "loose")
+            pair = (branches[names[0]], branches[names[1]]) if len(names) >= 2 else (None,) * 2
+            cells = (report.lhs, report.rhs, report.slack, report.holds, report.quad_error,
+                     *pair, branches.get("loose"))
+        rows.append([SCHEMA_VERSION, fn_id, a, b, *p, theorem, status, *cells,
+                     verdict and verdict.worst_violation])
+    return rows
 
 
 def eval_row(fn_id: str, a: float, b: float, alpha: float, m: float,
              lam: float, mu: float, q: float, theorem: str,
              quad_tol: float = bounds.DEFAULT_LHS_TOL,
              holds_tol: float = HOLDS_SLACK) -> dict:
-    """Evaluate one (config, theorem) cell through ``bounds.assess`` and
-    return a report row."""
-    row = dict.fromkeys(COLUMNS)
-    row.update({"schema": SCHEMA_VERSION, "fn": fn_id, "a": a, "b": b,
-                "alpha": alpha, "m": m, "lambda": lam, "mu": mu, "q": q,
-                "theorem": theorem})
-    fn = corpus_by_id().get(fn_id)
-    if fn is None:
-        row["status"] = "input_error"
-        return row
-    outcome = bounds.assess(fn, a, b, alpha, m, lam, mu, q, theorem, tol=quad_tol,
-                            holds_tol=holds_tol, mean_of=_cached_mean,
-                            gate_of=_cached_gate)
-    row["status"] = outcome.status
-    if outcome.verdict is not None:
-        row["gate_violation"] = outcome.verdict.worst_violation
-    report = outcome.report
-    if report is None:
-        return row
-    row.update(_report_cells(report))
-    keys = sorted(k for k in report.branches if k != "loose")
-    if len(keys) >= 2:
-        row["branch1"], row["branch2"] = report.branches[keys[0]], report.branches[keys[1]]
-    row["rhs_loose"] = report.branches.get("loose")
-    return row
-
-
-def _eval_row_tuple(args) -> dict:
-    return eval_row(*args)
+    """The report row of one (config, theorem) cell: a one-cell ``group_rows``."""
+    return dict(zip(COLUMNS, group_rows(fn_id, a, b, [(alpha, m, lam, mu, q)], [theorem],
+                                        quad_tol, holds_tol)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +181,18 @@ _row_sort_key = itemgetter(*COLUMNS[1:10])  # fn, a, b, alpha, m, lambda, mu, q,
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> tuple[list, dict]:
-    """Evaluate the full cross product; rows come back sorted and the
-    summary counts every status plus the minimum observed slack."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_eval_row_tuple, spec.configs(), chunksize=64))
-    else:
-        rows = [_eval_row_tuple(cfg) for cfg in spec.configs()]
+    """Evaluate the cross product by (function, interval) group, on at most
+    ``min(jobs, groups)`` processes; rows come back sorted and the summary
+    counts every status plus the minimum observed slack."""
+    params = list(itertools.product(spec.alpha, spec.m, spec.lam, spec.mu, spec.q))
+    groups = [(fn_id, a, b, params, spec.theorems, spec.quad_tol, spec.holds_tol)
+              for fn_id, (a, b) in itertools.product(spec.functions, spec.intervals)]
+    workers = min(jobs, len(groups))
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        results = (pool.map(group_rows, *zip(*groups)) if pool
+                   else itertools.starmap(group_rows, groups))
+        rows = [dict(zip(COLUMNS, values)) for group in results for values in group]
     rows.sort(key=_row_sort_key)
 
     counts = Counter(row["status"] for row in rows)
@@ -226,7 +226,15 @@ def rows_to_csv(rows: list) -> str:
 
 
 def rows_to_json(rows: list) -> str:
-    return json.dumps(rows, indent=2) + "\n"
+    """The bytes of ``json.dumps(rows, indent=2) + "\\n"``: the C encoder writes
+    each flat row, and one join adds the braces without copying the text."""
+    if not rows:
+        return "[]\n"
+    encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+    items = [encode(row)[1:-1] for row in rows]
+    items[0] = "[\n  {\n    " + items[0]
+    items[-1] += "\n  }\n]\n"
+    return "\n  },\n  {\n    ".join(items)
 
 
 def _emit_rows(rows: list, fmt: str, out) -> None:
@@ -295,8 +303,8 @@ def cmd_tightness(args) -> int:
     if len(theorems) < 2:
         print("error: tightness needs at least two theorems", file=sys.stderr)
         return 3
-    rows = [eval_row(args.fn, args.a, args.b, args.alpha, args.m, args.lam,
-                     args.mu, args.q, t, quad_tol=args.tol) for t in theorems]
+    point = [(args.alpha, args.m, args.lam, args.mu, args.q)]
+    rows = group_rows(args.fn, args.a, args.b, point, theorems, args.tol)
     # Baseline: the classical endpoint-average upper bound on the integral mean.
     try:
         fn = corpus_by_id()[args.fn]
@@ -304,15 +312,12 @@ def cmd_tightness(args) -> int:
         if args.a >= fn.domain_min:
             lower, upper = bounds.bound_hh(fn, iv)
             mean, err = _cached_mean(fn, iv, args.tol)
-            base = dict.fromkeys(COLUMNS)
-            base.update({"schema": SCHEMA_VERSION, "fn": args.fn, "a": args.a,
-                         "b": args.b, "alpha": args.alpha, "m": args.m,
-                         "lambda": args.lam, "mu": args.mu, "q": args.q,
-                         "theorem": "hh_upper", "status": "ok", "branch1": lower,
-                         **_report_cells(make_report("hh_upper", mean, upper, err))})
-            rows.append(base)
+            r = make_report("hh_upper", mean, upper, err)
+            rows.append(rows[0][:9] + ["hh_upper", "ok", r.lhs, r.rhs, r.slack, r.holds,
+                                       r.quad_error, lower, None, None, None])
     except (KeyError, ParamError, DomainError):
-        pass  # eval_row has already marked these rows input_error
+        pass  # group_rows has already marked these rows input_error
+    rows = [dict(zip(COLUMNS, values)) for values in rows]
 
     ranked = sorted((r for r in rows if r["status"] in ("ok", "violation")),
                     key=lambda r: r["slack"])

@@ -121,7 +121,7 @@ def proposition_check(k: int, a: float, b: float, p: Params,
         n = int(n)
     try:
         mean_lhs, mean_rhs, corollary_rhs, note = _mean_forms(k, a, b, p, n)
-    except (OverflowError, ZeroDivisionError) as exc:
+    except ArithmeticError as exc:
         raise NonFiniteError(f"proposition {k}: a power of a or b is out of float "
                              f"range on ({a}, {b}) ({exc})") from None
     residual = abs(mean_rhs - corollary_rhs)
@@ -129,6 +129,13 @@ def proposition_check(k: int, a: float, b: float, p: Params,
     return PropositionResult(prop=k, mean_lhs=mean_lhs, mean_rhs=mean_rhs,
                              corollary_rhs=corollary_rhs, residual=residual,
                              holds=holds, note=note)
+
+
+def _power_in_range(x: float, e: float) -> float:
+    """x ** e, which propositions 4-6 divide by; NonFiniteError at 0 or inf."""
+    if (value := x ** e) == 0.0 or math.isinf(value):
+        raise NonFiniteError(f"{x} ** {e} is {value}")
+    return value
 
 
 def _mean_forms(k: int, a: float, b: float, p: Params, n: int | None):
@@ -179,8 +186,7 @@ def _mean_forms(k: int, a: float, b: float, p: Params, n: int | None):
         endpoint = 1.0 / mean(MeanKind.WEIGHTED_HARMONIC, a, b, weight=w).value
         log_mean = mean(MeanKind.LOGARITHMIC, a, b).value
         mean_lhs = abs(endpoint - 1.0 / log_mean)
-        a2q = a ** (2 * q)
-        b2q = b ** (2 * q)
+        a2q, b2q = _power_in_range(a, 2 * q), _power_in_range(b, 2 * q)
         if k == 4:
             g = gamma_coeffs(1.0, lam, mu)
             branch1 = g["gamma1"] / b2q + g["gamma2"] / a2q
@@ -195,8 +201,9 @@ def _mean_forms(k: int, a: float, b: float, p: Params, n: int | None):
         elif k == 5:
             conj = generic.p
             z = mean(MeanKind.WEIGHTED_ARITHMETIC, b, a, weight=w).value
-            m1 = 1.0 / mean(MeanKind.HARMONIC, a2q, z ** (2 * q)).value
-            m2 = 1.0 / mean(MeanKind.HARMONIC, b2q, z ** (2 * q)).value
+            z2q = _power_in_range(z, 2 * q)
+            m1 = 1.0 / mean(MeanKind.HARMONIC, a2q, z2q).value
+            m2 = 1.0 / mean(MeanKind.HARMONIC, b2q, z2q).value
             mean_rhs = (iv.width / total ** 2 * (1.0 / (conj + 1.0)) ** (1.0 / conj)
                         * (lam ** 2 * m1 ** (1.0 / q) + mu ** 2 * m2 ** (1.0 / q)))
             corollary_rhs, _ = thm211_rhs(fn, iv, generic)

@@ -255,6 +255,64 @@ class TestSweep:
             assert min_slack.startswith("min_slack=")
             assert "".join(body) == out_file.read_text()
 
+    def test_pool_is_bounded_by_the_groups(self, monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        three = cli.SweepSpec(functions=["pow2"], intervals=[(1.0, 2.0), (0.5, 3.0), (2.0, 5.0)],
+                              q=[1.0, 2.0], theorems=["da", "thm11"])
+        rows, _ = cli.run_sweep(three, jobs=100)
+        assert started == [3]
+        assert rows == cli.run_sweep(three)[0]
+        one = cli.SweepSpec(functions=["pow2"], intervals=[(1.0, 2.0)], theorems=["da"])
+        assert len(cli.run_sweep(one, jobs=100)[0]) == 1
+        assert started == [3]  # a single group runs in this process
+
+    @pytest.mark.parametrize("case", ["all_statuses", "precedence"])
+    def test_grouped_sweep_equals_per_cell_rows(self, tmp_path, case):
+        if case == "all_statuses":
+            path = tmp_path / "all.spec"
+            path.write_text(ALL_STATUS_SPEC + "holds_tol = -0.5\n")
+            spec = cli.parse_sweep_file(str(path))
+        else:
+            # unknown function and theorem ids, a reversed interval, a domain
+            # error, zero weights, q = 1 beside q > 1 and a repeated alpha
+            spec = cli.SweepSpec(functions=["recip", "nope", "pow2"],
+                                 intervals=[(1.0, 2.0), (2.0, 1.0), (0.0, 1.0)],
+                                 alpha=[1.0, 0.5, 1.0], lam=[0.0, 1.0], mu=[0.0, 2.0],
+                                 q=[2.0, 1.0], theorems=["thm22", "bogus", "da", "sso"])
+        rows, _ = cli.run_sweep(spec)
+        cells = sorted((cli.eval_row(*cfg) for cfg in spec.configs()), key=cli._row_sort_key)
+        assert [list(r.items()) for r in rows] == [list(r.items()) for r in cells]
+        statuses = {r["status"] for r in rows}
+        assert statuses >= {"ok", "gate_skipped", "not_applicable", "input_error"}
+        assert case == "precedence" or "violation" in statuses
+
+    def test_json_bytes_are_the_indented_dump(self, tmp_path, capsys):
+        path = tmp_path / "all.spec"
+        path.write_text(ALL_STATUS_SPEC)
+        rows, _ = cli.run_sweep(cli.parse_sweep_file(str(path)))
+        # exp at m = 0.5 fails the gate, so lhs through rhs_loose are None
+        argv = ("verify", "--fn", "exp", "--a", "0", "--b", "1", "--m", "0.5",
+                "--theorem", "bop_am", "--format", "json")
+        (row,) = json.loads(run_cli(capsys, *argv)[1])
+        assert row["lhs"] is None and row["gate_violation"] is not None
+        for case in (rows, [row], []):
+            assert cli.rows_to_json(case) == json.dumps(case, indent=2) + "\n"
+
     def test_jobs_defaults_to_one(self, monkeypatch):
         monkeypatch.setenv("HH_VERIFY_JOBS", "2")
         assert cli.build_parser().parse_args(["sweep", "default"]).jobs == 1
@@ -347,9 +405,11 @@ class TestMeansCommand:
     @pytest.mark.parametrize("argv", [
         ("--prop", "4", "--a", "1e-200", "--b", "1"),
         ("--prop", "1", "--a", "1e-200", "--b", "1", "--n", "-3"),
-    ], ids=["underflow", "negative_power_overflow"])
+        ("--prop", "5", "--a", "1e-200", "--b", "1", "--q", "2"),
+        ("--prop", "6", "--a", "1e-200", "--b", "1", "--q", "2"),
+    ], ids=["underflow", "negative_power_overflow", "underflow_prop5", "underflow_prop6"])
     def test_out_of_range_power_is_named(self, capsys, argv):
-        # a^(2q) underflows to 0 (prop 4); a^n overflows (prop 1, n = -3)
+        # a^(2q) underflows to 0 (props 4-6); a^n overflows (prop 1, n = -3)
         code, _, err = run_cli(capsys, "means", *argv)
         assert code == 3
         assert err.startswith(f"error: proposition {argv[1]}:")

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hhverify import (DomainError, Interval, MeanKind, ParamError, Params,
-                      integrate, mean, proposition_check)
+from hhverify import (DomainError, Interval, MeanKind, NonFiniteError, ParamError,
+                      Params, integrate, mean, proposition_check)
 from hhverify.means import power_log_mean_pow
 
 
@@ -137,6 +137,12 @@ class TestPropositions:
         ratio = res.mean_rhs / res.corollary_rhs
         assert math.isclose(ratio, 0.5 ** (1.0 / 2.0), rel_tol=1e-12)
         assert res.holds
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_underflowed_power_is_out_of_range(self, k):
+        # a^(2q) underflows to 0.0: a float range failure, not a domain error
+        with pytest.raises(NonFiniteError, match="a power of a or b is out of float range"):
+            proposition_check(k, 1e-200, 1.0, Params(q=2.0))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_substitution_identity(self, k):
