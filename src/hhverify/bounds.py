@@ -269,6 +269,8 @@ def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
     """
     # looked up per group so that a replaced ``<id>_rhs`` is the one used
     thms = [(tid, THEOREMS.get(tid), globals().get(f"{tid}_rhs")) for tid in theorem_ids]
+    q_rule = {tid: Outcome("not_applicable", None, ParamError(f"{tid} needs q > 1"))
+              for tid, thm, _ in thms if thm is not None and thm.needs_q_gt_1}
     iv = mean = None
     for alpha, m, lam, mu, q in params:
         error = None
@@ -280,8 +282,8 @@ def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
             error = exc
         for theorem_id, thm, rhs_of in thms:
             # precedence: the q > 1 rule, bad input, an unknown id, the domain
-            if thm is not None and thm.needs_q_gt_1 and q == 1:
-                yield Outcome("not_applicable", None, ParamError(f"{theorem_id} needs q > 1"))
+            if q == 1 and theorem_id in q_rule:
+                yield q_rule[theorem_id]
             elif thm is None and not isinstance(error, ParamError):
                 yield Outcome("input_error", None,
                               ParamError(f"unknown theorem id {theorem_id!r}"))

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import NonFiniteError, ParamError, TestFunction
+from .core import NonFiniteError, ParamError, TestFunction, eval_points
 
 VIOLATION_TOL = 1e-9
 
@@ -23,16 +23,6 @@ class ConvexityVerdict:
     worst_violation: float
     witness: tuple[float, float, float]  # (x, y, t) attaining the worst violation
     clipped: bool = False  # x, y sampling started above 0 to dodge a singularity
-
-
-def _grid_values(g: Callable, pts: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(g(pts), dtype=float)
-        if vals.shape != pts.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.asarray([g(x) for x in pts], dtype=float)
-    return vals
 
 
 def check_alpha_m_convex(g: Callable, b: float, alpha: float, m: float,
@@ -66,7 +56,7 @@ def check_alpha_m_convex(g: Callable, b: float, alpha: float, m: float,
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         xs = np.linspace(lo, b, grid_n + 1)
         ts = np.linspace(0.0, 1.0, grid_n + 1)
-        gx = _grid_values(g, xs)
+        gx = eval_points(g, xs)
         if not np.all(np.isfinite(gx)):
             bad = xs[~np.isfinite(gx)][0]
             raise NonFiniteError(f"g is not finite at sample x={bad}")
@@ -75,7 +65,7 @@ def check_alpha_m_convex(g: Callable, b: float, alpha: float, m: float,
         y = xs[None, :, None]
         t = ts[None, None, :]
         mix = t * x + m * (1.0 - t) * y
-        g_mix = _grid_values(g, mix.ravel()).reshape(mix.shape)
+        g_mix = eval_points(g, mix)
         if not np.all(np.isfinite(g_mix)):
             bad = mix.ravel()[~np.isfinite(g_mix.ravel())][0]
             raise NonFiniteError(f"g is not finite at sample x={bad}")

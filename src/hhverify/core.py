@@ -128,6 +128,17 @@ class TestFunction:
                 )
 
 
+def eval_points(f: Callable, x: np.ndarray) -> np.ndarray:
+    """f at each point of the array x, in one call if f takes arrays, else point by point."""
+    try:
+        y = np.asarray(f(x), dtype=float)
+        if y.shape != x.shape:
+            raise TypeError
+    except (TypeError, ValueError):
+        y = np.asarray([f(v) for v in x.ravel()], dtype=float).reshape(x.shape)
+    return y
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Outcome of checking one bound: exact LHS vs closed-form RHS."""

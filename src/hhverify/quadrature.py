@@ -2,7 +2,9 @@
 
 The integrator drives the exact side of every bound check; ``kernel_moment``
 is the brute-force cross-check for the closed-form coefficients and always
-splits at the kernel's single kink before integrating.
+splits at the kernel's single kink before integrating.  The integrand is
+called on arrays of nodes (node by node if it takes no arrays), and the
+stopping test keeps an exact running total of the panel errors.
 """
 
 from __future__ import annotations
@@ -10,11 +12,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Interval, NonFiniteError, ParamError
+from .core import Interval, NonFiniteError, ParamError, eval_points
 
 # 15-point Kronrod abscissae on [-1, 1] (nonnegative half) and weights;
 # the embedded 7-point Gauss rule sits at the odd-indexed abscissae.
@@ -61,18 +63,27 @@ class QuadResult:
     converged: bool = True
 
 
-def _gk15(f: Callable, lo: float, hi: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7-15 panel; returns (value, error estimate)."""
+def _gk15(f: Callable, panels: list) -> Iterator[tuple[float, float]]:
+    """(value, error estimate) of Gauss-Kronrod 7-15 on each (lo, hi) panel."""
+    lo, hi = np.array(panels).T
     half = 0.5 * (hi - lo)
-    mid = 0.5 * (lo + hi)
-    x = mid + half * _NODES
-    y = np.asarray([f(xi) for xi in x], dtype=float)
-    if not np.all(np.isfinite(y)):
-        bad = x[~np.isfinite(y)][0]
-        raise NonFiniteError(f"integrand returned a non-finite value at x={bad}")
-    kronrod = half * float(_KWEIGHTS @ y)
-    gauss = half * float(_GMASK @ y)
-    return kronrod, abs(kronrod - gauss)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    y = eval_points(f, x)
+    for h, yi in zip(half.tolist(), y):
+        # one 1-D dot per panel: a 2-D product would sum in another order
+        kronrod = h * float(_KWEIGHTS @ yi)
+        gauss = h * float(_GMASK @ yi)
+        if not (math.isfinite(kronrod) and math.isfinite(gauss)):
+            bad = x[~np.isfinite(y)]
+            raise NonFiniteError(f"integrand returned a non-finite value at x={bad[0]}"
+                                 if bad.size else "the integral overflows a float")
+        yield kronrod, abs(kronrod - gauss)
+
+
+def _units(x: float) -> int:
+    """x >= 0 as an exact count of 2**-1074, the smallest subnormal."""
+    n, d = x.as_integer_ratio()
+    return n * ((1 << 1074) // d)
 
 
 def integrate(f: Callable, iv: Interval | tuple[float, float], tol: float = 1e-9,
@@ -81,35 +92,36 @@ def integrate(f: Callable, iv: Interval | tuple[float, float], tol: float = 1e-9
     """Globally adaptive integration of f over [a, b].
 
     Always bisects the currently worst panel; known non-smooth points can be
-    passed as ``breakpoints`` so every panel the rule sees is smooth.  When
+    passed as ``breakpoints`` so every panel the rule sees is smooth.  f is
+    called on the array of both halves' 30 nodes per bisection (node by node
+    if it takes no arrays), and the panel errors are totalled exactly.  When
     the evaluation budget runs out before the tolerance is met, the best
     available estimate is returned flagged (``converged=False``) instead of
     raising, so callers can widen their own tolerances by the reported error.
     """
-    if tol <= 0:
-        raise ParamError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ParamError(f"tolerance must be positive and finite, got {tol}")
     a, b = (iv.a, iv.b) if isinstance(iv, Interval) else iv
     if not a < b:
         raise ParamError(f"integration bounds must satisfy a < b, got [{a}, {b}]")
 
     cuts = sorted({a, b, *(x for x in breakpoints if a < x < b)})
-    heap = []
-    evals = 0
-    for lo, hi in zip(cuts, cuts[1:]):
-        val, err = _gk15(f, lo, hi)
-        evals += 15
-        heapq.heappush(heap, (-err, lo, hi, val, err))
-
-    while sum(item[4] for item in heap) > tol and evals + 30 <= max_evals:
-        _, lo, hi, _, _ = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        for seg in ((lo, mid), (mid, hi)):
-            val, err = _gk15(f, *seg)
-            evals += 15
-            heapq.heappush(heap, (-err, seg[0], seg[1], val, err))
-        if hi - lo < 1e-14 * (b - a):
-            # Panel width at rounding level; further bisection is noise.
+    panels = list(zip(cuts, cuts[1:]))
+    heap, narrow, limit = [], False, _units(float(tol))
+    evals = total = 0  # total: the panel errors' sum, in _units
+    while True:
+        for (lo, hi), (val, err) in zip(panels, _gk15(f, panels)):
+            heapq.heappush(heap, (-err, lo, hi, val, err))
+            total += _units(err)
+        evals += 15 * len(panels)
+        # a narrow panel's width is at rounding level; further bisection is noise
+        if total <= limit or evals + 30 > max_evals or narrow:
             break
+        _, lo, hi, _, err = heapq.heappop(heap)
+        total -= _units(err)
+        mid = 0.5 * (lo + hi)
+        panels = [(lo, mid), (mid, hi)]
+        narrow = hi - lo < 1e-14 * (b - a)
 
     value = math.fsum(item[3] for item in heap)
     total_err = sum(item[4] for item in heap)

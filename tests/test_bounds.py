@@ -226,6 +226,14 @@ class TestVerify:
         with pytest.raises(ParamError):
             verify(EXP, Interval(0, 1), Params(m=0.5), "thm22")
 
+    def test_q_rule_outcome_is_shared_within_a_group(self):
+        cells = [(1.0, 1.0, 1.0, 1.0, 1.0), (0.5, 1.0, 2.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0, 2.0)]
+        outs = list(bounds.assess_group(POW2, 1.0, 2.0, cells, ["thm22", "da"]))
+        assert [o.status for o in outs] == ["not_applicable", "ok"] * 2 + ["ok", "ok"]
+        assert outs[0] is outs[2]
+        assert isinstance(outs[0].error, ParamError)
+        assert str(outs[0].error) == "thm22 needs q > 1"
+
     def test_unknown_theorem(self):
         with pytest.raises(ParamError):
             verify(POW2, Interval(0, 1), Params(), "nope")

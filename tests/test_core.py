@@ -5,7 +5,7 @@ import pytest
 
 from hhverify import (DomainError, Interval, ParamError, Params, TestFunction,
                       builtin_corpus, corpus_by_id, validate_params)
-from hhverify.core import make_report
+from hhverify.core import eval_points, make_report
 
 
 class TestInterval:
@@ -56,6 +56,21 @@ class TestValidateParams:
     def test_singular_function_rejected_at_zero(self):
         with pytest.raises(DomainError):
             validate_params(Params(), Interval(0, 1), corpus_by_id()["recip"])
+
+
+class TestEvalPoints:
+    def test_array_function_is_called_once_on_the_whole_array(self):
+        calls = []
+        x = np.linspace(1.0, 2.0, 6).reshape(2, 3)
+        y = eval_points(lambda v: calls.append(v) or np.log(v), x)
+        assert len(calls) == 1 and np.array_equal(y, np.log(x))
+
+    @pytest.mark.parametrize("f", [math.log, lambda v: 1.0 if v else 0.0, lambda v: 5.0])
+    def test_scalar_fallback_keeps_the_shape(self, f):
+        x = np.linspace(1.0, 2.0, 6).reshape(2, 3)
+        y = eval_points(f, x)
+        assert y.shape == (2, 3)
+        assert y.tolist() == [[f(v) for v in row] for row in x]
 
 
 class TestCorpus:
