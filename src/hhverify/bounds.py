@@ -2,24 +2,27 @@
 
 ``THEOREMS`` declares each bound once: its LHS, its convexity hypothesis
 and whether it needs q > 1.  Its RHS is ``<id>_rhs(fn, iv, p)``, which
-returns (rhs, branches) without integrating, so the means module can
-compare against it directly.  ``assess_group`` runs each cell of one
-(function, interval) group through lookup, applicability, gate, LHS and
-RHS.  ``assess`` is its one-cell call, behind the library's ``verify``
-(``verify(..., gate=False)`` checks a bound without gating); the CLI's
-rows come from ``cli.group_rows``.
+returns (rhs, branches) without integrating, for a scalar Params (the
+means module compares against it) or a ParamColumns of cells.
+``assess_group`` evaluates one (function, interval) group as numpy columns:
+lookup, applicability, gate, LHS and RHS.  ``assess`` is its one-cell call,
+behind the library's ``verify``; the CLI's rows come from ``cli.group_rows``.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from functools import lru_cache
+from typing import Callable
+
+import numpy as np
 
 from .convexity import ConvexityVerdict, check_alpha_m_convex, derivative_power
 from .coefficients import gamma_coeffs, nu_coeffs
 from .core import (HOLDS_SLACK, BoundReport, CoefficientSet, DomainError, GateError,
-                   Interval, ParamError, Params, TestFunction, make_report,
-                   validate_params)
+                   Interval, ParamColumns, ParamError, Params, TestFunction, _per_cell,
+                   make_report, py_div, py_min, py_pow, validate_params)
 from .quadrature import integrate
 
 DEFAULT_LHS_TOL = 1e-9
@@ -87,114 +90,122 @@ def bound_hh(fn: TestFunction, iv: Interval) -> tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # RHS evaluators (no quadrature), one per bound: ``<id>_rhs(fn, iv, p)``
-# returns (rhs, branches).  Params has already checked alpha, m, the weights
-# and q >= 1; a bound that needs q > 1 reads ``p.p``, which raises ParamError
-# at q = 1.  With a >= 0 and m <= 1 every sample point (a, b, a/m, b/m, the
-# midpoint, z and their m-stretches) lies at or above a, so on a domain
-# [domain_min, inf) requiring a alone covers them all.
+# returns (rhs, branches), p being a Params or a ParamColumns of cells.
+# Params has already checked alpha, m, the weights and q >= 1; a bound that
+# needs q > 1 reads ``p.p``, which raises ParamError at q = 1.  With a >= 0
+# and m <= 1 every sample point (a, b, a/m, b/m, the midpoint, z and their
+# m-stretches) lies at or above a, so on a domain [domain_min, inf)
+# requiring a alone covers them all.  Each operation keeps the order of the
+# scalar expression, so every cell gets the bits of a scalar call.
 
-def da_rhs(fn: TestFunction, iv: Interval, p: Params) -> tuple[float, dict]:
+def _each(g, x, q=0.0):
+    """g(x, q) at each cell, called on Python floats once per distinct (x, q)."""
+    if not (isinstance(x, np.ndarray) or isinstance(q, np.ndarray)):
+        return g(x, q)
+    return _per_cell(lru_cache(maxsize=None)(g))(x, q)
+
+
+def _dq(fn: TestFunction, x, q):
+    """|f'(x)|^q at each cell."""
+    return _each(lambda x, q: abs(fn.df(x)) ** q, x, q)
+
+
+def da_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     fn.require(iv.a)
     return iv.width / 8.0 * (abs(fn.df(iv.a)) + abs(fn.df(iv.b))), {}
 
 
-def sso_rhs(fn: TestFunction, iv: Interval, p: Params) -> tuple[float, dict]:
+def sso_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     a, b, alpha, m = iv.a, iv.b, p.alpha, p.m
     fn.require(a)
-    branch1 = (fn.f(a) + alpha * m * fn.f(b / m)) / (alpha + 1.0)
-    branch2 = (fn.f(b) + alpha * m * fn.f(a / m)) / (alpha + 1.0)
-    return min(branch1, branch2), {"branch1": branch1, "branch2": branch2}
+    f_at = lambda x, _: fn.f(x)  # noqa: E731
+    branch1 = (fn.f(a) + alpha * m * _each(f_at, b / m)) / (alpha + 1.0)
+    branch2 = (fn.f(b) + alpha * m * _each(f_at, a / m)) / (alpha + 1.0)
+    return py_min(branch1, branch2), {"branch1": branch1, "branch2": branch2}
 
 
-def bop_m_rhs(fn: TestFunction, iv: Interval, p: Params) -> tuple[float, dict]:
+def bop_m_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     """m-convex midpoint bound; mu1/mu2 are min-of-averages factors of
     |f'|^q over the two half-intervals."""
     p.p  # raises ParamError at q = 1
     a, b, m, q = iv.a, iv.b, p.m, p.q
     mid = 0.5 * (a + b)
     fn.require(a)
-    da_, db_, dmid = (abs(fn.df(x)) ** q for x in (a, b, mid))
-    dam, dbm, dmidm = (abs(fn.df(x / m)) ** q for x in (a, b, mid))
+    da_, db_, dmid = (_dq(fn, x, q) for x in (a, b, mid))
+    dam, dbm, dmidm = (_dq(fn, x / m, q) for x in (a, b, mid))
     coeffs = CoefficientSet("bop_m", {
-        "mu1": min((da_ + m * dmidm) / 2.0, (dmid + m * dam) / 2.0),
-        "mu2": min((db_ + m * dmidm) / 2.0, (dmid + m * dbm) / 2.0),
+        "mu1": py_min((da_ + m * dmidm) / 2.0, (dmid + m * dam) / 2.0),
+        "mu2": py_min((db_ + m * dmidm) / 2.0, (dmid + m * dbm) / 2.0),
     })
-    spread = coeffs["mu1"] ** (1.0 / q) + coeffs["mu2"] ** (1.0 / q)
+    spread = py_pow(coeffs["mu1"], 1.0 / q) + py_pow(coeffs["mu2"], 1.0 / q)
     loose = iv.width / 4.0 * spread
-    tight = loose * ((q - 1.0) / (2.0 * q - 1.0)) ** ((q - 1.0) / q)
+    tight = loose * py_pow((q - 1.0) / (2.0 * q - 1.0), (q - 1.0) / q)
     return tight, {"loose": loose, **coeffs.values}
 
 
-def bop_am_rhs(fn: TestFunction, iv: Interval, p: Params) -> tuple[float, dict]:
+def bop_am_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     a, b, m, q = iv.a, iv.b, p.m, p.q
     fn.require(a)
     coeffs = nu_coeffs(p.alpha)
     nu1, nu2 = coeffs["nu1"], coeffs["nu2"]
-    da_, db_ = abs(fn.df(a)) ** q, abs(fn.df(b)) ** q
-    dam = abs(fn.df(a / m)) ** q
-    dbm = abs(fn.df(b / m)) ** q
-    branch1 = (nu1 * da_ + m * nu2 * dbm) ** (1.0 / q)
-    branch2 = (nu1 * db_ + m * nu2 * dam) ** (1.0 / q)
-    rhs = iv.width / 2.0 * 0.5 ** (1.0 - 1.0 / q) * min(branch1, branch2)
+    da_, db_, dam, dbm = (_dq(fn, x, q) for x in (a, b, a / m, b / m))
+    branch1 = py_pow(nu1 * da_ + m * nu2 * dbm, 1.0 / q)
+    branch2 = py_pow(nu1 * db_ + m * nu2 * dam, 1.0 / q)
+    rhs = iv.width / 2.0 * py_pow(0.5, 1.0 - 1.0 / q) * py_min(branch1, branch2)
     return rhs, {"branch1": branch1, "branch2": branch2}
 
 
-def thm11_rhs(fn: TestFunction, iv: Interval, p: Params) -> tuple[float, dict]:
+def thm11_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     a, b = iv.a, iv.b
     m, q, lam, mu = p.m, p.q, p.lam, p.mu
     fn.require(a)
     g = gamma_coeffs(p.alpha, lam, mu)
-    db_ = abs(fn.df(b)) ** q
-    da_ = abs(fn.df(a)) ** q
-    dam = abs(fn.df(a / m)) ** q
-    dbm = abs(fn.df(b / m)) ** q
+    da_, db_, dam, dbm = (_dq(fn, x, q) for x in (a, b, a / m, b / m))
     branch1 = g["gamma1"] * db_ + m * g["gamma2"] * dam
     branch2 = g["gamma3"] * da_ + m * g["gamma4"] * dbm
     total = lam + mu
-    if q == 1:
-        # Direct linear combination; avoids the 0-exponent edge of the q>1 form.
-        rhs = iv.width / total * min(branch1, branch2)
-    else:
-        half_weight = (lam ** 2 + mu ** 2) / (2.0 * total)
-        rhs = (iv.width / total * half_weight ** ((q - 1.0) / q)
-               * min(branch1, branch2) ** (1.0 / q))
+    # at q = 1 the powers are exact (x ** 0.0 = 1, x ** 1.0 = x): the linear form
+    half_weight = (py_pow(lam, 2) + py_pow(mu, 2)) / (2.0 * total)
+    rhs = (iv.width / total * py_pow(half_weight, (q - 1.0) / q)
+           * py_pow(py_min(branch1, branch2), 1.0 / q))
     return rhs, {"branch1": branch1, "branch2": branch2}
 
 
-def thm211_rhs(fn: TestFunction, iv: Interval, p: Params) -> tuple[float, dict]:
+def thm211_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     """Hoelder split bound; M1/M2 are per-segment factors of |f'|^q around
     the interior node z = (lam*b + mu*a)/(lam + mu)."""
     conj = p.p  # raises ParamError at q = 1
     a, b, alpha, m, lam, mu, q = iv.a, iv.b, p.alpha, p.m, p.lam, p.mu, p.q
     z = (lam * b + mu * a) / (lam + mu)
     fn.require(a)
-    da_, db_, dz = (abs(fn.df(x)) ** q for x in (a, b, z))
-    dam, dbm, dzm = (abs(fn.df(x / m)) ** q for x in (a, b, z))
+    da_, db_, dz = (_dq(fn, x, q) for x in (a, b, z))
+    dam, dbm, dzm = (_dq(fn, x / m, q) for x in (a, b, z))
     denom = alpha + 1.0
     coeffs = CoefficientSet("thm211", {
-        "M1": min((da_ + alpha * m * dzm) / denom, (dz + alpha * m * dam) / denom),
-        "M2": min((db_ + alpha * m * dzm) / denom, (dz + alpha * m * dbm) / denom),
+        "M1": py_min((da_ + alpha * m * dzm) / denom, (dz + alpha * m * dam) / denom),
+        "M2": py_min((db_ + alpha * m * dzm) / denom, (dz + alpha * m * dbm) / denom),
     })
     total = lam + mu
-    rhs = (iv.width / total ** 2 * (1.0 / (conj + 1.0)) ** (1.0 / conj)
-           * (lam ** 2 * coeffs["M1"] ** (1.0 / q) + mu ** 2 * coeffs["M2"] ** (1.0 / q)))
+    rhs = (py_div(iv.width, py_pow(total, 2)) * py_pow(1.0 / (conj + 1.0), 1.0 / conj)
+           * (py_pow(lam, 2) * py_pow(coeffs["M1"], 1.0 / q)
+              + py_pow(mu, 2) * py_pow(coeffs["M2"], 1.0 / q)))
     return rhs, coeffs.values
 
 
-def thm22_rhs(fn: TestFunction, iv: Interval, p: Params) -> tuple[float, dict]:
+def thm22_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     """Global Hoelder bound; K1/K2 are endpoint factors of |f'|^q."""
     conj = p.p  # raises ParamError at q = 1
     a, b, alpha, m, q = iv.a, iv.b, p.alpha, p.m, p.q
     fn.require(a)
     coeffs = CoefficientSet("thm22", {
-        "K1": abs(fn.df(b)) ** q + m * alpha * abs(fn.df(a / m)) ** q,
-        "K2": abs(fn.df(a)) ** q + m * alpha * abs(fn.df(b / m)) ** q,
+        "K1": _dq(fn, b, q) + m * alpha * _dq(fn, a / m, q),
+        "K2": _dq(fn, a, q) + m * alpha * _dq(fn, b / m, q),
     })
     total = p.lam + p.mu
-    kernel = ((p.lam ** (conj + 1.0) + p.mu ** (conj + 1.0))
-              / ((conj + 1.0) * total)) ** (1.0 / conj)
-    rhs = (iv.width / total * kernel * (1.0 / (alpha + 1.0)) ** (1.0 / q)
-           * min(coeffs["K1"], coeffs["K2"]) ** (1.0 / q))
+    kernel = py_pow((py_pow(p.lam, conj + 1.0) + py_pow(p.mu, conj + 1.0))
+                    / ((conj + 1.0) * total), 1.0 / conj)
+    rhs = (iv.width / total * kernel * py_pow(1.0 / (alpha + 1.0), 1.0 / q)
+           * py_pow(py_min(coeffs["K1"], coeffs["K2"]), 1.0 / q))
     return rhs, coeffs.values
 
 
@@ -208,18 +219,18 @@ class Theorem:
 
     ``lhs`` is "mean" (the integral mean itself), "equal" (the deviation with
     lam = mu = 1) or "weighted" (the deviation with the cell's lam, mu).
-    ``hypothesis`` maps the cell's Params to (g, alpha, m, q) of the convexity
+    ``hypothesis`` maps ParamColumns to (g, alpha, m, q) of the convexity
     hypothesis, g being "f" or "df" (|f'|^q); q is 1 where the hypothesis
-    does not depend on it, so that equal hypotheses share one cached verdict
-    in a sweep.  ``needs_q_gt_1`` makes q = 1 not applicable before the gate.
+    does not depend on it, so that equal hypotheses share one gate verdict.
+    ``needs_q_gt_1`` makes q = 1 not applicable before the gate.
     """
 
     lhs: str
-    hypothesis: Callable[[Params], tuple[str, float, float, float]]
+    hypothesis: Callable[[ParamColumns], tuple]
     needs_q_gt_1: bool
 
 
-def _df_q(p: Params):
+def _df_q(p: ParamColumns):
     return "df", p.alpha, p.m, p.q
 
 
@@ -243,83 +254,111 @@ def hypothesis_verdict(fn: TestFunction, g: str, upper: float, alpha: float, m: 
     return check_alpha_m_convex(func, upper, alpha, m, grid_n)
 
 
-class Outcome(NamedTuple):
-    """Result of one (function, interval, params, theorem) cell.
-
-    ``status`` is ok, violation, gate_skipped, not_applicable or input_error;
-    ``error`` is the exception ``verify`` raises for the last two, and
-    ``verdict`` the gate's verdict once it has run.
-    """
-
-    status: str
-    report: BoundReport | None = None
-    error: Exception | None = None
-    verdict: ConvexityVerdict | None = None
+# One (function, interval) group's cells as lists in product(params,
+# theorem_ids) order: the ten computed row columns (None where a cell has no
+# value), each cell's exception for ``verify`` and gate verdict, and per
+# theorem id the RHS's names for branch1, branch2 and rhs_loose.
+Columns = namedtuple("Columns", "status lhs rhs slack holds quad_error branch1 branch2 "
+                                "rhs_loose gate_violation error verdict branch_names")
 
 
 def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
                  tol: float = DEFAULT_LHS_TOL, holds_tol: float = HOLDS_SLACK,
-                 mean_of=integral_mean, gate_of=hypothesis_verdict):
-    """Yield the Outcome of each cell of one (function, interval) group, in
-    ``itertools.product(params, theorem_ids)`` order; ``params`` holds
-    (alpha, m, lam, mu, q) tuples.  The Interval and the integral mean are
-    made once per group, each Params and its domain check once per tuple.
-    ``mean_of(fn, iv, tol)`` gives the mean and its error; ``gate_of(fn, g,
-    upper, alpha, m, q, GATE_GRID_N)`` the gate's verdict, or None skips it.
+                 mean_of=integral_mean, gate_of=hypothesis_verdict) -> Columns:
+    """Evaluate one (function, interval) group as numpy columns; ``params``
+    holds (alpha, m, lam, mu, q) tuples.  Each Params and its domain check
+    run once per tuple, ``gate_of(fn, g, upper, alpha, m, q, GATE_GRID_N)``
+    once per distinct hypothesis, in cell order (None skips the gate),
+    ``mean_of(fn, iv, tol)`` once, and each ``<id>_rhs`` once, on the
+    ParamColumns of the cells that reach it.
     """
     # looked up per group so that a replaced ``<id>_rhs`` is the one used
     thms = [(tid, THEOREMS.get(tid), globals().get(f"{tid}_rhs")) for tid in theorem_ids]
-    q_rule = {tid: Outcome("not_applicable", None, ParamError(f"{tid} needs q > 1"))
-              for tid, thm, _ in thms if thm is not None and thm.needs_q_gt_1}
-    iv = mean = None
+    params, iv, errs = list(params), None, []
     for alpha, m, lam, mu, q in params:
-        error = None
         try:
             iv = iv or Interval(a, b)
-            p = Params(alpha=alpha, m=m, lam=lam, mu=mu, q=q)
-            validate_params(p, iv, fn)
+            errs.append(validate_params(Params(alpha, m, lam, mu, q), iv, fn))
+        except (ParamError, DomainError) as exc:  # kept without the frames it holds
+            errs.append(exc.with_traceback(None))
+    P = np.array(params, dtype=float).reshape(-1, 5)
+    c = {name: np.full((len(P), len(thms)), None, object) for name in Columns._fields[:-1]}
+    status, error = c["status"], c["error"]
+
+    # precedence: the q > 1 rule, bad input, an unknown id, the domain
+    status[:], error[:] = "input_error", np.array(errs, object)[:, None]
+    bad_input = np.array([isinstance(e, ParamError) for e in errs], bool)
+    domain = np.array([isinstance(e, DomainError) for e in errs], bool)
+    for j, (tid, thm, _) in enumerate(thms):
+        if thm is None:
+            error[~bad_input, j] = ParamError(f"unknown theorem id {tid!r}")
+            continue
+        status[domain, j] = "not_applicable"
+        if thm.needs_q_gt_1:
+            q_rule = P[:, 4] == 1
+            error[q_rule, j] = ParamError(f"{tid} needs q > 1")
+            status[q_rule, j] = "not_applicable"
+    open_ = np.equal(error, None)
+
+    if gate_of is not None and open_.any():
+        hyp = np.zeros(open_.shape + (4,))
+        for j, (_, thm, _) in enumerate(thms):
+            for k, v in enumerate(thm.hypothesis(ParamColumns(*P.T)) if thm else ()):
+                hyp[:, j, k] = v == "df" if k == 0 else v
+        wanted = hyp[open_]
+        _, first, inverse = np.unique(wanted.view("V32").ravel(), return_index=True,
+                                      return_inverse=True)
+        found = np.empty(len(first), object)  # each distinct hypothesis, in cell order
+        found[np.argsort(first)] = [gate_of(fn, "df" if df else "f", max(b, b / g_m), g_alpha,
+                                            g_m, g_q, GATE_GRID_N)
+                                    for df, g_alpha, g_m, g_q in wanted[np.sort(first)].tolist()]
+        worst = np.array([v.worst_violation for v in found], object)
+        holds = np.array([v.holds for v in found], bool)
+        inverse, gated = inverse.ravel(), open_.copy()
+        c["verdict"][gated], c["gate_violation"][gated] = found[inverse], worst[inverse]
+        open_[gated] = holds[inverse]
+        status[gated & ~open_] = "gate_skipped"
+
+    if open_.any():
+        try:
+            mean, err = mean_of(fn, iv, tol)
         except (ParamError, DomainError) as exc:
-            error = exc
-        for theorem_id, thm, rhs_of in thms:
-            # precedence: the q > 1 rule, bad input, an unknown id, the domain
-            if q == 1 and theorem_id in q_rule:
-                yield q_rule[theorem_id]
-            elif thm is None and not isinstance(error, ParamError):
-                yield Outcome("input_error", None,
-                              ParamError(f"unknown theorem id {theorem_id!r}"))
-            elif error is not None:
-                yield Outcome("not_applicable" if isinstance(error, DomainError)
-                              else "input_error", None, error)
-            else:
-                verdict = None
-                if gate_of is not None:
-                    g, g_alpha, g_m, g_q = thm.hypothesis(p)
-                    verdict = gate_of(fn, g, max(b, b / g_m), g_alpha, g_m, g_q, GATE_GRID_N)
-                    if not verdict.holds:
-                        yield Outcome("gate_skipped", None, None, verdict)
-                        continue
-                try:
-                    mean = mean or mean_of(fn, iv, tol)
-                    lhs, err = mean
-                    if thm.lhs != "mean":
-                        weights = (lam, mu) if thm.lhs == "weighted" else (1.0, 1.0)
-                        lhs = abs(_weighted_endpoint(fn, iv, *weights) - lhs)
-                    rhs, branches = rhs_of(fn, iv, p)
-                except (ParamError, DomainError) as exc:
-                    yield Outcome("input_error", None, exc, verdict)
-                    continue
-                report = make_report(theorem_id, float(lhs), float(rhs), float(err),
-                                     branches, holds_tol)
-                yield Outcome("ok" if report.holds else "violation", report, None, verdict)
+            error[open_], open_[:] = exc.with_traceback(None), False
+    names = {}
+    for j, (tid, thm, rhs_of) in enumerate(thms):
+        rows = np.flatnonzero(open_[:, j])
+        while len(rows):
+            try:
+                value, branches = rhs_of(fn, iv, ParamColumns(*P[rows].T))
+            except (ParamError, DomainError) as exc:
+                # the cells the error names are input_error; the others go again
+                bad = np.broadcast_to(getattr(exc, "cells", True), rows.shape)
+                error[rows[bad], j], rows = exc.with_traceback(None), rows[~bad]
+                continue
+            weights = (P[rows, 2], P[rows, 3]) if thm.lhs == "weighted" else (1.0, 1.0)
+            lhs = mean if thm.lhs == "mean" else abs(_weighted_endpoint(fn, iv, *weights) - mean)
+            r = make_report(tid, lhs, value, err, holds_tol)
+            pair = sorted(k for k in branches if k != "loose")
+            names[tid] = (*pair[:2], "loose") if len(pair) >= 2 else (None, None, "loose")
+            for col, v in (("lhs", lhs), ("rhs", value), ("slack", r.slack), ("holds", r.holds),
+                           ("quad_error", err), *zip(("branch1", "branch2", "rhs_loose"),
+                                                     map(branches.get, names[tid]))):
+                if v is not None:  # numpy scalars as Python ones, shared by the cells
+                    c[col][rows, j] = v.item() if isinstance(v, np.generic) else v
+            ok = np.broadcast_to(r.holds, rows.shape)
+            status[rows[ok], j], status[rows[~ok], j] = "ok", "violation"
+            break
+    return Columns(*(column.ravel().tolist() for column in c.values()), names)
 
 
 def assess(fn: TestFunction, a: float, b: float, alpha: float, m: float, lam: float,
            mu: float, q: float, theorem_id: str, tol: float = DEFAULT_LHS_TOL,
            holds_tol: float = HOLDS_SLACK, mean_of=integral_mean,
-           gate_of=hypothesis_verdict) -> Outcome:
-    """The Outcome of one cell: a one-cell group of ``assess_group``."""
-    return next(assess_group(fn, a, b, [(alpha, m, lam, mu, q)], [theorem_id], tol,
-                             holds_tol, mean_of, gate_of))
+           gate_of=hypothesis_verdict) -> Columns:
+    """The one cell of a one-cell ``assess_group``: each column's only value."""
+    cols = assess_group(fn, a, b, [(alpha, m, lam, mu, q)], [theorem_id], tol, holds_tol,
+                        mean_of, gate_of)
+    return Columns(*(column[0] for column in cols[:-1]), cols.branch_names)
 
 
 def verify(fn: TestFunction, iv: Interval, p: Params, theorem_id: str,
@@ -331,13 +370,15 @@ def verify(fn: TestFunction, iv: Interval, p: Params, theorem_id: str,
     GateError (with the sampled witness) when the hypothesis fails; a gate
     failure is never a theorem violation.
     """
-    outcome = assess(fn, iv.a, iv.b, p.alpha, p.m, p.lam, p.mu, p.q, theorem_id,
-                     tol=tol, gate_of=hypothesis_verdict if gate else None)
-    if outcome.status == "gate_skipped":
-        v = outcome.verdict
+    cell = assess(fn, iv.a, iv.b, p.alpha, p.m, p.lam, p.mu, p.q, theorem_id,
+                  tol=tol, gate_of=hypothesis_verdict if gate else None)
+    if cell.status == "gate_skipped":
+        v = cell.verdict
         raise GateError(f"convexity hypothesis of {theorem_id} fails for {fn.id} "
                         f"(violation {v.worst_violation:.3e} at {v.witness})",
                         witness=v.witness, worst_violation=v.worst_violation)
-    if outcome.error is not None:
-        raise outcome.error
-    return outcome.report
+    if cell.error is not None:
+        raise cell.error
+    branches = zip(cell.branch_names[theorem_id], cell[6:9])
+    return BoundReport(theorem_id, cell.lhs, cell.rhs, cell.slack, cell.holds,
+                       cell.quad_error, {k: v for k, v in branches if v is not None})

@@ -1,11 +1,12 @@
 """Batch verification harness: single checks, sweeps, tightness tables, means.
 
 Subcommands: verify | sweep | tightness | means.  Every (function, interval,
-params, theorem) cell goes through ``group_rows``, which runs one (function,
-interval) group through ``bounds.assess_group`` (the path behind the
-library's ``verify``) with ``lru_cache``d ``bounds.integral_mean`` and
-``bounds.hypothesis_verdict``; ``eval_row`` is its one-cell call.  The
-corpus is built once, so its functions key those caches.  A row is a dict
+params, theorem) cell goes through ``group_rows``: the ten columns that
+``bounds.assess_group`` (the path behind the library's ``verify``) computes
+for one (function, interval) group, with ``lru_cache``d
+``bounds.integral_mean`` and ``bounds.hypothesis_verdict``.  ``_rows``
+prefixes the inputs the caller holds, so a ``--jobs`` worker sends back
+only what it computed; ``eval_row`` is the one-cell call.  A row is a dict
 keyed by ``COLUMNS``, in that order, and holds plain values (str, int,
 float, bool or None); the writers write them as they are, floats in
 shortest round-trip form, so identical inputs give byte-identical files.
@@ -61,26 +62,21 @@ _cached_gate = lru_cache(maxsize=None)(bounds.hypothesis_verdict)
 def group_rows(fn_id: str, a: float, b: float, params, theorems,
                quad_tol: float = bounds.DEFAULT_LHS_TOL,
                holds_tol: float = HOLDS_SLACK) -> list:
-    """The rows of one (function, interval) group, one per cell of
-    ``bounds.assess_group`` and in its order, as lists in ``COLUMNS`` order
-    (lists, since CPython keeps up to 2,000 freed 20-tuples on a free list)."""
+    """The ten computed columns (``status`` to ``gate_violation``) of one
+    (function, interval) group, as lists in ``bounds.assess_group``'s order."""
     fn = corpus_by_id().get(fn_id)
-    outcomes = (itertools.repeat(bounds.Outcome("input_error")) if fn is None
-                else bounds.assess_group(fn, a, b, params, theorems, quad_tol, holds_tol,
-                                         _cached_mean, _cached_gate))
-    rows = []
-    for (p, theorem), (status, report, _, verdict) in zip(
-            itertools.product(params, theorems), outcomes):
-        cells = (None,) * 8
-        if report is not None:
-            branches = report.branches
-            names = sorted(k for k in branches if k != "loose")
-            pair = (branches[names[0]], branches[names[1]]) if len(names) >= 2 else (None,) * 2
-            cells = (report.lhs, report.rhs, report.slack, report.holds, report.quad_error,
-                     *pair, branches.get("loose"))
-        rows.append([SCHEMA_VERSION, fn_id, a, b, *p, theorem, status, *cells,
-                     verdict and verdict.worst_violation])
-    return rows
+    if fn is None:
+        n = len(params) * len(theorems)
+        return [["input_error"] * n] + [[None] * n] * 9
+    return list(bounds.assess_group(fn, a, b, params, theorems, quad_tol, holds_tol,
+                                    _cached_mean, _cached_gate)[:10])
+
+
+def _rows(fn_id: str, a: float, b: float, params, theorems, columns) -> list:
+    """The row dicts of one group: the inputs it was given, then its columns."""
+    heads = ((SCHEMA_VERSION, fn_id, a, b, *p, t)
+             for p, t in itertools.product(params, theorems))
+    return [dict(zip(COLUMNS, head + cells)) for head, cells in zip(heads, zip(*columns))]
 
 
 def eval_row(fn_id: str, a: float, b: float, alpha: float, m: float,
@@ -88,8 +84,9 @@ def eval_row(fn_id: str, a: float, b: float, alpha: float, m: float,
              quad_tol: float = bounds.DEFAULT_LHS_TOL,
              holds_tol: float = HOLDS_SLACK) -> dict:
     """The report row of one (config, theorem) cell: a one-cell ``group_rows``."""
-    return dict(zip(COLUMNS, group_rows(fn_id, a, b, [(alpha, m, lam, mu, q)], [theorem],
-                                        quad_tol, holds_tol)[0]))
+    point = [(alpha, m, lam, mu, q)]
+    return _rows(fn_id, a, b, point, [theorem],
+                 group_rows(fn_id, a, b, point, [theorem], quad_tol, holds_tol))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -145,33 +142,40 @@ def _number(text: str, where: str) -> float:
 def parse_sweep_file(path: str) -> SweepSpec:
     """Flat ``key = comma separated values`` format; intervals as a:b pairs."""
     spec = SweepSpec()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParamError(f"{path}:{lineno}: expected 'key = values'")
-            key, _, rest = line.partition("=")
-            key = key.strip().lower()
-            items = [s.strip() for s in rest.split(",") if s.strip()]
-            where = f"{path}:{lineno}"
-            if key in ("functions", "theorems"):
-                setattr(spec, key, items)
-            elif key == "intervals":
-                pairs = [item.split(":") for item in items]
-                if any(len(pair) != 2 for pair in pairs):
-                    raise ParamError(f"{where}: intervals must be a:b pairs")
-                spec.intervals = [(_number(a, where), _number(b, where)) for a, b in pairs]
-            elif key in ("alpha", "m", "lambda", "mu", "q"):
-                setattr(spec, "lam" if key == "lambda" else key,
-                        [_number(s, where) for s in items])
-            elif key in ("quad_tol", "holds_tol"):
-                if len(items) != 1:
-                    raise ParamError(f"{where}: {key} takes one value")
-                setattr(spec, key, _number(items[0], where))
-            else:
-                raise ParamError(f"{where}: unknown key {key!r}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParamError(f"{path}: not UTF-8 text ({exc})") from None
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParamError(f"{path}:{lineno}: expected 'key = values'")
+        key, _, rest = line.partition("=")
+        key = key.strip().lower()
+        items = [s.strip() for s in rest.split(",") if s.strip()]
+        where = f"{path}:{lineno}"
+        if not items and key in ("functions", "intervals", "theorems", "alpha", "m", "lambda",
+                                 "mu", "q"):
+            raise ParamError(f"{where}: {key} needs at least one value")
+        if key in ("functions", "theorems"):
+            setattr(spec, key, items)
+        elif key == "intervals":
+            pairs = [item.split(":") for item in items]
+            if any(len(pair) != 2 for pair in pairs):
+                raise ParamError(f"{where}: intervals must be a:b pairs")
+            spec.intervals = [(_number(a, where), _number(b, where)) for a, b in pairs]
+        elif key in ("alpha", "m", "lambda", "mu", "q"):
+            setattr(spec, "lam" if key == "lambda" else key,
+                    [_number(s, where) for s in items])
+        elif key in ("quad_tol", "holds_tol"):
+            if len(items) != 1:
+                raise ParamError(f"{where}: {key} takes one value")
+            setattr(spec, key, _number(items[0], where))
+        else:
+            raise ParamError(f"{where}: unknown key {key!r}")
     if not spec.functions or not spec.intervals:
         raise ParamError(f"{path}: functions and intervals must be non-empty")
     return spec
@@ -192,7 +196,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> tuple[list, dict]:
           else nullcontext()) as pool:
         results = (pool.map(group_rows, *zip(*groups)) if pool
                    else itertools.starmap(group_rows, groups))
-        rows = [dict(zip(COLUMNS, values)) for group in results for values in group]
+        rows = [row for group, columns in zip(groups, results)
+                for row in _rows(*group[:5], columns)]
     rows.sort(key=_row_sort_key)
 
     counts = Counter(row["status"] for row in rows)
@@ -304,7 +309,8 @@ def cmd_tightness(args) -> int:
         print("error: tightness needs at least two theorems", file=sys.stderr)
         return 3
     point = [(args.alpha, args.m, args.lam, args.mu, args.q)]
-    rows = group_rows(args.fn, args.a, args.b, point, theorems, args.tol)
+    rows = _rows(args.fn, args.a, args.b, point, theorems,
+                 group_rows(args.fn, args.a, args.b, point, theorems, args.tol))
     # Baseline: the classical endpoint-average upper bound on the integral mean.
     try:
         fn = corpus_by_id()[args.fn]
@@ -313,11 +319,11 @@ def cmd_tightness(args) -> int:
             lower, upper = bounds.bound_hh(fn, iv)
             mean, err = _cached_mean(fn, iv, args.tol)
             r = make_report("hh_upper", mean, upper, err)
-            rows.append(rows[0][:9] + ["hh_upper", "ok", r.lhs, r.rhs, r.slack, r.holds,
-                                       r.quad_error, lower, None, None, None])
+            rows.append(dict(zip(COLUMNS, [*rows[0].values()][:9] + [
+                "hh_upper", "ok", r.lhs, r.rhs, r.slack, r.holds, r.quad_error, lower,
+                None, None, None])))
     except (KeyError, ParamError, DomainError):
         pass  # group_rows has already marked these rows input_error
-    rows = [dict(zip(COLUMNS, values)) for values in rows]
 
     ranked = sorted((r for r in rows if r["status"] in ("ok", "violation")),
                     key=lambda r: r["slack"])

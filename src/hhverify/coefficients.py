@@ -3,18 +3,20 @@
 Each family is an exact antiderivative of a kinked kernel moment;
 ``quadrature.kernel_moment`` is the independent oracle the tests check them
 against.  The factors that sample |f'|^q (mu, M, K) live in the ``*_rhs``
-of the bound they serve.
+of the bound they serve.  The parameters may be scalars or arrays over cells.
 """
 
 from __future__ import annotations
 
-from .core import CoefficientSet, ParamError
+import numpy as np
+
+from .core import CoefficientSet, ParamError, py_div, py_pow
 
 
-def _check_weights(alpha: float, lam: float, mu: float) -> None:
-    if not 0 < alpha <= 1:
+def _check_weights(alpha, lam=1.0, mu=1.0) -> None:
+    if not np.all((0 < alpha) & (alpha <= 1)):
         raise ParamError(f"alpha must lie in (0, 1], got {alpha}")
-    if lam < 0 or mu < 0 or lam + mu <= 0:
+    if np.any((lam < 0) | (mu < 0) | (lam + mu <= 0)):
         raise ParamError(f"weights must be nonnegative with lam + mu > 0, got {lam}, {mu}")
 
 
@@ -30,9 +32,10 @@ def gamma_coeffs(alpha: float, lam: float, mu: float) -> CoefficientSet:
     _check_weights(alpha, lam, mu)
     total = lam + mu
     denom = (alpha + 1.0) * (alpha + 2.0)
-    half_weight = (lam ** 2 + mu ** 2) / (2.0 * total)
-    g1 = (2.0 * lam ** (alpha + 2.0) / total ** (alpha + 1.0) + (alpha + 1.0) * mu - lam) / denom
-    g3 = (2.0 * mu ** (alpha + 2.0) / total ** (alpha + 1.0) + (alpha + 1.0) * lam - mu) / denom
+    half_weight = (py_pow(lam, 2) + py_pow(mu, 2)) / (2.0 * total)
+    spread = py_pow(total, alpha + 1.0)
+    g1 = (py_div(2.0 * py_pow(lam, alpha + 2.0), spread) + (alpha + 1.0) * mu - lam) / denom
+    g3 = (py_div(2.0 * py_pow(mu, alpha + 2.0), spread) + (alpha + 1.0) * lam - mu) / denom
     return CoefficientSet("thm11", {
         "gamma1": g1,
         "gamma2": half_weight - g1,
@@ -43,9 +46,9 @@ def gamma_coeffs(alpha: float, lam: float, mu: float) -> CoefficientSet:
 
 def nu_coeffs(alpha: float) -> CoefficientSet:
     """Kernel moments of the equal-weights bound; nu1 + nu2 = 1/2 always."""
-    if not 0 < alpha <= 1:
-        raise ParamError(f"alpha must lie in (0, 1], got {alpha}")
+    _check_weights(alpha)
     denom = (alpha + 1.0) * (alpha + 2.0)
-    nu1 = (alpha + 0.5 ** alpha) / denom
-    nu2 = ((alpha ** 2 + alpha + 2.0) / 2.0 - 0.5 ** alpha) / denom
+    half_pow = py_pow(0.5, alpha)
+    nu1 = (alpha + half_pow) / denom
+    nu2 = ((py_pow(alpha, 2) + alpha + 2.0) / 2.0 - half_pow) / denom
     return CoefficientSet("bop_am", {"nu1": nu1, "nu2": nu2})

@@ -6,6 +6,8 @@ All types are immutable value objects; every other module builds on them.
 from __future__ import annotations
 
 import math
+import operator
+from collections import namedtuple
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -15,6 +17,8 @@ import numpy as np
 
 class ParamError(ValueError):
     """A parameter tuple violates its admissibility constraints."""
+
+    cells = True  # raised over cells of array parameters: a mask of the failing ones
 
 
 class DomainError(ValueError):
@@ -69,6 +73,7 @@ class Params:
     alpha and m live in (0, 1]; lam and mu are nonnegative weights with
     lam + mu > 0; q >= 1 is the derivative-power exponent.  The conjugate
     p = q/(q-1) only exists for q > 1 and accessing it at q = 1 raises.
+    ``ParamColumns`` holds the five as arrays over cells admitted one by one.
     """
 
     alpha: float = 1.0
@@ -96,9 +101,13 @@ class Params:
     @property
     def p(self) -> float:
         """Hoelder conjugate q/(q-1); undefined at q = 1."""
-        if self.q == 1:
+        if np.any(self.q == 1):
             raise ParamError("conjugate exponent is undefined at q = 1")
         return self.q / (self.q - 1.0)
+
+
+ParamColumns = namedtuple("ParamColumns", "alpha m lam mu q")
+ParamColumns.p = Params.p
 
 
 @dataclass(frozen=True)
@@ -153,14 +162,12 @@ class BoundReport:
 
 
 def make_report(theorem_id: str, lhs: float, rhs: float, quad_error: float,
-                branches: dict | None = None, holds_tol: float = HOLDS_SLACK) -> BoundReport:
-    """The bound holds when lhs <= rhs + quad_error + holds_tol.  The
-    branches are stored as Python floats, whatever scalar type the RHS used."""
+                holds_tol: float = HOLDS_SLACK) -> BoundReport:
+    """The bound holds when lhs <= rhs + quad_error + holds_tol."""
     slack = rhs - lhs
     holds = lhs <= rhs + quad_error + holds_tol
     return BoundReport(theorem_id=theorem_id, lhs=lhs, rhs=rhs, slack=slack,
-                       holds=holds, quad_error=quad_error,
-                       branches={k: float(v) for k, v in (branches or {}).items()})
+                       holds=holds, quad_error=quad_error)
 
 
 @dataclass(frozen=True)
@@ -172,13 +179,43 @@ class CoefficientSet:
 
     def __post_init__(self):
         for name, v in self.values.items():
-            if not math.isfinite(v):
-                raise ParamError(f"coefficient {name} is not finite: {v}")
-            if v < -1e-12:
-                raise ParamError(f"coefficient {name} must be nonnegative, got {v}")
+            if not isinstance(v, np.ndarray) and math.isfinite(v) and v >= -1e-12:
+                continue  # a valid scalar, checked without numpy's per-call cost
+            v = np.asarray(v)
+            for bad, what in ((~np.isfinite(v), "is not finite:"),
+                              (v < -1e-12, "must be nonnegative, got")):
+                if bad.any():
+                    error = ParamError(f"coefficient {name} {what} {v[bad][0]}")
+                    error.cells = bad
+                    raise error
 
     def __getitem__(self, name: str) -> float:
         return self.values[name]
+
+
+# Per-cell arithmetic with the bits of the scalar expression.  numpy's +, -,
+# *, / and abs round as Python's do; its array power can differ from libm's
+# pow in the last bit, and Python's ** and / raise where numpy returns inf.
+# Scalar arguments (a call with Params) get the scalar expression itself.
+
+def _per_cell(op):
+    ufunc = np.frompyfunc(op, 2, 1)  # calls op on each cell's Python floats
+
+    def per_cell(x, y):
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            return np.asarray(ufunc(x, y), dtype=float)
+        return op(x, y)
+    return per_cell
+
+
+py_pow, py_div = _per_cell(operator.pow), _per_cell(operator.truediv)
+
+
+def py_min(x, y):
+    """Python's min(x, y) per cell: y where y < x, else x."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return np.where(y < x, y, x)
+    return min(x, y)
 
 
 def validate_params(params: Params, interval: Interval, fn: TestFunction) -> None:

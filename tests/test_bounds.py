@@ -228,11 +228,57 @@ class TestVerify:
 
     def test_q_rule_outcome_is_shared_within_a_group(self):
         cells = [(1.0, 1.0, 1.0, 1.0, 1.0), (0.5, 1.0, 2.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0, 2.0)]
-        outs = list(bounds.assess_group(POW2, 1.0, 2.0, cells, ["thm22", "da"]))
-        assert [o.status for o in outs] == ["not_applicable", "ok"] * 2 + ["ok", "ok"]
-        assert outs[0] is outs[2]
-        assert isinstance(outs[0].error, ParamError)
-        assert str(outs[0].error) == "thm22 needs q > 1"
+        cols = bounds.assess_group(POW2, 1.0, 2.0, cells, ["thm22", "da"])
+        assert cols.status == ["not_applicable", "ok"] * 2 + ["ok", "ok"]
+        assert cols.error[0] is cols.error[2]
+        assert isinstance(cols.error[0], ParamError)
+        assert str(cols.error[0]) == "thm22 needs q > 1"
+
+    def test_each_rhs_runs_once_on_the_cells_that_reach_it(self, monkeypatch):
+        seen = []
+
+        def counting(fn, iv, p):
+            seen.append(len(p.q))
+            return thm11_rhs(fn, iv, p)
+
+        monkeypatch.setattr(bounds, "thm11_rhs", counting)
+        cells = [(1.0, 1.0, lam, 1.0, q) for lam in (0.0, 1.0, 2.0) for q in (1.0, 2.0)]
+        cells.append((1.0, 1.0, 0.0, 0.0, 2.0))  # lam + mu = 0: input error, no RHS
+        cols = bounds.assess_group(POW2, 1.0, 2.0, cells, ["thm11", "da"], gate_of=None)
+        assert seen == [6]
+        assert cols.status == ["ok"] * 12 + ["input_error"] * 2
+
+    def test_gate_runs_once_per_distinct_hypothesis(self):
+        seen = []
+
+        def gate_of(*args):
+            seen.append(args[1:6])
+            return bounds.hypothesis_verdict(*args)
+
+        cells = [(alpha, 1.0, lam, 1.0, 2.0) for alpha in (0.5, 1.0) for lam in (1.0, 2.0)]
+        cols = bounds.assess_group(POW2, 1.0, 2.0, cells, ["thm11", "bop_am", "da", "sso"],
+                                   gate_of=gate_of)
+        assert seen == [("df", 2.0, 0.5, 1.0, 2.0), ("df", 2.0, 1.0, 1.0, 1.0),
+                        ("f", 2.0, 0.5, 1.0, 1.0), ("df", 2.0, 1.0, 1.0, 2.0),
+                        ("f", 2.0, 1.0, 1.0, 1.0)]
+        assert None not in cols.gate_violation
+
+    def test_a_failing_factor_fails_only_its_cell(self):
+        # |f'|^3 = e^900 overflows to inf on [1, 300]; at q = 2 it does not
+        cells = [(1.0, 1.0, 1.0, 1.0, 2.0), (1.0, 1.0, 1.0, 1.0, 3.0)]
+        with np.errstate(over="ignore"), pytest.raises(ParamError) as err:
+            cols = bounds.assess_group(EXP, 1.0, 300.0, cells, ["bop_m"], gate_of=None)
+            verify(EXP, Interval(1.0, 300.0), Params(q=3.0), "bop_m", gate=False)
+        assert cols.status == ["ok", "input_error"]
+        assert cols.rhs[1] is None and cols.error[0] is None
+        assert str(err.value) == str(cols.error[1]) == "coefficient mu2 is not finite: inf"
+
+    def test_branches_are_python_floats(self):
+        # exp samples |f'|^q as numpy scalars; the report holds Python floats
+        for theorem in ("sso", "bop_m", "thm22"):
+            report = verify(EXP, Interval(1, 2), Params(q=2.0), theorem, gate=False)
+            assert report.branches
+            assert all(type(v) is float for v in report.branches.values()), theorem
 
     def test_unknown_theorem(self):
         with pytest.raises(ParamError):

@@ -4,6 +4,7 @@ import json
 import math
 from collections import Counter
 
+import hypothesis
 import pytest
 
 from hhverify import (DomainError, GateError, Interval, ParamError, Params, cli,
@@ -97,8 +98,8 @@ class TestEvalRow:
 
     @pytest.mark.parametrize("fn_id", sorted(corpus_by_id()))
     def test_cells_are_plain_values(self, fn_id):
-        # exp, sinh and xlogx compute their branches as numpy scalars;
-        # make_report stores them as Python floats
+        # exp, sinh and xlogx compute their samples as numpy scalars;
+        # assess_group stores every cell as a Python value
         for theorem in cli.bounds.THEOREM_IDS:
             row = cli.eval_row(fn_id, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 2.0, theorem)
             assert list(row) == cli.COLUMNS
@@ -158,6 +159,22 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "/no/such/file.spec")
         assert code == 3
         assert "error" in err
+
+    def test_non_utf8_spec_is_an_input_error(self, tmp_path, capsys):
+        spec = tmp_path / "bad.spec"
+        spec.write_bytes(b"functions = pow2\xff\nintervals = 1:2\n")
+        code, _, err = run_cli(capsys, "sweep", str(spec))
+        assert code == 3
+        assert err.startswith(f"error: {spec}: not UTF-8 text")
+
+    @pytest.mark.parametrize("key", ["functions", "intervals", "theorems", "alpha", "m",
+                                     "lambda", "mu", "q"])
+    def test_list_key_needs_a_value(self, tmp_path, capsys, key):
+        spec = tmp_path / "empty.spec"
+        spec.write_text(f"functions = pow2\nintervals = 1:2\n{key} = ,\n")
+        code, out, err = run_cli(capsys, "sweep", str(spec))
+        assert code == 3 and out == ""
+        assert err == f"error: {spec}:3: {key} needs at least one value\n"
 
     def test_bad_spec_key(self, tmp_path, capsys):
         spec = tmp_path / "bad.spec"
@@ -329,6 +346,34 @@ class TestSweep:
         run_cli(capsys, "sweep", str(spec), "-o", str(f1))
         run_cli(capsys, "sweep", str(spec), "-o", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
+
+
+# Small specs mixing corpus and unknown ids, reversed intervals and ones that
+# start below a domain, parameters in and out of range (duplicates and -0.0
+# included) and known and unknown theorems: the grouped sweep must give, cell
+# for cell, the rows of one-cell groups.
+_st = hypothesis.strategies
+_values = _st.sampled_from([0.25, 0.5, 1.0, 0.5, 1.0, -0.0, 1.5])
+
+
+@hypothesis.given(_st.builds(
+    cli.SweepSpec,
+    functions=_st.lists(_st.sampled_from(["pow2", "pow3", "recip", "exp", "xlogx", "nope"]),
+                        min_size=1, max_size=2),
+    intervals=_st.lists(_st.sampled_from([(0.0, 1.0), (-0.0, 0.5), (1.0, 2.0), (2.0, 1.0),
+                                          (0.5, 3.0), (-1.0, 1.0)]), min_size=1, max_size=2),
+    alpha=_st.lists(_values, min_size=1, max_size=2),
+    m=_st.lists(_values, min_size=1, max_size=2),
+    lam=_st.lists(_st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, 1.0]), min_size=1, max_size=3),
+    mu=_st.lists(_st.sampled_from([-0.0, 0.0, 1.0, 3.0]), min_size=1, max_size=2),
+    q=_st.lists(_st.sampled_from([1.0, 2.0, 3.0, 2.0, 0.5, -0.0]), min_size=1, max_size=3),
+    theorems=_st.lists(_st.sampled_from([*cli.bounds.THEOREM_IDS, "bogus"]),
+                       min_size=1, max_size=3)))
+@hypothesis.settings(max_examples=80, deadline=None, database=None)
+def test_grouped_sweep_equals_one_cell_rows(spec):
+    rows, _ = cli.run_sweep(spec)
+    cells = sorted((cli.eval_row(*cfg) for cfg in spec.configs()), key=cli._row_sort_key)
+    assert repr(rows) == repr(cells)  # repr tells -0.0 from 0.0
 
 
 def test_eval_row_agrees_with_verify(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from hhverify import (DomainError, Interval, ParamError, Params, TestFunction,
                       builtin_corpus, corpus_by_id, validate_params)
-from hhverify.core import eval_points, make_report
+from hhverify.core import eval_points, py_div, py_min, py_pow
 
 
 class TestInterval:
@@ -113,12 +113,6 @@ class TestCorpus:
         assert np.all(np.isfinite([fn.df(x) for x in xs]))
 
 
-def test_make_report_stores_branches_as_python_floats():
-    report = make_report("sso", 1.0, 2.0, 0.0, {"branch1": np.float64(2.5), "branch2": 3})
-    assert report.branches == {"branch1": 2.5, "branch2": 3.0}
-    assert all(type(v) is float for v in report.branches.values())
-
-
 def test_validate_params_is_total():
     # Every input is either accepted or rejected with a typed error, never a crash.
     fns = builtin_corpus()
@@ -129,3 +123,31 @@ def test_validate_params_is_total():
                     validate_params(Params(m=m), Interval(a, b), fn)
                 except (ParamError, DomainError):
                     pass
+
+
+class TestPerCellArithmetic:
+    def test_power_is_pythons_where_np_power_differs(self):
+        rng = np.random.default_rng(7)
+        x, q = rng.uniform(0.0, 50.0, 60_000), rng.uniform(0.05, 6.0, 60_000)
+        python = np.array([a ** b for a, b in zip(x.tolist(), q.tolist())])
+        differ = np.power(x, q) != python
+        if not differ.any():
+            pytest.skip("np.power agrees with Python's ** on every sampled pair here")
+        assert py_pow(x[differ], q[differ]).tolist() == python[differ].tolist()
+        assert py_pow(float(x[differ][0]), float(q[differ][0])) == python[differ][0]
+
+    def test_errors_are_pythons(self):
+        with pytest.raises(OverflowError):
+            py_pow(np.array([2.0, 1e200]), 2.0)
+        with pytest.raises(ZeroDivisionError):
+            py_div(1.0, np.array([1.0, 0.0]))
+        assert py_div(np.array([1.0, 3.0]), 2.0).tolist() == [0.5, 1.5]
+
+    def test_min_is_pythons(self):
+        # min(x, y) keeps x unless y < x: NaN and signed zeros follow suit
+        x = np.array([math.nan, 1.0, 0.0, -0.0, 2.0])
+        y = np.array([1.0, math.nan, -0.0, 0.0, 1.0])
+        got = py_min(x, y)
+        expect = [min(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        assert [repr(v) for v in got.tolist()] == [repr(v) for v in expect]
+        assert py_min(3.0, 2.0) == 2.0 and py_min(math.nan, 2.0) != py_min(math.nan, 2.0)
