@@ -3,8 +3,7 @@ derivative powers are (alpha, m)-convex, plus the special-means corollaries."""
 
 from .core import (BoundReport, CoefficientSet, DomainError, GateError, Interval,
                    NonFiniteError, ParamError, Params, TestFunction,
-                   builtin_corpus, corpus_by_id, power_function, reflect,
-                   validate_params)
+                   builtin_corpus, corpus_by_id, power_function, reflect)
 from .quadrature import QuadResult, integrate, kernel_moment
 from .convexity import ConvexityVerdict, check_alpha_m_convex, derivative_power
 from .coefficients import gamma_coeffs, nu_coeffs

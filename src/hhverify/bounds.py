@@ -5,8 +5,8 @@ and whether it needs q > 1.  Its RHS is ``<id>_rhs(fn, iv, p)``, which
 returns (rhs, branches) without integrating, for a scalar Params (the
 means module compares against it) or a ParamColumns of cells.
 ``assess_group`` evaluates one (function, interval) group as numpy columns:
-lookup, applicability, gate, LHS and RHS.  ``assess`` is its one-cell call,
-behind the library's ``verify``; the CLI's rows come from ``cli.group_rows``.
+lookup, applicability, gate, LHS and RHS.  The library's ``verify`` is its
+one-cell call; the CLI's rows come from ``cli.group_rows``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .convexity import ConvexityVerdict, check_alpha_m_convex, derivative_power
 from .coefficients import gamma_coeffs, nu_coeffs
 from .core import (HOLDS_SLACK, BoundReport, CoefficientSet, DomainError, GateError,
                    Interval, ParamColumns, ParamError, Params, TestFunction, _per_cell,
-                   make_report, py_div, py_min, py_pow, validate_params)
+                   make_report, py_div, py_min, py_pow)
 from .quadrature import integrate
 
 DEFAULT_LHS_TOL = 1e-9
@@ -264,13 +264,13 @@ Columns = namedtuple("Columns", "status lhs rhs slack holds quad_error branch1 b
 
 def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
                  tol: float = DEFAULT_LHS_TOL, holds_tol: float = HOLDS_SLACK,
-                 mean_of=integral_mean, gate_of=hypothesis_verdict) -> Columns:
+                 gate_of=hypothesis_verdict) -> Columns:
     """Evaluate one (function, interval) group as numpy columns; ``params``
-    holds (alpha, m, lam, mu, q) tuples.  Each Params and its domain check
-    run once per tuple, ``gate_of(fn, g, upper, alpha, m, q, GATE_GRID_N)``
-    once per distinct hypothesis, in cell order (None skips the gate),
-    ``mean_of(fn, iv, tol)`` once, and each ``<id>_rhs`` once, on the
-    ParamColumns of the cells that reach it.
+    holds (alpha, m, lam, mu, q) tuples.  Each Params and the domain check
+    ``fn.require(a)`` run once per tuple, ``gate_of(fn, g, upper, alpha, m, q,
+    GATE_GRID_N)`` once per distinct hypothesis, in cell order (None skips the
+    gate), ``integral_mean(fn, iv, tol)`` once, and each ``<id>_rhs`` once, on
+    the ParamColumns of the cells that reach it.
     """
     # looked up per group so that a replaced ``<id>_rhs`` is the one used
     thms = [(tid, THEOREMS.get(tid), globals().get(f"{tid}_rhs")) for tid in theorem_ids]
@@ -278,7 +278,8 @@ def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
     for alpha, m, lam, mu, q in params:
         try:
             iv = iv or Interval(a, b)
-            errs.append(validate_params(Params(alpha, m, lam, mu, q), iv, fn))
+            Params(alpha, m, lam, mu, q)
+            errs.append(fn.require(a))
         except (ParamError, DomainError) as exc:  # kept without the frames it holds
             errs.append(exc.with_traceback(None))
     P = np.array(params, dtype=float).reshape(-1, 5)
@@ -321,7 +322,7 @@ def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
 
     if open_.any():
         try:
-            mean, err = mean_of(fn, iv, tol)
+            mean, err = integral_mean(fn, iv, tol)
         except (ParamError, DomainError) as exc:
             error[open_], open_[:] = exc.with_traceback(None), False
     names = {}
@@ -351,16 +352,6 @@ def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
     return Columns(*(column.ravel().tolist() for column in c.values()), names)
 
 
-def assess(fn: TestFunction, a: float, b: float, alpha: float, m: float, lam: float,
-           mu: float, q: float, theorem_id: str, tol: float = DEFAULT_LHS_TOL,
-           holds_tol: float = HOLDS_SLACK, mean_of=integral_mean,
-           gate_of=hypothesis_verdict) -> Columns:
-    """The one cell of a one-cell ``assess_group``: each column's only value."""
-    cols = assess_group(fn, a, b, [(alpha, m, lam, mu, q)], [theorem_id], tol, holds_tol,
-                        mean_of, gate_of)
-    return Columns(*(column[0] for column in cols[:-1]), cols.branch_names)
-
-
 def verify(fn: TestFunction, iv: Interval, p: Params, theorem_id: str,
            tol: float = DEFAULT_LHS_TOL, gate: bool = True) -> BoundReport:
     """Check the named bound; ``gate=False`` skips the hypothesis check.
@@ -370,8 +361,9 @@ def verify(fn: TestFunction, iv: Interval, p: Params, theorem_id: str,
     GateError (with the sampled witness) when the hypothesis fails; a gate
     failure is never a theorem violation.
     """
-    cell = assess(fn, iv.a, iv.b, p.alpha, p.m, p.lam, p.mu, p.q, theorem_id,
-                  tol=tol, gate_of=hypothesis_verdict if gate else None)
+    cols = assess_group(fn, iv.a, iv.b, [(p.alpha, p.m, p.lam, p.mu, p.q)], [theorem_id],
+                        tol, gate_of=hypothesis_verdict if gate else None)
+    cell = Columns(*(column[0] for column in cols[:-1]), cols.branch_names)
     if cell.status == "gate_skipped":
         v = cell.verdict
         raise GateError(f"convexity hypothesis of {theorem_id} fails for {fn.id} "

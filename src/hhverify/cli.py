@@ -3,13 +3,12 @@
 Subcommands: verify | sweep | tightness | means.  Every (function, interval,
 params, theorem) cell goes through ``group_rows``: the ten columns that
 ``bounds.assess_group`` (the path behind the library's ``verify``) computes
-for one (function, interval) group, with ``lru_cache``d
-``bounds.integral_mean`` and ``bounds.hypothesis_verdict``.  ``_rows``
-prefixes the inputs the caller holds, so a ``--jobs`` worker sends back
-only what it computed; ``eval_row`` is the one-cell call.  A row is a dict
-keyed by ``COLUMNS``, in that order, and holds plain values (str, int,
-float, bool or None); the writers write them as they are, floats in
-shortest round-trip form, so identical inputs give byte-identical files.
+for one (function, interval) group.  ``_rows`` prefixes the inputs the
+caller holds, so a ``--jobs`` worker sends back only what it computed;
+``eval_row`` is the one-cell call.  A row is a dict keyed by ``COLUMNS``, in
+that order, and holds plain values (str, int, float, bool or None); the
+writers write them as they are, floats in shortest round-trip form, so
+identical inputs give byte-identical files.
 
 Exit codes: 0 all bounds hold, 1 a violation was found, 2 a convexity gate
 failed (hypothesis not satisfied, not a violation), 3 input error.
@@ -27,7 +26,6 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import itemgetter
 
 from . import bounds, coefficients, quadrature
@@ -53,11 +51,7 @@ def _fmt(v) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Per-process caches for sweeps, keyed by the corpus functions themselves.
-
-_cached_mean = lru_cache(maxsize=None)(bounds.integral_mean)
-_cached_gate = lru_cache(maxsize=None)(bounds.hypothesis_verdict)
-
+# Rows.
 
 def group_rows(fn_id: str, a: float, b: float, params, theorems,
                quad_tol: float = bounds.DEFAULT_LHS_TOL,
@@ -68,8 +62,7 @@ def group_rows(fn_id: str, a: float, b: float, params, theorems,
     if fn is None:
         n = len(params) * len(theorems)
         return [["input_error"] * n] + [[None] * n] * 9
-    return list(bounds.assess_group(fn, a, b, params, theorems, quad_tol, holds_tol,
-                                    _cached_mean, _cached_gate)[:10])
+    return list(bounds.assess_group(fn, a, b, params, theorems, quad_tol, holds_tol)[:10])
 
 
 def _rows(fn_id: str, a: float, b: float, params, theorems, columns) -> list:
@@ -281,17 +274,20 @@ def crosscheck_coefficients(alpha: float, lam: float, mu: float) -> float:
 def cmd_sweep(args) -> int:
     try:
         spec = default_sweep_spec() if args.spec == "default" else parse_sweep_file(args.spec)
+        if args.jobs < 1:
+            raise ParamError(f"--jobs must be at least 1, got {args.jobs}")
+        output = (open(args.output, "w", encoding="utf-8", newline="") if args.output
+                  else nullcontext(sys.stdout))
     except (ParamError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    print(f"sweep: {spec.size()} rows "
-          f"({len(spec.functions)} functions x {len(spec.intervals)} intervals x "
-          f"{len(spec.alpha)}x{len(spec.m)} (alpha,m) x "
-          f"{len(spec.lam)}x{len(spec.mu)} weights x {len(spec.q)} q x "
-          f"{len(spec.theorems)} theorems)")
-    rows, summary = run_sweep(spec, jobs=args.jobs)
-    with (open(args.output, "w", encoding="utf-8", newline="") if args.output
-          else nullcontext(sys.stdout)) as out:
+    with output as out:
+        print(f"sweep: {spec.size()} rows "
+              f"({len(spec.functions)} functions x {len(spec.intervals)} intervals x "
+              f"{len(spec.alpha)}x{len(spec.m)} (alpha,m) x "
+              f"{len(spec.lam)}x{len(spec.mu)} weights x {len(spec.q)} q x "
+              f"{len(spec.theorems)} theorems)")
+        rows, summary = run_sweep(spec, jobs=args.jobs)
         _emit_rows(rows, args.format, out)
 
     print(f"total={summary['total']} holds={summary['holds']} "
@@ -315,15 +311,14 @@ def cmd_tightness(args) -> int:
     try:
         fn = corpus_by_id()[args.fn]
         iv = Interval(args.a, args.b)
-        if args.a >= fn.domain_min:
-            lower, upper = bounds.bound_hh(fn, iv)
-            mean, err = _cached_mean(fn, iv, args.tol)
-            r = make_report("hh_upper", mean, upper, err)
-            rows.append(dict(zip(COLUMNS, [*rows[0].values()][:9] + [
-                "hh_upper", "ok", r.lhs, r.rhs, r.slack, r.holds, r.quad_error, lower,
-                None, None, None])))
+        lower, upper = bounds.bound_hh(fn, iv)
+        mean, err = bounds.integral_mean(fn, iv, args.tol)
+        r = make_report("hh_upper", mean, upper, err)
+        rows.append(dict(zip(COLUMNS, [*rows[0].values()][:9] + [
+            "hh_upper", "ok", r.lhs, r.rhs, r.slack, r.holds, r.quad_error, lower,
+            None, None, None])))
     except (KeyError, ParamError, DomainError):
-        pass  # group_rows has already marked these rows input_error
+        pass  # group_rows has already marked these rows input_error or not_applicable
 
     ranked = sorted((r for r in rows if r["status"] in ("ok", "violation")),
                     key=lambda r: r["slack"])
@@ -413,7 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 3 if exc.code else 0
     try:
         return args.func(args)
     except (ParamError, DomainError, ArithmeticError) as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CoefficientSet, ParamError, py_div, py_pow
+from .core import CoefficientSet, ParamError, py_div, py_min, py_pow
 
 
 def _check_weights(alpha, lam=1.0, mu=1.0) -> None:
@@ -36,12 +36,15 @@ def gamma_coeffs(alpha: float, lam: float, mu: float) -> CoefficientSet:
     spread = py_pow(total, alpha + 1.0)
     g1 = (py_div(2.0 * py_pow(lam, alpha + 2.0), spread) + (alpha + 1.0) * mu - lam) / denom
     g3 = (py_div(2.0 * py_pow(mu, alpha + 2.0), spread) + (alpha + 1.0) * lam - mu) / denom
+    # Each pair sums to half_weight, so a gamma below -1e-12 of it is not a
+    # rounded 0 but an underflowed lam^2 or lam^(alpha+2) (a tiny weight);
+    # above half_weight = 1 the absolute -1e-12 still holds.
     return CoefficientSet("thm11", {
         "gamma1": g1,
         "gamma2": half_weight - g1,
         "gamma3": g3,
         "gamma4": half_weight - g3,
-    })
+    }, tol=1e-12 * py_min(1.0, half_weight))
 
 
 def nu_coeffs(alpha: float) -> CoefficientSet:

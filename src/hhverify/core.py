@@ -172,18 +172,23 @@ def make_report(theorem_id: str, lhs: float, rhs: float, quad_error: float,
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Named closed-form constants belonging to one bound family."""
+    """Named closed-form constants belonging to one bound family.
+
+    Each value must be finite and at least -tol, the rounding allowed around
+    a true 0; tol may be an array over cells.
+    """
 
     theorem_id: str
     values: dict
+    tol: float = 1e-12
 
     def __post_init__(self):
         for name, v in self.values.items():
-            if not isinstance(v, np.ndarray) and math.isfinite(v) and v >= -1e-12:
+            if not isinstance(v, np.ndarray) and math.isfinite(v) and v >= -self.tol:
                 continue  # a valid scalar, checked without numpy's per-call cost
             v = np.asarray(v)
             for bad, what in ((~np.isfinite(v), "is not finite:"),
-                              (v < -1e-12, "must be nonnegative, got")):
+                              (v < -self.tol, "must be nonnegative, got")):
                 if bad.any():
                     error = ParamError(f"coefficient {name} {what} {v[bad][0]}")
                     error.cells = bad
@@ -216,20 +221,6 @@ def py_min(x, y):
     if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
         return np.where(y < x, y, x)
     return min(x, y)
-
-
-def validate_params(params: Params, interval: Interval, fn: TestFunction) -> None:
-    """Check that the function's domain covers every point the bounds touch.
-
-    With m <= 1 the stretched endpoints a/m, b/m never fall below a, so the
-    binding requirement is that the interval itself starts inside the domain.
-    """
-    lo = min(interval.a, interval.a / params.m)
-    if lo < fn.domain_min:
-        raise DomainError(
-            f"{fn.id} needs evaluation down to {lo} but is only defined on "
-            f"[{fn.domain_min}, inf)"
-        )
 
 
 # Positive lower bound for corpus members that blow up at the origin.

@@ -158,12 +158,9 @@ def _mean_forms(k: int, a: float, b: float, p: Params, n: int | None):
             branch1 = g["gamma1"] * bn + g["gamma2"] * an
             branch2 = g["gamma3"] * an + g["gamma4"] * bn
             core = min(branch1 ** (1.0 / q), branch2 ** (1.0 / q))
-            if q == 1:
-                mean_rhs = iv.width / total * abs(n) * core
-            else:
-                half_weight = (lam ** 2 + mu ** 2) / (2.0 * total)
-                mean_rhs = (iv.width / total * half_weight ** ((q - 1.0) / q)
-                            * abs(n) * core)
+            half_weight = (lam ** 2 + mu ** 2) / (2.0 * total)
+            mean_rhs = (iv.width / total * half_weight ** ((q - 1.0) / q)
+                        * abs(n) * core)
             corollary_rhs, _ = thm11_rhs(fn, iv, generic)
         elif k == 2:
             conj = generic.p
@@ -192,11 +189,8 @@ def _mean_forms(k: int, a: float, b: float, p: Params, n: int | None):
             branch1 = g["gamma1"] / b2q + g["gamma2"] / a2q
             branch2 = g["gamma3"] / a2q + g["gamma4"] / b2q
             core = min(branch1 ** (1.0 / q), branch2 ** (1.0 / q))
-            if q == 1:
-                mean_rhs = iv.width / total * core
-            else:
-                half_weight = (lam ** 2 + mu ** 2) / (2.0 * total)
-                mean_rhs = iv.width / total * half_weight ** ((q - 1.0) / q) * core
+            half_weight = (lam ** 2 + mu ** 2) / (2.0 * total)
+            mean_rhs = iv.width / total * half_weight ** ((q - 1.0) / q) * core
             corollary_rhs, _ = thm11_rhs(fn, iv, generic)
         elif k == 5:
             conj = generic.p

@@ -226,6 +226,11 @@ class TestVerify:
         with pytest.raises(ParamError):
             verify(EXP, Interval(0, 1), Params(m=0.5), "thm22")
 
+    def test_underflowed_weights_raise_param_error(self):
+        # lam^2 underflows, so half_weight is too small for gamma2 = half_weight - gamma1
+        with pytest.raises(ParamError, match="gamma2 must be nonnegative"):
+            verify(POW2, Interval(1, 2), Params(0.5, 0.25, 1e-170, 1e-170, 2.0), "thm11")
+
     def test_q_rule_outcome_is_shared_within_a_group(self):
         cells = [(1.0, 1.0, 1.0, 1.0, 1.0), (0.5, 1.0, 2.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0, 2.0)]
         cols = bounds.assess_group(POW2, 1.0, 2.0, cells, ["thm22", "da"])
@@ -306,9 +311,9 @@ class TestVerify:
             seen.append(args[-1])
             return bounds.hypothesis_verdict(*args)
 
-        outcome = bounds.assess(POW2, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 2.0, "thm11",
-                                gate_of=gate_of)
-        assert outcome.status == "ok"
+        cols = bounds.assess_group(POW2, 1.0, 2.0, [(1.0, 1.0, 1.0, 1.0, 2.0)], ["thm11"],
+                                   gate_of=gate_of)
+        assert cols.status == ["ok"]
         assert seen == [bounds.GATE_GRID_N] == [16]
 
     def test_swap_symmetry_sample(self):

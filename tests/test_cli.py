@@ -7,7 +7,7 @@ from collections import Counter
 import hypothesis
 import pytest
 
-from hhverify import (DomainError, GateError, Interval, ParamError, Params, cli,
+from hhverify import (DomainError, GateError, Interval, ParamError, Params, bounds, cli,
                       corpus_by_id, verify)
 
 # Every theorem and every status but violation: q = 1 makes bop_m/thm211/
@@ -61,6 +61,30 @@ class TestVerifyCommand:
                                "--b", "1", "--m", "0.5", "--theorem", "bop_am")
         assert code == 2
         assert "status=gate_skipped" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--fn", "pow2", "--a", "1"),
+        ("verify", "--fn", "pow2", "--a", "1", "--b", "2", "--theorem", "da", "--nope"),
+        ("sweep",),
+        (),
+    ], ids=["missing_flags", "unknown_flag", "missing_spec", "no_command"])
+    def test_usage_error_exit_three(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert "error:" in err
+
+    def test_help_exit_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--help")
+        assert code == 0
+        assert out.startswith("usage: hh-verify verify")
+
+    def test_underflowed_weight_is_an_input_error(self, capsys):
+        # lambda^2 and lambda^(alpha+2) underflow to 0, leaving gamma1 < 0
+        code, out, err = run_cli(capsys, "verify", "--fn", "pow3", "--a", "0", "--b", "1",
+                                 "--alpha", "0.5", "--m", "0.25", "--lambda", "1e-200",
+                                 "--mu", "0", "--q", "2", "--theorem", "thm11")
+        assert code == 3
+        assert "status=input_error" in out and err == ""
 
     def test_input_error_exit_three(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--fn", "nope", "--a", "0",
@@ -148,12 +172,15 @@ class TestSweep:
         assert statuses == ["input_error", "ok", "ok", "ok"]
         assert "input_error=1" in out
 
-    def test_mean_cache_holds_one_entry_per_function_and_interval(self):
-        cli._cached_mean.cache_clear()
+    def test_one_integral_mean_per_function_and_interval(self, monkeypatch):
+        calls = []
+        original = bounds.integral_mean
+        monkeypatch.setattr(bounds, "integral_mean",
+                            lambda *args: calls.append(args[:2]) or original(*args))
         spec = cli.SweepSpec(functions=["pow2", "exp"], intervals=[(1.0, 2.0), (0.5, 3.0)],
                              lam=[1.0, 2.0], q=[1.0, 2.0], theorems=["da", "thm11"])
         cli.run_sweep(spec)
-        assert cli._cached_mean.cache_info().currsize == 4
+        assert len(calls) == len(set(calls)) == 4
 
     def test_missing_spec_file(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "/no/such/file.spec")
@@ -226,6 +253,18 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", str(spec), "-o", str(tmp_path / "o.csv"))
         assert code == 3
         assert err.startswith("error:")
+
+    def test_unwritable_output_is_an_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "default", "-o", "/no/such/dir/out.csv")
+        assert code == 3
+        assert err.startswith("error:") and "/no/such/dir/out.csv" in err
+        assert out == ""  # rejected before the sweep runs
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_is_an_input_error(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "sweep", "default", "--jobs", jobs)
+        assert code == 3
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n" and out == ""
 
     def test_jobs_output_matches_serial(self, tmp_path, capsys):
         # holds_tol = -0.5 turns rows whose slack is below 0.5 into violations
@@ -459,6 +498,12 @@ class TestMeansCommand:
         assert code == 3
         assert err.startswith(f"error: proposition {argv[1]}:")
         assert "a power of a or b is out of float range" in err
+
+    def test_underflowed_weight_is_an_input_error(self, capsys):
+        code, _, err = run_cli(capsys, "means", "--prop", "1", "--a", "1", "--b", "2",
+                               "--n", "2", "--lambda", "1e-160", "--mu", "0", "--q", "2")
+        assert code == 3
+        assert err.startswith("error: coefficient gamma1 must be nonnegative")
 
     def test_prop6_notes_extra_factor(self, capsys):
         code, out, _ = run_cli(capsys, "means", "--prop", "6", "--a", "1",

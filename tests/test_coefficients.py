@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hhverify import (DomainError, Interval, ParamError, Params, corpus_by_id,
@@ -28,6 +29,12 @@ class TestGammaCoeffs:
         assert math.isclose(g["gamma2"], 29.0 / 54.0, abs_tol=1e-15)
         assert math.isclose(g["gamma3"], 29.0 / 54.0, abs_tol=1e-15)
         assert math.isclose(g["gamma4"], 8.0 / 27.0, abs_tol=1e-15)
+
+    def test_underflowed_weight_marks_its_cells(self):
+        # at lam = 1e-200 both lam^2 and lam^(alpha+2) underflow: gamma1 = -lam/denom
+        with pytest.raises(ParamError, match="gamma1 must be nonnegative") as err:
+            gamma_coeffs(np.array([0.5, 0.5]), np.array([1e-200, 1.0]), np.array([0.0, 0.0]))
+        assert err.value.cells.tolist() == [True, False]
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("lam,mu", WEIGHT_PAIRS)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hhverify import (DomainError, Interval, ParamError, Params, TestFunction,
-                      builtin_corpus, corpus_by_id, validate_params)
+                      builtin_corpus, corpus_by_id)
+from hhverify import bounds
 from hhverify.core import eval_points, py_div, py_min, py_pow
 
 
@@ -42,20 +43,35 @@ class TestParams:
 
 
 class TestValidateParams:
+    """A cell's input checks as ``bounds.assess_group`` runs them: Params, then
+    the function's domain at a (``TestFunction.require``)."""
+
+    @staticmethod
+    def cell(fn_id, a, b, alpha=1.0, m=1.0, lam=1.0, mu=1.0, q=1.0):
+        cols = bounds.assess_group(corpus_by_id()[fn_id], a, b, [(alpha, m, lam, mu, q)],
+                                   ["da"], gate_of=None)
+        return cols.status[0], cols.error[0]
+
     def test_interior_config_accepted(self):
-        validate_params(Params(), Interval(1, 2), corpus_by_id()["pow2"])
+        corpus_by_id()["pow2"].require(1.0, 2.0)
+        assert self.cell("pow2", 1, 2) == ("ok", None)
 
     def test_stretched_domain_accepted(self):
         # m = 0.5 needs the derivative at b/m = 4; 1/x covers it.
-        validate_params(Params(m=0.5), Interval(1, 2), corpus_by_id()["recip"])
+        corpus_by_id()["recip"].require(1.0, 4.0)
+        assert self.cell("recip", 1, 2, m=0.5) == ("ok", None)
 
     def test_zero_weights_rejected(self):
         with pytest.raises(ParamError):
             Params(lam=0.0, mu=0.0)
+        status, error = self.cell("pow2", 1, 2, lam=0.0, mu=0.0)
+        assert status == "input_error" and isinstance(error, ParamError)
 
     def test_singular_function_rejected_at_zero(self):
         with pytest.raises(DomainError):
-            validate_params(Params(), Interval(0, 1), corpus_by_id()["recip"])
+            corpus_by_id()["recip"].require(0.0)
+        status, error = self.cell("recip", 0, 1)
+        assert status == "not_applicable" and isinstance(error, DomainError)
 
 
 class TestEvalPoints:
@@ -114,15 +130,14 @@ class TestCorpus:
 
 
 def test_validate_params_is_total():
-    # Every input is either accepted or rejected with a typed error, never a crash.
-    fns = builtin_corpus()
-    for fn in fns:
+    # Every input gets a status from the cell's checks, never a crash.
+    for fn in builtin_corpus():
         for m in (0.3, 1.0):
             for a, b in ((0.0, 1.0), (1.0, 2.0)):
-                try:
-                    validate_params(Params(m=m), Interval(a, b), fn)
-                except (ParamError, DomainError):
-                    pass
+                status, error = TestValidateParams.cell(fn.id, a, b, m=m)
+                covered = fn.covers(a)
+                assert (status, type(error)) == (("ok", type(None)) if covered
+                                                 else ("not_applicable", DomainError))
 
 
 class TestPerCellArithmetic:
