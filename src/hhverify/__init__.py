@@ -3,11 +3,11 @@ derivative powers are (alpha, m)-convex, plus the special-means corollaries."""
 
 from .core import (BoundReport, CoefficientSet, DomainError, GateError, Interval,
                    NonFiniteError, ParamError, Params, TestFunction,
-                   builtin_corpus, corpus_by_id, power_function, reflect)
+                   corpus_by_id, power_function, reflect)
 from .quadrature import QuadResult, integrate, kernel_moment
 from .convexity import ConvexityVerdict, check_alpha_m_convex, derivative_power
 from .coefficients import gamma_coeffs, nu_coeffs
 from .bounds import Deviation, bound_hh, deviation, lemma21_residual, verify
-from .means import MeanKind, MeanValue, PropositionResult, mean, proposition_check
+from .means import MeanKind, PropositionResult, mean, proposition_check
 
 __all__ = [name for name in dir() if not name.startswith("_")]

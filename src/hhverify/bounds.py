@@ -50,8 +50,7 @@ def _weighted_endpoint(fn: TestFunction, iv: Interval, lam: float, mu: float) ->
 
 def deviation(fn: TestFunction, iv: Interval, lam: float, mu: float,
               tol: float = DEFAULT_LHS_TOL) -> Deviation:
-    if lam < 0 or mu < 0 or lam + mu <= 0:
-        raise ParamError(f"weights must be nonnegative with lam + mu > 0, got {lam}, {mu}")
+    Params(lam=lam, mu=mu)
     fn.require(iv.a)
     endpoint = _weighted_endpoint(fn, iv, lam, mu)
     mean, err = integral_mean(fn, iv, tol)
@@ -133,7 +132,7 @@ def bop_m_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     fn.require(a)
     da_, db_, dmid = (_dq(fn, x, q) for x in (a, b, mid))
     dam, dbm, dmidm = (_dq(fn, x / m, q) for x in (a, b, mid))
-    coeffs = CoefficientSet("bop_m", {
+    coeffs = CoefficientSet({
         "mu1": py_min((da_ + m * dmidm) / 2.0, (dmid + m * dam) / 2.0),
         "mu2": py_min((db_ + m * dmidm) / 2.0, (dmid + m * dbm) / 2.0),
     })
@@ -181,7 +180,7 @@ def thm211_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     da_, db_, dz = (_dq(fn, x, q) for x in (a, b, z))
     dam, dbm, dzm = (_dq(fn, x / m, q) for x in (a, b, z))
     denom = alpha + 1.0
-    coeffs = CoefficientSet("thm211", {
+    coeffs = CoefficientSet({
         "M1": py_min((da_ + alpha * m * dzm) / denom, (dz + alpha * m * dam) / denom),
         "M2": py_min((db_ + alpha * m * dzm) / denom, (dz + alpha * m * dbm) / denom),
     })
@@ -197,7 +196,7 @@ def thm22_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     conj = p.p  # raises ParamError at q = 1
     a, b, alpha, m, q = iv.a, iv.b, p.alpha, p.m, p.q
     fn.require(a)
-    coeffs = CoefficientSet("thm22", {
+    coeffs = CoefficientSet({
         "K1": _dq(fn, b, q) + m * alpha * _dq(fn, a / m, q),
         "K2": _dq(fn, a, q) + m * alpha * _dq(fn, b / m, q),
     })

@@ -39,7 +39,7 @@ def gamma_coeffs(alpha: float, lam: float, mu: float) -> CoefficientSet:
     # Each pair sums to half_weight, so a gamma below -1e-12 of it is not a
     # rounded 0 but an underflowed lam^2 or lam^(alpha+2) (a tiny weight);
     # above half_weight = 1 the absolute -1e-12 still holds.
-    return CoefficientSet("thm11", {
+    return CoefficientSet({
         "gamma1": g1,
         "gamma2": half_weight - g1,
         "gamma3": g3,
@@ -54,4 +54,4 @@ def nu_coeffs(alpha: float) -> CoefficientSet:
     half_pow = py_pow(0.5, alpha)
     nu1 = (alpha + half_pow) / denom
     nu2 = ((py_pow(alpha, 2) + alpha + 2.0) / 2.0 - half_pow) / denom
-    return CoefficientSet("bop_am", {"nu1": nu1, "nu2": nu2})
+    return CoefficientSet({"nu1": nu1, "nu2": nu2})

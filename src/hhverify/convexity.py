@@ -6,13 +6,14 @@ a proof; it gates which bounds apply to which corpus members.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import NonFiniteError, ParamError, TestFunction, eval_points
+from .core import NonFiniteError, ParamError, Params, TestFunction, eval_points
 
 VIOLATION_TOL = 1e-9
 
@@ -36,8 +37,8 @@ def check_alpha_m_convex(g: Callable, b: float, alpha: float, m: float,
     """
     if grid_n < 8:
         raise ParamError(f"grid_n must be at least 8, got {grid_n}")
-    if b <= 0:
-        raise ParamError(f"b must be positive, got {b}")
+    if not 0 < b < math.inf:
+        raise ParamError(f"b must be positive and finite, got {b}")
     if not (0 < alpha <= 1 and 0 < m <= 1):
         raise ParamError(f"(alpha, m) must lie in (0, 1]^2, got ({alpha}, {m})")
 
@@ -82,6 +83,5 @@ def check_alpha_m_convex(g: Callable, b: float, alpha: float, m: float,
 
 def derivative_power(fn: TestFunction, q: float) -> Callable:
     """The function x -> |f'(x)|^q whose (alpha, m)-convexity the bounds assume."""
-    if q < 1:
-        raise ParamError(f"q must satisfy q >= 1, got {q}")
+    Params(q=q)
     return lambda x: np.abs(fn.df(x)) ** q

@@ -126,15 +126,10 @@ class TestFunction:
     df: Callable[[float], float]
     domain_min: float = -math.inf
 
-    def covers(self, x: float) -> bool:
-        return x >= self.domain_min
-
-    def require(self, *points: float) -> None:
-        for x in points:
-            if not self.covers(x):
-                raise DomainError(
-                    f"{self.id} is not defined at x={x} (domain starts at {self.domain_min})"
-                )
+    def require(self, x: float) -> None:
+        if not x >= self.domain_min:
+            raise DomainError(
+                f"{self.id} is not defined at x={x} (domain starts at {self.domain_min})")
 
 
 def eval_points(f: Callable, x: np.ndarray) -> np.ndarray:
@@ -178,7 +173,6 @@ class CoefficientSet:
     a true 0; tol may be an array over cells.
     """
 
-    theorem_id: str
     values: dict
     tol: float = 1e-12
 
@@ -243,16 +237,11 @@ _CORPUS = (
 _CORPUS_BY_ID = MappingProxyType({fn.id: fn for fn in _CORPUS})
 
 
-def builtin_corpus() -> tuple[TestFunction, ...]:
-    """The compiled-in function corpus, each with its analytic derivative.
-
-    Built once: every call returns the same objects, so they can key caches.
-    """
-    return _CORPUS
-
-
 def corpus_by_id() -> Mapping[str, TestFunction]:
-    """The corpus by id, as a read-only view of the one corpus."""
+    """The compiled-in function corpus by id, each with its analytic derivative.
+
+    A read-only view built once: every call returns the same objects.
+    """
     return _CORPUS_BY_ID
 
 

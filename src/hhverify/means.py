@@ -26,23 +26,16 @@ class MeanKind(str, enum.Enum):
     P_LOGARITHMIC = "p_logarithmic"
 
 
-@dataclass(frozen=True)
-class MeanValue:
-    kind: MeanKind
-    value: float
-    weight: float | None = None
-
-
 def mean(kind: MeanKind | str, a: float, b: float, weight: float | None = None,
-         p: int | None = None) -> MeanValue:
-    """Evaluate one of the six special means.
+         p: int | None = None) -> float:
+    """Evaluate one of the six special means of finite nonnegative a, b.
 
     The weighted kinds put ``weight`` on the first argument; logarithmic
     kinds require strictly positive inputs and take the value b at a = b.
     """
     kind = MeanKind(kind)
-    if a < 0 or b < 0:
-        raise DomainError(f"means require nonnegative inputs, got ({a}, {b})")
+    if not (0 <= a < math.inf and 0 <= b < math.inf):
+        raise DomainError(f"means require finite nonnegative inputs, got ({a}, {b})")
     if kind in (MeanKind.WEIGHTED_HARMONIC, MeanKind.HARMONIC,
                 MeanKind.LOGARITHMIC, MeanKind.P_LOGARITHMIC) and (a == 0 or b == 0):
         raise DomainError(f"{kind.value} mean requires strictly positive inputs")
@@ -52,22 +45,18 @@ def mean(kind: MeanKind | str, a: float, b: float, weight: float | None = None,
         if w is None or not 0 <= w <= 1:
             raise ParamError(f"weight must lie in [0, 1], got {w}")
     if kind is MeanKind.WEIGHTED_ARITHMETIC:
-        value = w * a + (1.0 - w) * b
-    elif kind is MeanKind.ARITHMETIC:
-        value = 0.5 * (a + b)
-    elif kind is MeanKind.WEIGHTED_HARMONIC:
-        value = 1.0 / (w / a + (1.0 - w) / b)
-    elif kind is MeanKind.HARMONIC:
-        value = 2.0 * a * b / (a + b)
-    elif kind is MeanKind.LOGARITHMIC:
-        value = b if a == b else (b - a) / (math.log(b) - math.log(a))
-    else:  # P_LOGARITHMIC
-        if p is None or p in (-1, 0) or p != int(p):
-            raise DomainError(f"p must be a nonzero integer other than -1, got {p}")
-        p = int(p)
-        value = b if a == b else ((b ** (p + 1) - a ** (p + 1))
-                                  / ((p + 1) * (b - a))) ** (1.0 / p)
-    return MeanValue(kind=kind, value=value, weight=w)
+        return w * a + (1.0 - w) * b
+    if kind is MeanKind.ARITHMETIC:
+        return 0.5 * (a + b)
+    if kind is MeanKind.WEIGHTED_HARMONIC:
+        return 1.0 / (w / a + (1.0 - w) / b)
+    if kind is MeanKind.HARMONIC:
+        return 2.0 * a * b / (a + b)
+    if kind is MeanKind.LOGARITHMIC:
+        return b if a == b else (b - a) / (math.log(b) - math.log(a))
+    if p is None or p in (-1, 0) or p % 1 != 0:  # P_LOGARITHMIC
+        raise DomainError(f"p must be a nonzero integer other than -1, got {p}")
+    return b if a == b else power_log_mean_pow(a, b, int(p)) ** (1.0 / int(p))
 
 
 def power_log_mean_pow(a: float, b: float, n: int) -> float:
@@ -90,11 +79,6 @@ class PropositionResult:
     note: str = ""
 
 
-def _require_positive_pair(a: float, b: float) -> None:
-    if not 0 < a < b:
-        raise DomainError(f"propositions require 0 < a < b, got ({a}, {b})")
-
-
 def proposition_check(k: int, a: float, b: float, p: Params,
                       n: int | None = None) -> PropositionResult:
     """Check proposition k on (a, b) with the weights and exponent from p.
@@ -109,14 +93,15 @@ def proposition_check(k: int, a: float, b: float, p: Params,
     ``note`` rather than normalized away.  Raises NonFiniteError when a
     power of a or b leaves the float range.
     """
-    _require_positive_pair(a, b)
+    if not 0 < a < b:
+        raise DomainError(f"propositions require 0 < a < b, got ({a}, {b})")
     if k not in range(1, 7):
         raise ParamError(f"proposition index must lie in 1..6, got {k}")
     lam, mu, q = p.lam, p.mu, p.q
     if k in (2, 3, 5, 6) and q <= 1:
         raise ParamError(f"proposition {k} requires q > 1, got q={q}")
     if k in (1, 2, 3):
-        if n is None or abs(n) < 2 or n != int(n):
+        if n is None or abs(n) < 2 or n % 1 != 0:
             raise ParamError(f"propositions 1-3 require integer |n| >= 2, got {n}")
         n = int(n)
     try:
@@ -149,7 +134,7 @@ def _mean_forms(k: int, a: float, b: float, p: Params, n: int | None):
 
     if k in (1, 2, 3):
         fn = power_function(n)
-        endpoint = mean(MeanKind.WEIGHTED_ARITHMETIC, a ** n, b ** n, weight=w).value
+        endpoint = mean(MeanKind.WEIGHTED_ARITHMETIC, a ** n, b ** n, weight=w)
         mean_lhs = abs(endpoint - power_log_mean_pow(a, b, n))
         an = a ** ((n - 1) * q)
         bn = b ** ((n - 1) * q)
@@ -164,15 +149,15 @@ def _mean_forms(k: int, a: float, b: float, p: Params, n: int | None):
             corollary_rhs, _ = thm11_rhs(fn, iv, generic)
         elif k == 2:
             conj = generic.p
-            z = mean(MeanKind.WEIGHTED_ARITHMETIC, b, a, weight=w).value
-            m1 = mean(MeanKind.ARITHMETIC, an, z ** ((n - 1) * q)).value
-            m2 = mean(MeanKind.ARITHMETIC, bn, z ** ((n - 1) * q)).value
+            z = mean(MeanKind.WEIGHTED_ARITHMETIC, b, a, weight=w)
+            m1 = mean(MeanKind.ARITHMETIC, an, z ** ((n - 1) * q))
+            m2 = mean(MeanKind.ARITHMETIC, bn, z ** ((n - 1) * q))
             mean_rhs = (iv.width / total ** 2 * (1.0 / (conj + 1.0)) ** (1.0 / conj)
                         * abs(n) * (lam ** 2 * m1 ** (1.0 / q) + mu ** 2 * m2 ** (1.0 / q)))
             corollary_rhs, _ = thm211_rhs(fn, iv, generic)
         else:
             conj = generic.p
-            amean = mean(MeanKind.ARITHMETIC, an, bn).value
+            amean = mean(MeanKind.ARITHMETIC, an, bn)
             mean_rhs = (iv.width / total
                         * ((lam ** (conj + 1.0) + mu ** (conj + 1.0)) / total) ** (1.0 / conj)
                         * (1.0 / (conj + 1.0)) ** (1.0 / conj)
@@ -180,8 +165,8 @@ def _mean_forms(k: int, a: float, b: float, p: Params, n: int | None):
             corollary_rhs, _ = thm22_rhs(fn, iv, generic)
     else:
         fn = power_function(-1)
-        endpoint = 1.0 / mean(MeanKind.WEIGHTED_HARMONIC, a, b, weight=w).value
-        log_mean = mean(MeanKind.LOGARITHMIC, a, b).value
+        endpoint = 1.0 / mean(MeanKind.WEIGHTED_HARMONIC, a, b, weight=w)
+        log_mean = mean(MeanKind.LOGARITHMIC, a, b)
         mean_lhs = abs(endpoint - 1.0 / log_mean)
         a2q, b2q = _power_in_range(a, 2 * q), _power_in_range(b, 2 * q)
         if k == 4:
@@ -194,18 +179,17 @@ def _mean_forms(k: int, a: float, b: float, p: Params, n: int | None):
             corollary_rhs, _ = thm11_rhs(fn, iv, generic)
         elif k == 5:
             conj = generic.p
-            z = mean(MeanKind.WEIGHTED_ARITHMETIC, b, a, weight=w).value
+            z = mean(MeanKind.WEIGHTED_ARITHMETIC, b, a, weight=w)
             z2q = _power_in_range(z, 2 * q)
-            m1 = 1.0 / mean(MeanKind.HARMONIC, a2q, z2q).value
-            m2 = 1.0 / mean(MeanKind.HARMONIC, b2q, z2q).value
+            m1 = 1.0 / mean(MeanKind.HARMONIC, a2q, z2q)
+            m2 = 1.0 / mean(MeanKind.HARMONIC, b2q, z2q)
             mean_rhs = (iv.width / total ** 2 * (1.0 / (conj + 1.0)) ** (1.0 / conj)
                         * (lam ** 2 * m1 ** (1.0 / q) + mu ** 2 * m2 ** (1.0 / q)))
             corollary_rhs, _ = thm211_rhs(fn, iv, generic)
         else:
             conj = generic.p
-            weight_mean = mean(MeanKind.WEIGHTED_ARITHMETIC, lam ** conj, mu ** conj,
-                               weight=w).value
-            hmean = mean(MeanKind.WEIGHTED_HARMONIC, a2q, b2q, weight=0.5).value
+            weight_mean = mean(MeanKind.WEIGHTED_ARITHMETIC, lam ** conj, mu ** conj, weight=w)
+            hmean = mean(MeanKind.WEIGHTED_HARMONIC, a2q, b2q, weight=0.5)
             mean_rhs = (iv.width / total * weight_mean ** (1.0 / conj)
                         * (1.0 / (conj + 1.0)) ** (1.0 / conj)
                         * 0.5 ** (1.0 / q) * hmean ** (-1.0 / q))

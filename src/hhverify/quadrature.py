@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Interval, NonFiniteError, ParamError, eval_points
+from .core import Interval, NonFiniteError, ParamError, Params, eval_points
 
 # 15-point Kronrod abscissae on [-1, 1] (nonnegative half) and weights;
 # the embedded 7-point Gauss rule sits at the odd-indexed abscissae.
@@ -102,8 +102,8 @@ def integrate(f: Callable, iv: Interval | tuple[float, float], tol: float = 1e-9
     if not 0 < tol < math.inf:
         raise ParamError(f"tolerance must be positive and finite, got {tol}")
     a, b = (iv.a, iv.b) if isinstance(iv, Interval) else iv
-    if not a < b:
-        raise ParamError(f"integration bounds must satisfy a < b, got [{a}, {b}]")
+    if not -math.inf < a < b < math.inf:
+        raise ParamError(f"integration bounds must be finite with a < b, got [{a}, {b}]")
 
     cuts = sorted({a, b, *(x for x in breakpoints if a < x < b)})
     panels = list(zip(cuts, cuts[1:]))
@@ -145,13 +145,9 @@ def kernel_moment(alpha: float, lam: float, mu: float, power_of_t: str = "1",
     where s = lam or mu per ``switch`` and w(t) is one of t^alpha,
     1 - t^alpha or 1.  The integrand has exactly one kink at t = s/(lam+mu)
     and is split there, so the adaptive rule only ever sees smooth pieces.
+    alpha, lam, mu and p_exp are checked as Params' alpha, lam, mu and q.
     """
-    if not 0 < alpha <= 1:
-        raise ParamError(f"alpha must lie in (0, 1], got {alpha}")
-    if lam < 0 or mu < 0 or lam + mu <= 0:
-        raise ParamError(f"weights must be nonnegative with lam + mu > 0, got {lam}, {mu}")
-    if p_exp < 1:
-        raise ParamError(f"p_exp must satisfy p_exp >= 1, got {p_exp}")
+    Params(alpha=alpha, lam=lam, mu=mu, q=p_exp)
     if power_of_t not in _WEIGHTS:
         raise ParamError(f"unknown weight {power_of_t!r}")
     if switch == "lambda":

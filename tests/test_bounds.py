@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hhverify import (GateError, Interval, ParamError, Params, TestFunction,
-                      bound_hh, corpus_by_id, deviation, lemma21_residual,
-                      reflect, verify)
+                      bound_hh, corpus_by_id, derivative_power, deviation, kernel_moment,
+                      lemma21_residual, reflect, verify)
 from hhverify import bounds
 from hhverify.bounds import thm11_rhs
 
@@ -40,6 +40,26 @@ class TestDeviation:
     def test_zero_weights_rejected(self):
         with pytest.raises(ParamError):
             deviation(POW2, Interval(0, 1), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call,arg", [
+    ("deviation", "lam"), ("deviation", "mu"),
+    ("lemma21_residual", "lam"), ("lemma21_residual", "mu"),
+    ("kernel_moment", "alpha"), ("kernel_moment", "lam"), ("kernel_moment", "mu"),
+    ("kernel_moment", "q"), ("derivative_power", "q"),
+])
+def test_non_finite_parameters_rejected(call, arg, value):
+    # each checks its parameters through Params, whose message names the argument
+    p = {"alpha": 1.0, "lam": 1.0, "mu": 1.0, "q": 1.0, arg: value}
+    calls = {
+        "deviation": lambda: deviation(POW2, Interval(0, 1), p["lam"], p["mu"]),
+        "lemma21_residual": lambda: lemma21_residual(POW2, Interval(0, 1), p["lam"], p["mu"]),
+        "kernel_moment": lambda: kernel_moment(p["alpha"], p["lam"], p["mu"], p_exp=p["q"]),
+        "derivative_power": lambda: derivative_power(POW2, p["q"]),
+    }
+    with pytest.raises(ParamError, match=f"{arg} must be finite, got {value}"):
+        calls[call]()
 
 
 class TestLemmaResidual:

@@ -2,7 +2,10 @@ import csv
 import io
 import json
 import math
+import pathlib
+import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import hypothesis
 import pytest
@@ -413,6 +416,65 @@ def test_grouped_sweep_equals_one_cell_rows(spec):
     rows, _ = cli.run_sweep(spec)
     cells = sorted((cli.eval_row(*cfg) for cfg in spec.configs()), key=cli._row_sort_key)
     assert repr(rows) == repr(cells)  # repr tells -0.0 from 0.0
+
+
+# Random argv for verify, tightness and means, and small random spec files for
+# sweep: optional flags may be missing, and about one number in three is an
+# edge value: a signed zero, NaN, an infinity, a value near either end of the
+# float range or a subnormal.  main must answer every one with an exit code,
+# never with a traceback.
+_EDGE = ["0", "-0", "nan", "-nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "5e-324",
+         "-5e-324", "2.5e-310"]
+_num = _st.sampled_from(_EDGE + ["0.25", "0.5", "1", "2", "3"] * 5)
+_ids = _st.sampled_from([*corpus_by_id(), "nope"])
+_theorem = _st.sampled_from([*bounds.THEOREM_IDS, "bogus"])
+_POINT = {"--fn": _ids, "--a": _num, "--b": _num}
+_POINT_OPTIONAL = {"--alpha": _num, "--m": _num, "--lambda": _num, "--mu": _num, "--q": _num,
+                   "--tol": _st.sampled_from(_EDGE + ["1e-9"] * 4),
+                   "--format": _st.sampled_from(["text", "csv", "json"])}
+_COMMANDS = {  # (required flags, optional flags); a None value is a bare flag
+    "verify": ({**_POINT, "--theorem": _theorem},
+               {**_POINT_OPTIONAL, "--crosscheck": _st.none()}),
+    "tightness": ({**_POINT, "--theorems": _st.lists(_theorem, min_size=1, max_size=4).map(
+        ",".join)}, _POINT_OPTIONAL),
+    "means": ({"--prop": _st.integers(1, 6).map(str), "--a": _num, "--b": _num},
+              {"--lambda": _num, "--mu": _num, "--q": _num,
+               "--n": _st.sampled_from(["-3", "-2", "-1", "0", "1", "2", "3", "400",
+                                        "1" + "0" * 20]),
+               "--format": _st.sampled_from(["text", "json"])}),
+}
+_SPEC_VALUES = {"functions": _ids, "intervals": _st.tuples(_num, _num).map(":".join),
+                "theorems": _theorem, "quad_tol": _st.sampled_from(_EDGE + ["1e-9"] * 4),
+                **{k: _num for k in ("alpha", "m", "lambda", "mu", "q", "holds_tol")}}
+
+
+def _spec_line(key):
+    return _st.lists(_SPEC_VALUES[key], min_size=1, max_size=2).map(
+        lambda values: f"{key} = {', '.join(values)}")
+
+
+_spec = _st.tuples(_spec_line("functions"), _spec_line("intervals"), _st.lists(
+    _st.sampled_from(sorted(_SPEC_VALUES)).flatmap(_spec_line), max_size=4))
+
+
+def _argv(command):
+    # --flag=value: argparse would take a separate "-inf" for a flag
+    required, optional = _COMMANDS[command]
+    return _st.fixed_dictionaries(required, optional=optional).map(lambda flags: [
+        command, *(flag if value is None else f"{flag}={value}" for flag, value in flags.items())])
+
+
+@hypothesis.given(_st.one_of(*map(_argv, _COMMANDS), _spec))
+@hypothesis.settings(max_examples=120, deadline=None, database=None)
+def test_main_answers_every_input_with_an_exit_code(argv):
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), \
+            redirect_stderr(io.StringIO()):
+        if isinstance(argv, tuple):  # a spec file's lines
+            spec = pathlib.Path(tmp, "random.spec")
+            spec.write_text("\n".join([*argv[:2], *argv[2]]) + "\n", encoding="utf-8")
+            argv = ["sweep", str(spec)]
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
 
 
 def test_eval_row_agrees_with_verify(tmp_path):

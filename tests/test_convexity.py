@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,12 @@ class TestCheckAlphaMConvex:
     def test_grid_too_small_rejected(self):
         with pytest.raises(ParamError):
             check_alpha_m_convex(lambda x: x, 1.0, 1.0, 1.0, grid_n=4)
+
+    @pytest.mark.parametrize("b", [math.inf, math.nan, -math.inf, 0.0])
+    def test_non_finite_or_nonpositive_upper_bound_rejected(self, b):
+        # a ParamError, not a NonFiniteError at x=nan from the grid
+        with pytest.raises(ParamError, match="b must be positive and finite"):
+            check_alpha_m_convex(lambda x: x * x, b, 1.0, 1.0)
 
 
 class TestDerivativePower:

@@ -10,35 +10,36 @@ from hhverify.means import power_log_mean_pow
 
 class TestMean:
     def test_arithmetic(self):
-        assert mean(MeanKind.ARITHMETIC, 1.0, 3.0).value == 2.0
+        assert mean(MeanKind.ARITHMETIC, 1.0, 3.0) == 2.0
 
     def test_harmonic_equal_args(self):
-        assert mean(MeanKind.HARMONIC, 1.0, 1.0).value == 1.0
+        assert mean(MeanKind.HARMONIC, 1.0, 1.0) == 1.0
 
     def test_logarithmic(self):
-        got = mean(MeanKind.LOGARITHMIC, 1.0, 2.0).value
+        got = mean(MeanKind.LOGARITHMIC, 1.0, 2.0)
         assert math.isclose(got, 1.0 / math.log(2.0), rel_tol=1e-15)
 
     def test_logarithmic_equal_args(self):
-        assert mean(MeanKind.LOGARITHMIC, 2.0, 2.0).value == 2.0
+        assert mean(MeanKind.LOGARITHMIC, 2.0, 2.0) == 2.0
 
     def test_p_logarithmic(self):
-        got = mean(MeanKind.P_LOGARITHMIC, 1.0, 2.0, p=2).value
+        got = mean(MeanKind.P_LOGARITHMIC, 1.0, 2.0, p=2)
         assert math.isclose(got ** 2, 7.0 / 3.0, rel_tol=1e-15)
 
     def test_p_logarithmic_equal_args(self):
-        assert mean(MeanKind.P_LOGARITHMIC, 2.0, 2.0, p=3).value == 2.0
+        assert mean(MeanKind.P_LOGARITHMIC, 2.0, 2.0, p=3) == 2.0
 
     def test_weighted_arithmetic(self):
-        assert mean("weighted_arithmetic", 1.0, 3.0, weight=0.25).value == 2.5
+        assert mean("weighted_arithmetic", 1.0, 3.0, weight=0.25) == 2.5
 
     def test_weighted_harmonic(self):
-        got = mean(MeanKind.WEIGHTED_HARMONIC, 1.0, 2.0, weight=0.5).value
+        got = mean(MeanKind.WEIGHTED_HARMONIC, 1.0, 2.0, weight=0.5)
         assert math.isclose(got, 4.0 / 3.0, rel_tol=1e-15)
 
-    @pytest.mark.parametrize("p", [-1, 0])
+    @pytest.mark.parametrize("p", [-1, 0, math.nan, math.inf, -math.inf, 2.5])
     def test_forbidden_p(self, p):
-        with pytest.raises(DomainError):
+        # a DomainError, not the ValueError / OverflowError of int(p)
+        with pytest.raises(DomainError, match="p must be a nonzero integer"):
             mean(MeanKind.P_LOGARITHMIC, 1.0, 2.0, p=p)
 
     def test_zero_input_forbidden_for_harmonic(self):
@@ -48,6 +49,16 @@ class TestMean:
     def test_negative_input_forbidden(self):
         with pytest.raises(DomainError):
             mean(MeanKind.ARITHMETIC, -1.0, 1.0)
+
+    @pytest.mark.parametrize("kind", [MeanKind.ARITHMETIC, MeanKind.LOGARITHMIC])
+    @pytest.mark.parametrize("a,b", [(math.nan, 2.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_input_forbidden(self, kind, a, b):
+        # was a NaN mean, also for the logarithmic mean of (1, inf)
+        with pytest.raises(DomainError, match="finite nonnegative inputs"):
+            mean(kind, a, b)
+
+    def test_returns_a_float(self):
+        assert type(mean(MeanKind.HARMONIC, 1.0, 3.0)) is float
 
     def test_missing_weight(self):
         with pytest.raises(ParamError):
@@ -63,14 +74,14 @@ class TestMean:
             (MeanKind.WEIGHTED_ARITHMETIC, {"weight": 0.3}),
             (MeanKind.WEIGHTED_HARMONIC, {"weight": 0.7}),
         ]:
-            v = mean(kind, a, b, **kwargs).value
+            v = mean(kind, a, b, **kwargs)
             assert min(a, b) - 1e-14 <= v <= max(a, b) + 1e-14
 
     @pytest.mark.parametrize("a,b", [(0.5, 2.0), (1.0, 5.0), (0.1, 0.2)])
     def test_classical_bracketing(self, a, b):
-        h = mean(MeanKind.HARMONIC, a, b).value
-        l = mean(MeanKind.LOGARITHMIC, a, b).value
-        ar = mean(MeanKind.ARITHMETIC, a, b).value
+        h = mean(MeanKind.HARMONIC, a, b)
+        l = mean(MeanKind.LOGARITHMIC, a, b)
+        ar = mean(MeanKind.ARITHMETIC, a, b)
         assert h <= l + 1e-14 <= ar + 1e-14
 
 
@@ -84,7 +95,7 @@ class TestMeanIntegralIdentities:
 
     def test_inverse_log_mean_is_integral_mean_of_recip(self):
         a, b = 1.0, 2.0
-        exact = 1.0 / mean(MeanKind.LOGARITHMIC, a, b).value
+        exact = 1.0 / mean(MeanKind.LOGARITHMIC, a, b)
         quad = integrate(lambda x: 1.0 / x, (a, b), tol=1e-13).value / (b - a)
         assert math.isclose(exact, quad, rel_tol=1e-12)
 
@@ -93,7 +104,7 @@ class TestMeanIntegralIdentities:
         lam, mu, n = 2.0, 3.0, 2
         a, b = 1.0, 2.0
         w = lam / (lam + mu)
-        wa = mean(MeanKind.WEIGHTED_ARITHMETIC, a ** n, b ** n, weight=w).value
+        wa = mean(MeanKind.WEIGHTED_ARITHMETIC, a ** n, b ** n, weight=w)
         dev = deviation(corpus_by_id()["pow2"], Interval(a, b), lam, mu)
         assert math.isclose(wa, dev.weighted_endpoint_value, rel_tol=1e-15)
 
@@ -126,6 +137,12 @@ class TestPropositions:
     def test_small_exponent_rejected(self):
         with pytest.raises(ParamError):
             proposition_check(1, 1.0, 2.0, Params(q=1.0), n=1)
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, 2.5])
+    def test_non_integer_exponent_rejected(self, n):
+        # a ParamError, not the ValueError / OverflowError of int(n)
+        with pytest.raises(ParamError, match="integer"):
+            proposition_check(1, 1.0, 2.0, Params(), n=n)
 
     def test_bad_order_rejected(self):
         with pytest.raises(DomainError):

@@ -75,6 +75,13 @@ class TestIntegrate:
         with pytest.raises(ParamError):
             integrate(lambda x: x, (0.0, 1.0), tol=tol)
 
+    @pytest.mark.parametrize("bounds", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan),
+                                        (math.nan, 1.0), (-math.inf, math.inf)])
+    def test_non_finite_bounds_rejected(self, bounds):
+        # a ParamError, not a NonFiniteError at x=nan from the arithmetic
+        with pytest.raises(ParamError, match="must be finite"):
+            integrate(lambda x: x, bounds)
+
 
 class TestEvaluation:
     def test_array_integrand_called_once_per_bisection(self):
