@@ -269,7 +269,8 @@ def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
     ``fn.require(a)`` run once per tuple, ``gate_of(fn, g, upper, alpha, m, q,
     GATE_GRID_N)`` once per distinct hypothesis, in cell order (None skips the
     gate), ``integral_mean(fn, iv, tol)`` once, and each ``<id>_rhs`` once, on
-    the ParamColumns of the cells that reach it.
+    the ParamColumns of the cells that reach it.  An ArithmeticError of any of
+    these (a value out of float range) makes the cells it reaches input_error.
     """
     # looked up per group so that a replaced ``<id>_rhs`` is the one used
     thms = [(tid, THEOREMS.get(tid), globals().get(f"{tid}_rhs")) for tid in theorem_ids]
@@ -308,21 +309,27 @@ def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
         wanted = hyp[open_]
         _, first, inverse = np.unique(wanted.view("V32").ravel(), return_index=True,
                                       return_inverse=True)
+
+        def verdict(df, alpha, m, q):  # or the ArithmeticError, for input_error cells
+            try:
+                return gate_of(fn, "df" if df else "f", max(b, b / m), alpha, m, q, GATE_GRID_N)
+            except ArithmeticError as exc:  # NonFiniteError, or a float op out of range
+                return exc.with_traceback(None)
         found = np.empty(len(first), object)  # each distinct hypothesis, in cell order
-        found[np.argsort(first)] = [gate_of(fn, "df" if df else "f", max(b, b / g_m), g_alpha,
-                                            g_m, g_q, GATE_GRID_N)
-                                    for df, g_alpha, g_m, g_q in wanted[np.sort(first)].tolist()]
-        worst = np.array([v.worst_violation for v in found], object)
-        holds = np.array([v.holds for v in found], bool)
+        found[np.argsort(first)] = [verdict(*h) for h in wanted[np.sort(first)].tolist()]
+        failed = np.array([isinstance(v, ArithmeticError) for v in found], bool)
+        worst = np.array([getattr(v, "worst_violation", None) for v in found], object)
+        holds = np.array([getattr(v, "holds", False) for v in found], bool)
         inverse, gated = inverse.ravel(), open_.copy()
         c["verdict"][gated], c["gate_violation"][gated] = found[inverse], worst[inverse]
+        error[gated] = np.where(failed[inverse], found[inverse], None)
         open_[gated] = holds[inverse]
-        status[gated & ~open_] = "gate_skipped"
+        status[gated & ~open_ & np.equal(error, None)] = "gate_skipped"
 
     if open_.any():
         try:
             mean, err = integral_mean(fn, iv, tol)
-        except (ParamError, DomainError) as exc:
+        except (ParamError, DomainError, ArithmeticError) as exc:
             error[open_], open_[:] = exc.with_traceback(None), False
     names = {}
     for j, (tid, thm, rhs_of) in enumerate(thms):
@@ -330,7 +337,7 @@ def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
         while len(rows):
             try:
                 value, branches = rhs_of(fn, iv, ParamColumns(*P[rows].T))
-            except (ParamError, DomainError) as exc:
+            except (ParamError, DomainError, ArithmeticError) as exc:
                 # the cells the error names are input_error; the others go again
                 bad = np.broadcast_to(getattr(exc, "cells", True), rows.shape)
                 error[rows[bad], j], rows = exc.with_traceback(None), rows[~bad]

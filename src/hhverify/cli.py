@@ -4,10 +4,11 @@ Subcommands: verify | sweep | tightness | means.  Every (function, interval,
 params, theorem) cell goes through ``group_rows``: the ten columns that
 ``bounds.assess_group`` (the path behind the library's ``verify``) computes
 for one (function, interval) group.  ``_rows`` prefixes the inputs the
-caller holds, so a ``--jobs`` worker sends back only what it computed;
-``eval_row`` is the one-cell call.  A row is a dict keyed by ``COLUMNS``, in
-that order, and holds plain values (str, int, float, bool or None); the
-writers write them as they are, floats in shortest round-trip form, so
+caller holds, so a ``--jobs`` worker sends back only what it computed.  A
+row is a tuple in ``COLUMNS`` order of plain values (str, int, float, bool
+or None); only ``eval_row``, the one-cell call, returns it as a dict keyed
+by ``COLUMNS``.  ``run_sweep`` yields the rows one group at a time and the
+writers write each row as it comes, floats in shortest round-trip form, so
 identical inputs give byte-identical files.
 
 Exit codes: 0 all bounds hold, 1 a violation was found, 2 a convexity gate
@@ -18,15 +19,17 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import itertools
 import json
+import math
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from operator import itemgetter
+
+import numpy as np
 
 from . import bounds, coefficients, quadrature
 from .core import (HOLDS_SLACK, DomainError, GateError, Interval, ParamError, Params,
@@ -55,21 +58,28 @@ def _fmt(v) -> str:
 
 def group_rows(fn_id: str, a: float, b: float, params, theorems,
                quad_tol: float = bounds.DEFAULT_LHS_TOL,
-               holds_tol: float = HOLDS_SLACK) -> list:
+               holds_tol: float = HOLDS_SLACK) -> tuple[list, str | None]:
     """The ten computed columns (``status`` to ``gate_violation``) of one
-    (function, interval) group, as lists in ``bounds.assess_group``'s order."""
+    (function, interval) group, as lists in ``bounds.assess_group``'s order,
+    and the message of its cells' first out-of-float-range error, or None."""
     fn = corpus_by_id().get(fn_id)
     if fn is None:
         n = len(params) * len(theorems)
-        return [["input_error"] * n] + [[None] * n] * 9
-    return list(bounds.assess_group(fn, a, b, params, theorems, quad_tol, holds_tol)[:10])
+        return [["input_error"] * n] + [[None] * n] * 9, None
+    cols = bounds.assess_group(fn, a, b, params, theorems, quad_tol, holds_tol)
+    return list(cols[:10]), next((str(e) for e in cols.error if isinstance(e, ArithmeticError)),
+                                 None)
 
 
-def _rows(fn_id: str, a: float, b: float, params, theorems, columns) -> list:
-    """The row dicts of one group: the inputs it was given, then its columns."""
-    heads = ((SCHEMA_VERSION, fn_id, a, b, *p, t)
-             for p, t in itertools.product(params, theorems))
-    return [dict(zip(COLUMNS, head + cells)) for head, cells in zip(heads, zip(*columns))]
+def _rows(fn_id: str, a: float, b: float, cells, result) -> list:
+    """The row tuples of one group: its inputs, ``cells`` holding each row's
+    (alpha, m, lambda, mu, q, theorem), then the columns of its ``group_rows``
+    result; a group that left the float range is named on stderr."""
+    columns, overflow = result
+    if overflow:
+        print(f"warning: {fn_id} [{a}, {b}]: {overflow}", file=sys.stderr)
+    head = (SCHEMA_VERSION, fn_id, a, b)
+    return [head + cell + computed for cell, computed in zip(cells, zip(*columns))]
 
 
 def eval_row(fn_id: str, a: float, b: float, alpha: float, m: float,
@@ -78,8 +88,9 @@ def eval_row(fn_id: str, a: float, b: float, alpha: float, m: float,
              holds_tol: float = HOLDS_SLACK) -> dict:
     """The report row of one (config, theorem) cell: a one-cell ``group_rows``."""
     point = [(alpha, m, lam, mu, q)]
-    return _rows(fn_id, a, b, point, [theorem],
-                 group_rows(fn_id, a, b, point, [theorem], quad_tol, holds_tol))[0]
+    (row,) = _rows(fn_id, a, b, [(*point[0], theorem)],
+                   group_rows(fn_id, a, b, point, [theorem], quad_tol, holds_tol))
+    return dict(zip(COLUMNS, row))
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +114,6 @@ class SweepSpec:
                 * len(self.m) * len(self.lam) * len(self.mu) * len(self.q)
                 * len(self.theorems))
 
-    def configs(self):
-        for fn_id, (a, b), alpha, m, lam, mu, q, theorem in itertools.product(
-                self.functions, self.intervals, self.alpha, self.m,
-                self.lam, self.mu, self.q, self.theorems):
-            yield (fn_id, a, b, alpha, m, lam, mu, q, theorem,
-                   self.quad_tol, self.holds_tol)
-
 
 def default_sweep_spec() -> SweepSpec:
     """The full acceptance sweep: corpus x intervals x parameter grids."""
@@ -127,9 +131,12 @@ def default_sweep_spec() -> SweepSpec:
 
 def _number(text: str, where: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise ParamError(f"{where}: {text!r} is not a number") from None
+        value = math.nan
+    if math.isnan(value):  # NaN has no place in the rows' sort order
+        raise ParamError(f"{where}: {text!r} is not a number")
+    return value
 
 
 def parse_sweep_file(path: str) -> SweepSpec:
@@ -174,75 +181,79 @@ def parse_sweep_file(path: str) -> SweepSpec:
     return spec
 
 
-_row_sort_key = itemgetter(*COLUMNS[1:10])  # fn, a, b, alpha, m, lambda, mu, q, theorem
+_row_sort_key = itemgetter(*range(1, 10))  # fn, a, b, alpha, m, lambda, mu, q, theorem
+_THEOREM, _STATUS, _SLACK, _HOLDS = map(COLUMNS.index, ("theorem", "status", "slack", "holds"))
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1) -> tuple[list, dict]:
-    """Evaluate the cross product by (function, interval) group, on at most
-    ``min(jobs, groups)`` processes; rows come back sorted and the summary
-    counts every status plus the minimum observed slack."""
+def run_sweep(spec: SweepSpec, jobs: int = 1, summary: dict | None = None):
+    """Yield the rows of the cross product in ``_row_sort_key`` order, ties in
+    spec order; once all have gone by, ``summary`` (if given) holds the count
+    of every status and the minimum observed slack.  The (function, interval)
+    groups run in sorted order on at most ``min(jobs, groups)`` processes;
+    groups whose keys compare equal (a repeated interval, -0.0 beside 0.0)
+    form a tie class, evaluated and stable-sorted before the next one runs."""
     params = list(itertools.product(spec.alpha, spec.m, spec.lam, spec.mu, spec.q))
-    groups = [(fn_id, a, b, params, spec.theorems, spec.quad_tol, spec.holds_tol)
-              for fn_id, (a, b) in itertools.product(spec.functions, spec.intervals)]
+    cells = [(*p, t) for p, t in itertools.product(params, spec.theorems)]
+    # every group has these cells: rank places each among the distinct keys (-0.0 == 0.0)
+    place = {key: i for i, key in enumerate(sorted(set(cells)))}
+    rank = np.array([place[cell] for cell in cells])
+    groups = sorted((f, a, b) for f, (a, b) in itertools.product(spec.functions, spec.intervals))
+    sizes = [len(list(tied)) for _, tied in itertools.groupby(groups)]
+    counts, tightest = Counter(), None
     workers = min(jobs, len(groups))
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
-        results = (pool.map(group_rows, *zip(*groups)) if pool
-                   else itertools.starmap(group_rows, groups))
-        rows = [row for group, columns in zip(groups, results)
-                for row in _rows(*group[:5], columns)]
-    rows.sort(key=_row_sort_key)
-
-    counts = Counter(row["status"] for row in rows)
-    # min keeps the first of equal slacks, so ties go to the earliest row
-    tightest = min((row for row in rows if row["status"] == "ok"),
-                   key=itemgetter("slack"), default=None)
-    summary = {"total": len(rows), "holds": counts["ok"], "violations": counts["violation"],
-               **{s: counts[s] for s in ("gate_skipped", "not_applicable", "input_error")},
-               "min_slack": tightest and tightest["slack"],
-               "min_slack_config": tightest and _row_sort_key(tightest)}
-    return rows, summary
+        tasks = [(*g, params, spec.theorems, spec.quad_tol, spec.holds_tol) for g in groups]
+        results = zip(groups, pool.map(group_rows, *zip(*tasks)) if pool
+                      else itertools.starmap(group_rows, tasks))
+        for size in sizes:
+            tied = [row for group, result in itertools.islice(results, size)
+                    for row in _rows(*group, cells, result)]
+            rows = [tied[i] for i in np.argsort(np.tile(rank, size), kind="stable")]
+            counts.update(row[_STATUS] for row in rows)
+            ok = [row for row in rows if row[_STATUS] == "ok"]
+            if ok:  # min keeps the first of equal slacks, so ties go to the earliest row
+                tightest = min([tightest, *ok] if tightest else ok, key=itemgetter(_SLACK))
+            yield from rows
+    if summary is not None:
+        summary.update(total=sum(counts.values()), holds=counts["ok"],
+                       violations=counts["violation"],
+                       **{s: counts[s] for s in ("gate_skipped", "not_applicable", "input_error")},
+                       min_slack=tightest and tightest[_SLACK],
+                       min_slack_config=tightest and _row_sort_key(tightest))
 
 
 # ---------------------------------------------------------------------------
-# Output helpers.
+# Output helpers: each writes an iterable of row tuples to a text file.
 
-_HOLDS = COLUMNS.index("holds")
-
-
-def rows_to_csv(rows: list) -> str:
+def write_csv(rows, out) -> None:
     """csv writes floats in shortest round-trip form and None as an empty
     cell; only the bool ``holds`` needs ``_fmt``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(COLUMNS)
-    for row in rows:
-        cells = list(row.values())
-        cells[_HOLDS] = _fmt(cells[_HOLDS])
-        writer.writerow(cells)
-    return buf.getvalue()
+    writer.writerows(row[:_HOLDS] + (_fmt(row[_HOLDS]),) + row[_HOLDS + 1:] for row in rows)
 
 
-def rows_to_json(rows: list) -> str:
-    """The bytes of ``json.dumps(rows, indent=2) + "\\n"``: the C encoder writes
-    each flat row, and one join adds the braces without copying the text."""
-    if not rows:
-        return "[]\n"
+def write_json(rows, out) -> None:
+    """The bytes of ``json.dumps(dicts, indent=2) + "\\n"``, the rows as dicts
+    keyed by ``COLUMNS``: the C encoder writes each flat row, and the text
+    between rows adds the brackets and braces."""
     encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
-    items = [encode(row)[1:-1] for row in rows]
-    items[0] = "[\n  {\n    " + items[0]
-    items[-1] += "\n  }\n]\n"
-    return "\n  },\n  {\n    ".join(items)
+    before = "[\n  {\n    "
+    for row in rows:
+        out.write(before + encode(dict(zip(COLUMNS, row)))[1:-1])
+        before = "\n  },\n  {\n    "
+    out.write("[]\n" if before.startswith("[") else "\n  }\n]\n")
 
 
-def _emit_rows(rows: list, fmt: str, out) -> None:
+def _emit_rows(rows, fmt: str, out) -> None:
     if fmt == "csv":
-        out.write(rows_to_csv(rows))
+        write_csv(rows, out)
     elif fmt == "json":
-        out.write(rows_to_json(rows))
+        write_json(rows, out)
     else:
         for row in rows:
-            pairs = (f"{c}={_fmt(v)}" for c, v in row.items() if v is not None)
+            pairs = (f"{c}={_fmt(v)}" for c, v in zip(COLUMNS, row) if v is not None)
             out.write("  ".join(pairs) + "\n")
 
 
@@ -252,7 +263,7 @@ def _emit_rows(rows: list, fmt: str, out) -> None:
 def cmd_verify(args) -> int:
     row = eval_row(args.fn, args.a, args.b, args.alpha, args.m, args.lam,
                    args.mu, args.q, args.theorem, quad_tol=args.tol)
-    _emit_rows([row], args.format, sys.stdout)
+    _emit_rows([tuple(row.values())], args.format, sys.stdout)
     if args.crosscheck and row["status"] in ("ok", "violation"):
         residual = crosscheck_coefficients(args.alpha, args.lam, args.mu)
         print(f"crosscheck: max gamma deviation from quadrature oracle = {residual:.3e}")
@@ -287,8 +298,8 @@ def cmd_sweep(args) -> int:
               f"{len(spec.alpha)}x{len(spec.m)} (alpha,m) x "
               f"{len(spec.lam)}x{len(spec.mu)} weights x {len(spec.q)} q x "
               f"{len(spec.theorems)} theorems)")
-        rows, summary = run_sweep(spec, jobs=args.jobs)
-        _emit_rows(rows, args.format, out)
+        summary = {}
+        _emit_rows(run_sweep(spec, args.jobs, summary), args.format, out)
 
     print(f"total={summary['total']} holds={summary['holds']} "
           f"violations={summary['violations']} gate_skipped={summary['gate_skipped']} "
@@ -305,7 +316,7 @@ def cmd_tightness(args) -> int:
         print("error: tightness needs at least two theorems", file=sys.stderr)
         return 3
     point = [(args.alpha, args.m, args.lam, args.mu, args.q)]
-    rows = _rows(args.fn, args.a, args.b, point, theorems,
+    rows = _rows(args.fn, args.a, args.b, [(*point[0], t) for t in theorems],
                  group_rows(args.fn, args.a, args.b, point, theorems, args.tol))
     # Baseline: the classical endpoint-average upper bound on the integral mean.
     try:
@@ -314,20 +325,21 @@ def cmd_tightness(args) -> int:
         lower, upper = bounds.bound_hh(fn, iv)
         mean, err = bounds.integral_mean(fn, iv, args.tol)
         r = make_report("hh_upper", mean, upper, err)
-        rows.append(dict(zip(COLUMNS, [*rows[0].values()][:9] + [
-            "hh_upper", "ok", r.lhs, r.rhs, r.slack, r.holds, r.quad_error, lower,
-            None, None, None])))
+        rows.append(rows[0][:9] + ("hh_upper", "ok", r.lhs, r.rhs, r.slack, r.holds,
+                                   r.quad_error, lower, None, None, None))
     except (KeyError, ParamError, DomainError):
         pass  # group_rows has already marked these rows input_error or not_applicable
+    except ArithmeticError:  # a value out of float range: the baseline is an input error
+        rows.append(rows[0][:9] + ("hh_upper", "input_error") + (None,) * 9)
 
-    ranked = sorted((r for r in rows if r["status"] in ("ok", "violation")),
-                    key=lambda r: r["slack"])
+    ranked = sorted((r for r in rows if r[_STATUS] in ("ok", "violation")),
+                    key=itemgetter(_SLACK))
     _emit_rows(rows, args.format, sys.stdout)
     if ranked:
-        print(f"tightest: {ranked[0]['theorem']} (slack={_fmt(ranked[0]['slack'])})")
-    if any(r["status"] == "violation" for r in rows):
+        print(f"tightest: {ranked[0][_THEOREM]} (slack={_fmt(ranked[0][_SLACK])})")
+    if any(r[_STATUS] == "violation" for r in rows):
         return 1
-    if any(r["status"] == "input_error" for r in rows):
+    if any(r[_STATUS] == "input_error" for r in rows):
         return 3
     return 0
 

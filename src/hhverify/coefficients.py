@@ -14,10 +14,11 @@ from .core import CoefficientSet, ParamError, py_div, py_min, py_pow
 
 
 def _check_weights(alpha, lam=1.0, mu=1.0) -> None:
-    if not np.all((0 < alpha) & (alpha <= 1)):
+    if not np.all(np.isfinite(alpha) & (0 < alpha) & (alpha <= 1)):
         raise ParamError(f"alpha must lie in (0, 1], got {alpha}")
-    if np.any((lam < 0) | (mu < 0) | (lam + mu <= 0)):
-        raise ParamError(f"weights must be nonnegative with lam + mu > 0, got {lam}, {mu}")
+    if not np.all(np.isfinite(lam) & np.isfinite(mu) & (lam >= 0) & (mu >= 0) & (lam + mu > 0)):
+        raise ParamError(f"weights must be finite and nonnegative with lam + mu > 0, "
+                         f"got {lam}, {mu}")
 
 
 def gamma_coeffs(alpha: float, lam: float, mu: float) -> CoefficientSet:

@@ -1,13 +1,17 @@
 import csv
+import hashlib
 import io
+import itertools
 import json
 import math
 import pathlib
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from operator import itemgetter
 
 import hypothesis
+import numpy as np
 import pytest
 
 from hhverify import (DomainError, GateError, Interval, ParamError, Params, bounds, cli,
@@ -26,10 +30,42 @@ ALL_STATUS_SPEC = (
     "q = 1, 2\n")
 
 
+TRAP_SPEC = pathlib.Path(__file__).parent / "data" / "trap.spec"
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def one_cell_configs(spec):
+    """eval_row's arguments for each cell of the spec, in spec order."""
+    return [(fn_id, a, b, *p, theorem, spec.quad_tol, spec.holds_tol)
+            for fn_id, (a, b), *p, theorem in itertools.product(
+                spec.functions, spec.intervals, spec.alpha, spec.m, spec.lam, spec.mu, spec.q,
+                spec.theorems)]
+
+
+def global_sort_bytes(rows):
+    """The reference for the streamed writers: the CSV and JSON texts of row
+    dicts given in spec order, after one global stable sort, written by
+    ``csv`` and ``json.dumps`` over the whole list."""
+    rows = sorted(rows, key=itemgetter(*cli.COLUMNS[1:10]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cli.COLUMNS)
+    writer.writerows([cli._fmt(v) if c == "holds" else v for c, v in r.items()] for r in rows)
+    return buf.getvalue(), json.dumps(rows, indent=2) + "\n"
+
+
+def streamed_bytes(rows):
+    """The CSV and JSON texts the sweep writes for ``rows``, an iterable of tuples."""
+    rows = list(rows)
+    texts = io.StringIO(), io.StringIO()
+    cli.write_csv(rows, texts[0])
+    cli.write_json(rows, texts[1])
+    return texts[0].getvalue(), texts[1].getvalue()
 
 
 class TestVerifyCommand:
@@ -182,7 +218,7 @@ class TestSweep:
                             lambda *args: calls.append(args[:2]) or original(*args))
         spec = cli.SweepSpec(functions=["pow2", "exp"], intervals=[(1.0, 2.0), (0.5, 3.0)],
                              lam=[1.0, 2.0], q=[1.0, 2.0], theorems=["da", "thm11"])
-        cli.run_sweep(spec)
+        list(cli.run_sweep(spec))
         assert len(calls) == len(set(calls)) == 4
 
     def test_missing_spec_file(self, capsys):
@@ -248,14 +284,57 @@ class TestSweep:
 
     @pytest.mark.parametrize("text", [
         "functions = pow2\nintervals = 1-2\n",
-        "functions = pown2\nintervals = 0.001:1\nq = 40\ntheorems = thm11\n",
-    ], ids=["malformed_interval", "non_finite_gate"])
+    ], ids=["malformed_interval"])
     def test_bad_spec_is_an_input_error(self, tmp_path, capsys, text):
         spec = tmp_path / "bad.spec"
         spec.write_text(text)
         code, _, err = run_cli(capsys, "sweep", str(spec), "-o", str(tmp_path / "o.csv"))
         assert code == 3
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("line", ["intervals = nan:1", "intervals = 0:-nan", "alpha = nan",
+                                      "q = 2, NaN", "quad_tol = nan"])
+    def test_nan_in_a_spec_is_an_input_error(self, tmp_path, capsys, line):
+        # NaN has no sort order, so the rows of a NaN value would have no place
+        spec = tmp_path / "nan.spec"
+        spec.write_text(f"functions = pow2\nintervals = 1:2\n{line}\n")
+        code, out, err = run_cli(capsys, "sweep", str(spec))
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: {spec}:3: ") and err.endswith(" is not a number\n")
+
+    def test_infinity_in_a_spec_marks_its_cells(self, tmp_path, capsys):
+        spec = tmp_path / "inf.spec"
+        spec.write_text("functions = pow2\nintervals = 1:2, 1:inf\nalpha = 1, -inf\n"
+                        "theorems = da\n")
+        code, out, _ = run_cli(capsys, "sweep", str(spec))
+        assert code == 0
+        assert "holds=1 " in out and "input_error=3" in out
+
+    @pytest.mark.parametrize("text, statuses, warned", [
+        ("functions = pow2, exp\nintervals = 0:1, 1:1e300\nq = 1\ntheorems = bop_m, da\n",
+         ["not_applicable", "ok", "not_applicable", "input_error"] * 2,
+         ["exp [1.0, 1e+300]: g is not finite at sample x=",
+          "pow2 [1.0, 1e+300]: integrand returned a non-finite value at x="]),
+        ("functions = pown2\nintervals = 0.001:1\nq = 40\ntheorems = thm11, sso\n",
+         ["ok", "input_error"], ["pown2 [0.001, 1.0]: g is not finite at sample x="]),
+        ("functions = pow2\nintervals = 1:2\nlambda = 1e-200\nmu = 0\nq = 2\n"
+         "theorems = thm11, da\n", ["ok", "input_error"],
+         ["pow2 [1.0, 2.0]: float division by zero"]),
+    ], ids=["non_finite_integral", "non_finite_gate", "division_by_underflow"])
+    def test_out_of_range_group_is_isolated(self, tmp_path, capsys, text, statuses, warned):
+        # the cells a value out of float range reaches are input_error, each
+        # such group is named once on stderr, and the sweep goes on
+        spec = tmp_path / "range.spec"
+        spec.write_text(text)
+        out_file = tmp_path / "rows.csv"
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(capsys, "sweep", str(spec), "-o", str(out_file))
+        assert code == 0
+        assert [r["status"] for r in csv.DictReader(out_file.open())] == statuses
+        lines = err.splitlines()
+        assert len(lines) == len(warned)
+        assert all(line.startswith(f"warning: {w}") for line, w in zip(lines, warned))
+        assert f"input_error={statuses.count('input_error')}" in out
 
     def test_unwritable_output_is_an_input_error(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "default", "-o", "/no/such/dir/out.csv")
@@ -286,7 +365,9 @@ class TestSweep:
     def test_summary_recounts_rows(self, tmp_path):
         spec = tmp_path / "all.spec"
         spec.write_text(ALL_STATUS_SPEC + "holds_tol = -0.5\n")
-        rows, summary = cli.run_sweep(cli.parse_sweep_file(str(spec)))
+        summary = {}
+        rows = [dict(zip(cli.COLUMNS, row))
+                for row in cli.run_sweep(cli.parse_sweep_file(str(spec)), summary=summary)]
         counts = Counter(r["status"] for r in rows)
         assert summary == {
             "total": len(rows), "holds": counts["ok"], "violations": counts["violation"],
@@ -333,11 +414,11 @@ class TestSweep:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
         three = cli.SweepSpec(functions=["pow2"], intervals=[(1.0, 2.0), (0.5, 3.0), (2.0, 5.0)],
                               q=[1.0, 2.0], theorems=["da", "thm11"])
-        rows, _ = cli.run_sweep(three, jobs=100)
+        rows = list(cli.run_sweep(three, jobs=100))
         assert started == [3]
-        assert rows == cli.run_sweep(three)[0]
+        assert rows == list(cli.run_sweep(three))
         one = cli.SweepSpec(functions=["pow2"], intervals=[(1.0, 2.0)], theorems=["da"])
-        assert len(cli.run_sweep(one, jobs=100)[0]) == 1
+        assert len(list(cli.run_sweep(one, jobs=100))) == 1
         assert started == [3]  # a single group runs in this process
 
     @pytest.mark.parametrize("case", ["all_statuses", "precedence"])
@@ -353,28 +434,85 @@ class TestSweep:
                                  intervals=[(1.0, 2.0), (2.0, 1.0), (0.0, 1.0)],
                                  alpha=[1.0, 0.5, 1.0], lam=[0.0, 1.0], mu=[0.0, 2.0],
                                  q=[2.0, 1.0], theorems=["thm22", "bogus", "da", "sso"])
-        rows, _ = cli.run_sweep(spec)
-        cells = sorted((cli.eval_row(*cfg) for cfg in spec.configs()), key=cli._row_sort_key)
-        assert [list(r.items()) for r in rows] == [list(r.items()) for r in cells]
-        statuses = {r["status"] for r in rows}
+        rows = list(cli.run_sweep(spec))
+        cells = sorted((cli.eval_row(*cfg) for cfg in one_cell_configs(spec)),
+                       key=itemgetter(*cli.COLUMNS[1:10]))
+        assert all(list(cell) == cli.COLUMNS for cell in cells)
+        assert repr(rows) == repr([tuple(cell.values()) for cell in cells])
+        statuses = {r[cli.COLUMNS.index("status")] for r in rows}
         assert statuses >= {"ok", "gate_skipped", "not_applicable", "input_error"}
         assert case == "precedence" or "violation" in statuses
 
     def test_json_bytes_are_the_indented_dump(self, tmp_path, capsys):
         path = tmp_path / "all.spec"
         path.write_text(ALL_STATUS_SPEC)
-        rows, _ = cli.run_sweep(cli.parse_sweep_file(str(path)))
+        rows = list(cli.run_sweep(cli.parse_sweep_file(str(path))))
         # exp at m = 0.5 fails the gate, so lhs through rhs_loose are None
         argv = ("verify", "--fn", "exp", "--a", "0", "--b", "1", "--m", "0.5",
                 "--theorem", "bop_am", "--format", "json")
         (row,) = json.loads(run_cli(capsys, *argv)[1])
         assert row["lhs"] is None and row["gate_violation"] is not None
-        for case in (rows, [row], []):
-            assert cli.rows_to_json(case) == json.dumps(case, indent=2) + "\n"
+        for case in (rows, [tuple(row.values())], []):
+            text = io.StringIO()
+            cli.write_json(case, text)
+            dicts = [dict(zip(cli.COLUMNS, r)) for r in case]
+            assert text.getvalue() == json.dumps(dicts, indent=2) + "\n"
 
     def test_jobs_defaults_to_one(self, monkeypatch):
         monkeypatch.setenv("HH_VERIFY_JOBS", "2")
         assert cli.build_parser().parse_args(["sweep", "default"]).jobs == 1
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv", "47982126e57c8f33f2ac7df45b809e657f9d2444841714477f9ce17350322109"),
+        ("json", "1e393bbbf038a9a076645c3fde6744a6f5e650d04def6734b463e814f0cf564e"),
+    ], ids=["csv", "json"])
+    def test_default_sweep_bytes_are_pinned(self, tmp_path, capsys, fmt, digest):
+        # the digests and summary lines of the sweep written with one global sort
+        out_file = tmp_path / f"default.{fmt}"
+        code, out, err = run_cli(capsys, "sweep", "default", "--format", fmt, "-o", str(out_file))
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+        assert out == (
+            "sweep: 67200 rows (8 functions x 4 intervals x 2x2 (alpha,m) x 5x5 weights x "
+            "3 q x 7 theorems)\n"
+            "total=67200 holds=26016 violations=0 gate_skipped=24096 not_applicable=14784 "
+            "input_error=2304\n"
+            "min_slack=-1.7763568394002505e-15 at "
+            "('pow2', 2.0, 5.0, 1.0, 0.5, 0.0, 5.0, 1.0, 'thm11')\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_trap_spec_matches_the_global_sort(self, tmp_path, capsys, fmt):
+        # tied keys (repeats, -0.0 beside 0) must come out in the order one
+        # global stable sort of the spec-order rows gives, serial and pooled
+        spec = cli.parse_sweep_file(str(TRAP_SPEC))
+        params = list(itertools.product(spec.alpha, spec.m, spec.lam, spec.mu, spec.q))
+        rows = []
+        for fn_id, (a, b) in itertools.product(spec.functions, spec.intervals):
+            columns, _ = cli.group_rows(fn_id, a, b, params, spec.theorems)
+            rows += [dict(zip(cli.COLUMNS, (1, fn_id, a, b, *p, t, *computed)))
+                     for (p, t), computed in zip(itertools.product(params, spec.theorems),
+                                                 zip(*columns))]
+        expected = global_sort_bytes(rows)[fmt == "json"]
+        for jobs in ("1", "2"):
+            out_file = tmp_path / f"trap{jobs}.{fmt}"
+            assert run_cli(capsys, "sweep", str(TRAP_SPEC), "--format", fmt, "--jobs", jobs,
+                           "-o", str(out_file))[0] == 0
+            assert out_file.read_text() == expected, jobs
+
+    def test_rows_stream_one_tie_class_at_a_time(self, monkeypatch):
+        calls = []
+        original = cli.group_rows
+        monkeypatch.setattr(cli, "group_rows",
+                            lambda *args: calls.append(args[:3]) or original(*args))
+        spec = cli.SweepSpec(functions=["pow2"], intervals=[(1.0, 2.0), (0.0, 1.0), (-0.0, 1.0)],
+                             q=[1.0, 2.0], theorems=["da", "thm11"])
+        rows = cli.run_sweep(spec)
+        assert calls == []
+        first = next(rows)
+        # the tie class of [0, 1] and [-0, 1], in spec order, and nothing more
+        assert repr(calls) == repr([("pow2", 0.0, 1.0), ("pow2", -0.0, 1.0)])
+        assert first[1:4] == ("pow2", 0.0, 1.0)
+        assert len(list(rows)) == 11 and len(calls) == 3
 
     def test_deterministic_output(self, tmp_path, capsys):
         spec = tmp_path / "small.spec"
@@ -392,8 +530,8 @@ class TestSweep:
 
 # Small specs mixing corpus and unknown ids, reversed intervals and ones that
 # start below a domain, parameters in and out of range (duplicates and -0.0
-# included) and known and unknown theorems: the grouped sweep must give, cell
-# for cell, the rows of one-cell groups.
+# included) and known and unknown theorems: the grouped, streamed sweep must
+# write the bytes of the one-cell groups' rows under one global stable sort.
 _st = hypothesis.strategies
 _values = _st.sampled_from([0.25, 0.5, 1.0, 0.5, 1.0, -0.0, 1.5])
 
@@ -402,8 +540,9 @@ _values = _st.sampled_from([0.25, 0.5, 1.0, 0.5, 1.0, -0.0, 1.5])
     cli.SweepSpec,
     functions=_st.lists(_st.sampled_from(["pow2", "pow3", "recip", "exp", "xlogx", "nope"]),
                         min_size=1, max_size=2),
-    intervals=_st.lists(_st.sampled_from([(0.0, 1.0), (-0.0, 0.5), (1.0, 2.0), (2.0, 1.0),
-                                          (0.5, 3.0), (-1.0, 1.0)]), min_size=1, max_size=2),
+    intervals=_st.lists(_st.sampled_from([(0.0, 1.0), (-0.0, 1.0), (-0.0, 0.5), (1.0, 2.0),
+                                          (2.0, 1.0), (0.5, 3.0), (-1.0, 1.0)]),
+                        min_size=1, max_size=3),
     alpha=_st.lists(_values, min_size=1, max_size=2),
     m=_st.lists(_values, min_size=1, max_size=2),
     lam=_st.lists(_st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, 1.0]), min_size=1, max_size=3),
@@ -413,9 +552,8 @@ _values = _st.sampled_from([0.25, 0.5, 1.0, 0.5, 1.0, -0.0, 1.5])
                        min_size=1, max_size=3)))
 @hypothesis.settings(max_examples=80, deadline=None, database=None)
 def test_grouped_sweep_equals_one_cell_rows(spec):
-    rows, _ = cli.run_sweep(spec)
-    cells = sorted((cli.eval_row(*cfg) for cfg in spec.configs()), key=cli._row_sort_key)
-    assert repr(rows) == repr(cells)  # repr tells -0.0 from 0.0
+    cells = [cli.eval_row(*cfg) for cfg in one_cell_configs(spec)]
+    assert streamed_bytes(cli.run_sweep(spec)) == global_sort_bytes(cells)
 
 
 # Random argv for verify, tightness and means, and small random spec files for
@@ -486,7 +624,7 @@ def test_eval_row_agrees_with_verify(tmp_path):
     expected_errors = {"gate_skipped": (GateError,), "input_error": (ParamError,),
                        "not_applicable": (ParamError, DomainError)}
     seen = set()
-    for cfg in sweep.configs():
+    for cfg in one_cell_configs(sweep):
         fn_id, a, b, alpha, m, lam, mu, q, theorem, quad_tol, holds_tol = cfg
         row = cli.eval_row(*cfg)
         try:
@@ -518,6 +656,24 @@ class TestTightness:
                                "--b", "2", "--theorems", "da,thm11")
         assert code == 3
         assert out.count("status=input_error") == 2
+
+    @pytest.mark.parametrize("fn_id, theorems, statuses", [
+        ("pow2", ["da", "bop_m"], ["input_error", "not_applicable"]),
+        ("exp", ["bop_m", "thm22"], ["not_applicable", "not_applicable"]),
+    ])
+    def test_out_of_range_baseline_keeps_the_rows(self, capsys, fn_id, theorems, statuses):
+        # the hh_upper baseline leaves the float range (so does da's
+        # integral, for pow2); the rows still print, the baseline's as an
+        # input error
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(capsys, "tightness", "--fn", fn_id, "--a", "1",
+                                     "--b", "1e300", "--theorems", ",".join(theorems),
+                                     "--format", "csv")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 3
+        assert [(r["theorem"], r["status"]) for r in rows] == list(
+            zip([*theorems, "hh_upper"], [*statuses, "input_error"]))
+        assert err.count("warning: ") == statuses.count("input_error")
 
     def test_needs_two_theorems(self, capsys):
         code, _, err = run_cli(capsys, "tightness", "--fn", "pow2", "--a", "1",

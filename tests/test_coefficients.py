@@ -83,6 +83,20 @@ class TestGammaCoeffs:
         with pytest.raises(ParamError):
             gamma_coeffs(1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["alpha", "lam", "mu"])
+    def test_non_finite_weight_is_named(self, name, bad):
+        # not "coefficient gamma1 is not finite", which names no input
+        args = {"alpha": 1.0, "lam": 1.0, "mu": 1.0, name: bad}
+        message = "alpha must lie in" if name == "alpha" else "weights must be finite"
+        with pytest.raises(ParamError, match=message):
+            gamma_coeffs(**args)
+        with pytest.raises(ParamError, match=message):
+            gamma_coeffs(*(np.array([1.0, args[k]]) for k in ("alpha", "lam", "mu")))
+        if name == "alpha":
+            with pytest.raises(ParamError, match=message):
+                nu_coeffs(bad)
+
 
 class TestNuCoeffs:
     def test_alpha_one(self):
