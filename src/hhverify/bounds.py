@@ -203,6 +203,10 @@ def thm22_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     total = p.lam + p.mu
     kernel = py_pow((py_pow(p.lam, conj + 1.0) + py_pow(p.mu, conj + 1.0))
                     / ((conj + 1.0) * total), 1.0 / conj)
+    if np.any(kernel == 0.0):  # underflowed: the exact kernel is positive when lam + mu > 0
+        error = ParamError(f"thm22 kernel underflows to 0 at lambda = {p.lam}, mu = {p.mu}")
+        error.cells = kernel == 0.0
+        raise error
     rhs = (iv.width / total * kernel * py_pow(1.0 / (alpha + 1.0), 1.0 / q)
            * py_pow(py_min(coeffs["K1"], coeffs["K2"]), 1.0 / q))
     return rhs, coeffs.values
@@ -333,14 +337,22 @@ def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
             error[open_], open_[:] = exc.with_traceback(None), False
     names = {}
     for j, (tid, thm, rhs_of) in enumerate(thms):
-        rows = np.flatnonzero(open_[:, j])
-        while len(rows):
+        pending = [np.flatnonzero(open_[:, j])]
+        while pending:
+            if not len(rows := pending.pop()):
+                continue
             try:
                 value, branches = rhs_of(fn, iv, ParamColumns(*P[rows].T))
             except (ParamError, DomainError, ArithmeticError) as exc:
-                # the cells the error names are input_error; the others go again
-                bad = np.broadcast_to(getattr(exc, "cells", True), rows.shape)
-                error[rows[bad], j], rows = exc.with_traceback(None), rows[~bad]
+                # the cells the error names are input_error and the others go
+                # again; after an error that names no cells, each goes alone
+                cells = getattr(exc, "cells", True)
+                if cells is True and len(rows) > 1:
+                    pending.extend(rows[:, None])
+                    continue
+                bad = np.broadcast_to(cells, rows.shape)
+                error[rows[bad], j] = exc.with_traceback(None)
+                pending.append(rows[~bad])
                 continue
             weights = (P[rows, 2], P[rows, 3]) if thm.lhs == "weighted" else (1.0, 1.0)
             lhs = mean if thm.lhs == "mean" else abs(_weighted_endpoint(fn, iv, *weights) - mean)
@@ -354,7 +366,6 @@ def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
                     c[col][rows, j] = v.item() if isinstance(v, np.generic) else v
             ok = np.broadcast_to(r.holds, rows.shape)
             status[rows[ok], j], status[rows[~ok], j] = "ok", "violation"
-            break
     return Columns(*(column.ravel().tolist() for column in c.values()), names)
 
 

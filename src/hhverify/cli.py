@@ -7,9 +7,9 @@ for one (function, interval) group.  ``_rows`` prefixes the inputs the
 caller holds, so a ``--jobs`` worker sends back only what it computed.  A
 row is a tuple in ``COLUMNS`` order of plain values (str, int, float, bool
 or None); only ``eval_row``, the one-cell call, returns it as a dict keyed
-by ``COLUMNS``.  ``run_sweep`` yields the rows one group at a time and the
-writers write each row as it comes, floats in shortest round-trip form, so
-identical inputs give byte-identical files.
+by ``COLUMNS``.  ``run_sweep`` yields the rows one group at a time; the
+writers format each distinct value of a column once per batch of rows,
+floats in shortest round-trip form, so identical inputs give identical files.
 
 Exit codes: 0 all bounds hold, 1 a violation was found, 2 a convexity gate
 failed (hypothesis not satisfied, not a violation), 3 input error.
@@ -28,6 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from operator import itemgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -226,23 +227,51 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, summary: dict | None = None):
 # ---------------------------------------------------------------------------
 # Output helpers: each writes an iterable of row tuples to a text file.
 
+BATCH_ROWS = 256  # rows formatted together; a batch's texts go once it is written
+
+
+def _text_batches(rows, formats):
+    """The rows as texts, cell i by ``formats[i]``, in batches of ``BATCH_ROWS``; a
+    column of a batch whose cells have one plain type, None aside (1 == 1.0 == True),
+    and one sign of zero (0.0 == -0.0) is formatted once per distinct value."""
+    rows = iter(rows)
+    while batch := list(itertools.islice(rows, BATCH_ROWS)):
+        texts = []
+        for column, fmt in zip(zip(*batch), formats):
+            kinds = set(map(type, column)) - {type(None)}
+            zero_signs = {math.copysign(1.0, v) for v in column if v == 0} if (
+                kinds == {float} and 0.0 in column) else ()
+            if len(kinds) <= 1 and kinds <= {float, int, bool, str} and len(zero_signs) < 2:
+                fmt = {v: fmt(v) for v in set(column)}.__getitem__
+            texts.append(map(fmt, column))
+        yield zip(*texts)
+
+
 def write_csv(rows, out) -> None:
-    """csv writes floats in shortest round-trip form and None as an empty
-    cell; only the bool ``holds`` needs ``_fmt``."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(COLUMNS)
-    writer.writerows(row[:_HOLDS] + (_fmt(row[_HOLDS]),) + row[_HOLDS + 1:] for row in rows)
+    """The bytes of ``csv.writer(out, lineterminator="\\n")`` writing the
+    header and the rows, only the bool ``holds`` through ``_fmt``."""
+    # writerow returns what write returns: here, the line
+    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+
+    def cell(v) -> str:  # csv writes a float as its repr, and None as ""
+        return repr(v) if type(v) is float else line((v, None))[:-2]
+    formats = [cell] * len(COLUMNS)
+    formats[_HOLDS] = lambda v: cell(_fmt(v))
+    out.write(line(COLUMNS))
+    for batch in _text_batches(rows, formats):
+        out.write("\n".join(map(",".join, batch)) + "\n")
 
 
 def write_json(rows, out) -> None:
-    """The bytes of ``json.dumps(dicts, indent=2) + "\\n"``, the rows as dicts
-    keyed by ``COLUMNS``: the C encoder writes each flat row, and the text
-    between rows adds the brackets and braces."""
-    encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
-    before = "[\n  {\n    "
-    for row in rows:
-        out.write(before + encode(dict(zip(COLUMNS, row)))[1:-1])
-        before = "\n  },\n  {\n    "
+    """The bytes of ``json.dumps(dicts, indent=2) + "\\n"``, the rows as dicts keyed
+    by ``COLUMNS``: each row's texts fill one template, the brackets go between."""
+    def cell(v) -> str:  # json writes a finite float as its repr
+        return repr(v) if type(v) is float and math.isfinite(v) else json.dumps(v)
+    row = ",\n    ".join(f"{json.dumps(c)}: %s" for c in COLUMNS)
+    before, between = "[\n  {\n    ", "\n  },\n  {\n    "
+    for batch in _text_batches(rows, [cell] * len(COLUMNS)):
+        out.write(before + between.join(map(row.__mod__, batch)))
+        before = between
     out.write("[]\n" if before.startswith("[") else "\n  }\n]\n")
 
 

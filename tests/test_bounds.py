@@ -298,6 +298,22 @@ class TestVerify:
         assert cols.rhs[1] is None and cols.error[0] is None
         assert str(err.value) == str(cols.error[1]) == "coefficient mu2 is not finite: inf"
 
+    @pytest.mark.parametrize("theorem, error", [("thm11", ZeroDivisionError),
+                                                ("thm22", ParamError)])
+    def test_an_underflowed_weight_fails_only_its_cell(self, theorem, error):
+        # at lambda = 1e-200, mu = 0 thm11 divides by an underflowed power (an
+        # error that names no cells) and thm22's kernel underflows to 0; the
+        # lambda = 1 cell keeps the bits of its one-cell call
+        cells = [(1.0, 1.0, 1e-200, 0.0, 2.0), (1.0, 1.0, 1.0, 0.0, 2.0)]
+        cols = bounds.assess_group(POW2, 1.0, 2.0, cells, [theorem])
+        assert cols.status == ["input_error", "ok"]
+        assert type(cols.error[0]) is error and cols.error[1] is None
+        report = verify(POW2, Interval(1.0, 2.0), Params(lam=1.0, mu=0.0, q=2.0), theorem)
+        assert (cols.rhs[1], cols.slack[1], cols.branch1[1], cols.branch2[1]) == (
+            report.rhs, report.slack, *report.branches.values())
+        with pytest.raises(error):
+            verify(POW2, Interval(1.0, 2.0), Params(lam=1e-200, mu=0.0, q=2.0), theorem)
+
     def test_branches_are_python_floats(self):
         # exp samples |f'|^q as numpy scalars; the report holds Python floats
         for theorem in ("sso", "bop_m", "thm22"):

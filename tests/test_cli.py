@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import pathlib
+import random
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -320,7 +321,13 @@ class TestSweep:
         ("functions = pow2\nintervals = 1:2\nlambda = 1e-200\nmu = 0\nq = 2\n"
          "theorems = thm11, da\n", ["ok", "input_error"],
          ["pow2 [1.0, 2.0]: float division by zero"]),
-    ], ids=["non_finite_integral", "non_finite_gate", "division_by_underflow"])
+        ("functions = pow2\nintervals = 1:2\nlambda = 1e-200, 1\nmu = 0\nq = 2\n"
+         "theorems = thm11\n", ["input_error", "ok"],
+         ["pow2 [1.0, 2.0]: float division by zero"]),
+        ("functions = pow2\nintervals = 1:2\nlambda = 1e-200, 1\nmu = 0\nq = 2\n"
+         "theorems = thm22\n", ["input_error", "ok"], []),
+    ], ids=["non_finite_integral", "non_finite_gate", "division_by_underflow",
+            "division_by_underflow_spares_its_group", "underflowed_thm22_kernel"])
     def test_out_of_range_group_is_isolated(self, tmp_path, capsys, text, statuses, warned):
         # the cells a value out of float range reaches are input_error, each
         # such group is named once on stderr, and the sweep goes on
@@ -330,7 +337,8 @@ class TestSweep:
         with np.errstate(all="ignore"):
             code, out, err = run_cli(capsys, "sweep", str(spec), "-o", str(out_file))
         assert code == 0
-        assert [r["status"] for r in csv.DictReader(out_file.open())] == statuses
+        rows = csv.DictReader(io.StringIO(out_file.read_text()))
+        assert [r["status"] for r in rows] == statuses
         lines = err.splitlines()
         assert len(lines) == len(warned)
         assert all(line.startswith(f"warning: {w}") for line, w in zip(lines, warned))
@@ -533,7 +541,8 @@ class TestSweep:
 # included) and known and unknown theorems: the grouped, streamed sweep must
 # write the bytes of the one-cell groups' rows under one global stable sort.
 _st = hypothesis.strategies
-_values = _st.sampled_from([0.25, 0.5, 1.0, 0.5, 1.0, -0.0, 1.5])
+# The ints 0 and 1 equal the floats 0.0, -0.0 and 1.0 but are written "0" and "1".
+_values = _st.sampled_from([0.25, 0.5, 1.0, 0.5, 1.0, -0.0, 1.5, 0, 1])
 
 
 @hypothesis.given(_st.builds(
@@ -545,15 +554,45 @@ _values = _st.sampled_from([0.25, 0.5, 1.0, 0.5, 1.0, -0.0, 1.5])
                         min_size=1, max_size=3),
     alpha=_st.lists(_values, min_size=1, max_size=2),
     m=_st.lists(_values, min_size=1, max_size=2),
-    lam=_st.lists(_st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, 1.0]), min_size=1, max_size=3),
-    mu=_st.lists(_st.sampled_from([-0.0, 0.0, 1.0, 3.0]), min_size=1, max_size=2),
-    q=_st.lists(_st.sampled_from([1.0, 2.0, 3.0, 2.0, 0.5, -0.0]), min_size=1, max_size=3),
+    lam=_st.lists(_st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, 1.0, 0, 1]), min_size=1,
+                  max_size=3),
+    mu=_st.lists(_st.sampled_from([-0.0, 0.0, 1.0, 3.0, 0, 1]), min_size=1, max_size=2),
+    q=_st.lists(_st.sampled_from([1.0, 2.0, 3.0, 2.0, 0.5, -0.0, 1]), min_size=1, max_size=3),
     theorems=_st.lists(_st.sampled_from([*cli.bounds.THEOREM_IDS, "bogus"]),
                        min_size=1, max_size=3)))
 @hypothesis.settings(max_examples=80, deadline=None, database=None)
 def test_grouped_sweep_equals_one_cell_rows(spec):
     cells = [cli.eval_row(*cfg) for cfg in one_cell_configs(spec)]
     assert streamed_bytes(cli.run_sweep(spec)) == global_sort_bytes(cells)
+
+
+# Rows of 20 cells from per-column pools of plain values, so that a column of
+# a batch is sometimes of one type (formatted through a memo) and sometimes
+# mixed, with up to 600 rows so that batch boundaries are crossed.  The
+# writers must write the bytes of csv.writer and json.dumps.
+_CELLS = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300, 0.1, math.nan, math.inf, -math.inf,
+          0, 1, True, False, None, "", 'say "hi"', "a,b", "two\nlines", "cr\r", "é", "∑"]
+
+
+@hypothesis.given(
+    pools=_st.lists(_st.lists(_st.sampled_from(_CELLS), min_size=1, max_size=3),
+                    min_size=len(cli.COLUMNS), max_size=len(cli.COLUMNS)),
+    n=_st.integers(0, 600), seed=_st.integers(0, 2**32))
+@hypothesis.example(pools=([[0.0, -0.0, None], [0, 1], [True, False, None], [1, 1.0, True],
+                            [0.0, -0.0, 0, False], [math.nan, math.inf, None],
+                            ["a,b", 'say "hi"', "cr\r", None], ["é", ""]] * 3)[:20],
+                    n=2 * cli.BATCH_ROWS + 1, seed=0)
+@hypothesis.settings(max_examples=60, deadline=None, database=None)
+def test_writers_equal_csv_and_json(pools, n, seed):
+    rng = random.Random(seed)
+    rows = [tuple(map(rng.choice, pools)) for _ in range(n)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cli.COLUMNS)
+    writer.writerows([cli._fmt(v) if c == "holds" else v for c, v in zip(cli.COLUMNS, r)]
+                     for r in rows)
+    dicts = [dict(zip(cli.COLUMNS, r)) for r in rows]
+    assert streamed_bytes(rows) == (buf.getvalue(), json.dumps(dicts, indent=2) + "\n")
 
 
 # Random argv for verify, tightness and means, and small random spec files for
@@ -722,6 +761,15 @@ class TestMeansCommand:
                                "--n", "2", "--lambda", "1e-160", "--mu", "0", "--q", "2")
         assert code == 3
         assert err.startswith("error: coefficient gamma1 must be nonnegative")
+
+    @pytest.mark.parametrize("prop", ["3", "6"])
+    def test_underflowed_thm22_kernel_is_an_input_error(self, capsys, prop):
+        # propositions 3 and 6 evaluate thm22, whose kernel underflows to 0
+        # here: not a failed proposition (exit 1) but an input error
+        code, _, err = run_cli(capsys, "means", "--prop", prop, "--a", "1", "--b", "2",
+                               "--n", "2", "--lambda", "1e-200", "--mu", "0", "--q", "2")
+        assert code == 3
+        assert err == "error: thm22 kernel underflows to 0 at lambda = 1e-200, mu = 0.0\n"
 
     def test_prop6_notes_extra_factor(self, capsys):
         code, out, _ = run_cli(capsys, "means", "--prop", "6", "--a", "1",
