@@ -84,7 +84,8 @@ def bound_hh(fn: TestFunction, iv: Interval) -> tuple[float, float]:
     endpoint average; the integral mean lies between them."""
     fn.require(iv.a)
     mid = 0.5 * (iv.a + iv.b)
-    return float(fn.f(mid)), 0.5 * (float(fn.f(iv.a)) + float(fn.f(iv.b)))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf; integral_mean raises for it
+        return float(fn.f(mid)), 0.5 * (float(fn.f(iv.a)) + float(fn.f(iv.b)))
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +100,6 @@ def bound_hh(fn: TestFunction, iv: Interval) -> tuple[float, float]:
 
 def _each(g, x, q=0.0):
     """g(x, q) at each cell, called on Python floats once per distinct (x, q)."""
-    if not (isinstance(x, np.ndarray) or isinstance(q, np.ndarray)):
-        return g(x, q)
     return _per_cell(lru_cache(maxsize=None)(g))(x, q)
 
 
@@ -257,12 +256,14 @@ def hypothesis_verdict(fn: TestFunction, g: str, upper: float, alpha: float, m: 
     return check_alpha_m_convex(func, upper, alpha, m, grid_n)
 
 
-# One (function, interval) group's cells as lists in product(params,
-# theorem_ids) order: the ten computed row columns (None where a cell has no
-# value), each cell's exception for ``verify`` and gate verdict, and per
-# theorem id the RHS's names for branch1, branch2 and rhs_loose.
-Columns = namedtuple("Columns", "status lhs rhs slack holds quad_error branch1 branch2 "
-                                "rhs_loose gate_violation error verdict branch_names")
+# A report row's computed columns, in row order (the CLI puts its inputs first).
+# ``Columns`` holds one (function, interval) group's cells as lists in
+# product(params, theorem_ids) order: these (None where a cell has no value),
+# each cell's exception for ``verify`` and gate verdict, and per theorem id
+# the RHS's names for branch1, branch2 and rhs_loose.
+ROW_COLUMNS = ("status", "lhs", "rhs", "slack", "holds", "quad_error",
+               "branch1", "branch2", "rhs_loose", "gate_violation")
+Columns = namedtuple("Columns", (*ROW_COLUMNS, "error", "verdict", "branch_names"))
 
 
 def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
@@ -388,6 +389,6 @@ def verify(fn: TestFunction, iv: Interval, p: Params, theorem_id: str,
                         witness=v.witness, worst_violation=v.worst_violation)
     if cell.error is not None:
         raise cell.error
-    branches = zip(cell.branch_names[theorem_id], cell[6:9])
+    branches = zip(cell.branch_names[theorem_id], (cell.branch1, cell.branch2, cell.rhs_loose))
     return BoundReport(theorem_id, cell.lhs, cell.rhs, cell.slack, cell.holds,
                        cell.quad_error, {k: v for k, v in branches if v is not None})

@@ -1,15 +1,16 @@
 """Batch verification harness: single checks, sweeps, tightness tables, means.
 
 Subcommands: verify | sweep | tightness | means.  Every (function, interval,
-params, theorem) cell goes through ``group_rows``: the ten columns that
-``bounds.assess_group`` (the path behind the library's ``verify``) computes
-for one (function, interval) group.  ``_rows`` prefixes the inputs the
-caller holds, so a ``--jobs`` worker sends back only what it computed.  A
-row is a tuple in ``COLUMNS`` order of plain values (str, int, float, bool
-or None); only ``eval_row``, the one-cell call, returns it as a dict keyed
-by ``COLUMNS``.  ``run_sweep`` yields the rows one group at a time; the
-writers format each distinct value of a column once per batch of rows,
-floats in shortest round-trip form, so identical inputs give identical files.
+params, theorem) cell goes through ``group_rows``: the ``bounds.ROW_COLUMNS``
+that ``bounds.assess_group`` (the path behind the library's ``verify``)
+computes for one (function, interval) group.  ``_rows`` prefixes the
+``INPUT_COLUMNS`` the caller holds, so a ``--jobs`` worker sends back only
+what it computed.  A row is a tuple in ``COLUMNS`` order of plain values
+(str, int, float, bool or None); only ``eval_row``, the one-cell call,
+returns it as a dict keyed by ``COLUMNS``.  ``run_sweep`` yields the rows
+one group at a time; the writers format each distinct value of a column
+once per batch of rows, floats in shortest round-trip form, so identical
+inputs give identical files.
 
 Exit codes: 0 all bounds hold, 1 a violation was found, 2 a convexity gate
 failed (hypothesis not satisfied, not a violation), 3 input error.
@@ -23,27 +24,27 @@ import itertools
 import json
 import math
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import bounds, coefficients, quadrature
-from .core import (HOLDS_SLACK, DomainError, GateError, Interval, ParamError, Params,
-                   corpus_by_id, make_report)
-from .means import proposition_check
+from .core import (HOLDS_SLACK, DomainError, Interval, ParamError, Params, corpus_by_id,
+                   make_report)
+from .means import BOUND_OF, proposition_check
 
 SCHEMA_VERSION = 1
 
-COLUMNS = [
-    "schema", "fn", "a", "b", "alpha", "m", "lambda", "mu", "q", "theorem",
-    "status", "lhs", "rhs", "slack", "holds", "quad_error",
-    "branch1", "branch2", "rhs_loose", "gate_violation",
-]
+INPUT_COLUMNS = ("schema", "fn", "a", "b", "alpha", "m", "lambda", "mu", "q", "theorem")
+COLUMNS = [*INPUT_COLUMNS, *bounds.ROW_COLUMNS]
+# A hand-built row's computed columns: those given by name, None for the rest.
+_Computed = namedtuple("_Computed", bounds.ROW_COLUMNS,
+                       defaults=(None,) * len(bounds.ROW_COLUMNS))
 
 
 def _fmt(v) -> str:
@@ -60,16 +61,17 @@ def _fmt(v) -> str:
 def group_rows(fn_id: str, a: float, b: float, params, theorems,
                quad_tol: float = bounds.DEFAULT_LHS_TOL,
                holds_tol: float = HOLDS_SLACK) -> tuple[list, str | None]:
-    """The ten computed columns (``status`` to ``gate_violation``) of one
-    (function, interval) group, as lists in ``bounds.assess_group``'s order,
-    and the message of its cells' first out-of-float-range error, or None."""
+    """The ``bounds.ROW_COLUMNS`` of one (function, interval) group, as lists
+    in ``bounds.assess_group``'s order, and the message of its cells' first
+    out-of-float-range error, or None."""
     fn = corpus_by_id().get(fn_id)
     if fn is None:
         n = len(params) * len(theorems)
-        return [["input_error"] * n] + [[None] * n] * 9, None
+        return [[v] * n for v in _Computed(status="input_error")], None
     cols = bounds.assess_group(fn, a, b, params, theorems, quad_tol, holds_tol)
-    return list(cols[:10]), next((str(e) for e in cols.error if isinstance(e, ArithmeticError)),
-                                 None)
+    errors = dict.fromkeys(cols.error)  # each distinct one (by identity), in cell order
+    return list(cols[:len(bounds.ROW_COLUMNS)]), next(
+        (str(e) for e in errors if isinstance(e, ArithmeticError)), None)
 
 
 def _rows(fn_id: str, a: float, b: float, cells, result) -> list:
@@ -182,7 +184,7 @@ def parse_sweep_file(path: str) -> SweepSpec:
     return spec
 
 
-_row_sort_key = itemgetter(*range(1, 10))  # fn, a, b, alpha, m, lambda, mu, q, theorem
+_row_sort_key = itemgetter(*range(1, len(INPUT_COLUMNS)))  # the inputs after schema
 _THEOREM, _STATUS, _SLACK, _HOLDS = map(COLUMNS.index, ("theorem", "status", "slack", "holds"))
 
 
@@ -354,12 +356,13 @@ def cmd_tightness(args) -> int:
         lower, upper = bounds.bound_hh(fn, iv)
         mean, err = bounds.integral_mean(fn, iv, args.tol)
         r = make_report("hh_upper", mean, upper, err)
-        rows.append(rows[0][:9] + ("hh_upper", "ok", r.lhs, r.rhs, r.slack, r.holds,
-                                   r.quad_error, lower, None, None, None))
+        rows.append(rows[0][:_THEOREM] + ("hh_upper",) + _Computed(
+            status="ok", lhs=r.lhs, rhs=r.rhs, slack=r.slack, holds=r.holds,
+            quad_error=r.quad_error, branch1=lower))
     except (KeyError, ParamError, DomainError):
         pass  # group_rows has already marked these rows input_error or not_applicable
     except ArithmeticError:  # a value out of float range: the baseline is an input error
-        rows.append(rows[0][:9] + ("hh_upper", "input_error") + (None,) * 9)
+        rows.append(rows[0][:_THEOREM] + ("hh_upper",) + _Computed(status="input_error"))
 
     ranked = sorted((r for r in rows if r[_STATUS] in ("ok", "violation")),
                     key=itemgetter(_SLACK))
@@ -380,12 +383,7 @@ def cmd_means(args) -> int:
     except (ParamError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    payload = {
-        "schema": SCHEMA_VERSION, "prop": result.prop,
-        "mean_lhs": result.mean_lhs, "mean_rhs": result.mean_rhs,
-        "corollary_rhs": result.corollary_rhs, "residual": result.residual,
-        "holds": result.holds, "note": result.note,
-    }
+    payload = {"schema": SCHEMA_VERSION, **asdict(result)}
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
@@ -435,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tight.set_defaults(func=cmd_tightness)
 
     p_means = subs.add_parser("means", help="check one special-means proposition")
-    p_means.add_argument("--prop", type=int, required=True, choices=range(1, 7))
+    p_means.add_argument("--prop", type=int, required=True, choices=list(BOUND_OF))
     p_means.add_argument("--a", type=float, required=True)
     p_means.add_argument("--b", type=float, required=True)
     p_means.add_argument("--n", type=int, default=None,
@@ -458,9 +456,6 @@ def main(argv=None) -> int:
     except (ParamError, DomainError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except GateError as exc:
-        print(f"gate failure: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

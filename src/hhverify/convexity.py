@@ -39,8 +39,7 @@ def check_alpha_m_convex(g: Callable, b: float, alpha: float, m: float,
         raise ParamError(f"grid_n must be at least 8, got {grid_n}")
     if not 0 < b < math.inf:
         raise ParamError(f"b must be positive and finite, got {b}")
-    if not (0 < alpha <= 1 and 0 < m <= 1):
-        raise ParamError(f"(alpha, m) must lie in (0, 1]^2, got ({alpha}, {m})")
+    Params(alpha=alpha, m=m)
 
     lo = 0.0
     clipped = False

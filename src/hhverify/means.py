@@ -11,10 +11,13 @@ import enum
 import math
 from dataclasses import dataclass
 
+from . import bounds
 from .core import (HOLDS_SLACK, DomainError, Interval, NonFiniteError, ParamError, Params,
                    power_function)
-from .bounds import thm11_rhs, thm211_rhs, thm22_rhs
 from .coefficients import gamma_coeffs
+
+# The bound each proposition substitutes into, by proposition number.
+BOUND_OF = {1: "thm11", 2: "thm211", 3: "thm22", 4: "thm11", 5: "thm211", 6: "thm22"}
 
 
 class MeanKind(str, enum.Enum):
@@ -95,11 +98,10 @@ def proposition_check(k: int, a: float, b: float, p: Params,
     """
     if not 0 < a < b:
         raise DomainError(f"propositions require 0 < a < b, got ({a}, {b})")
-    if k not in range(1, 7):
+    if k not in BOUND_OF:
         raise ParamError(f"proposition index must lie in 1..6, got {k}")
-    lam, mu, q = p.lam, p.mu, p.q
-    if k in (2, 3, 5, 6) and q <= 1:
-        raise ParamError(f"proposition {k} requires q > 1, got q={q}")
+    if bounds.THEOREMS[BOUND_OF[k]].needs_q_gt_1 and p.q <= 1:
+        raise ParamError(f"proposition {k} requires q > 1, got q={p.q}")
     if k in (1, 2, 3):
         if n is None or abs(n) < 2 or n % 1 != 0:
             raise ParamError(f"propositions 1-3 require integer |n| >= 2, got {n}")
@@ -146,7 +148,6 @@ def _mean_forms(k: int, a: float, b: float, p: Params, n: int | None):
             half_weight = (lam ** 2 + mu ** 2) / (2.0 * total)
             mean_rhs = (iv.width / total * half_weight ** ((q - 1.0) / q)
                         * abs(n) * core)
-            corollary_rhs, _ = thm11_rhs(fn, iv, generic)
         elif k == 2:
             conj = generic.p
             z = mean(MeanKind.WEIGHTED_ARITHMETIC, b, a, weight=w)
@@ -154,7 +155,6 @@ def _mean_forms(k: int, a: float, b: float, p: Params, n: int | None):
             m2 = mean(MeanKind.ARITHMETIC, bn, z ** ((n - 1) * q))
             mean_rhs = (iv.width / total ** 2 * (1.0 / (conj + 1.0)) ** (1.0 / conj)
                         * abs(n) * (lam ** 2 * m1 ** (1.0 / q) + mu ** 2 * m2 ** (1.0 / q)))
-            corollary_rhs, _ = thm211_rhs(fn, iv, generic)
         else:
             conj = generic.p
             amean = mean(MeanKind.ARITHMETIC, an, bn)
@@ -162,7 +162,6 @@ def _mean_forms(k: int, a: float, b: float, p: Params, n: int | None):
                         * ((lam ** (conj + 1.0) + mu ** (conj + 1.0)) / total) ** (1.0 / conj)
                         * (1.0 / (conj + 1.0)) ** (1.0 / conj)
                         * abs(n) * amean ** (1.0 / q))
-            corollary_rhs, _ = thm22_rhs(fn, iv, generic)
     else:
         fn = power_function(-1)
         endpoint = 1.0 / mean(MeanKind.WEIGHTED_HARMONIC, a, b, weight=w)
@@ -176,7 +175,6 @@ def _mean_forms(k: int, a: float, b: float, p: Params, n: int | None):
             core = min(branch1 ** (1.0 / q), branch2 ** (1.0 / q))
             half_weight = (lam ** 2 + mu ** 2) / (2.0 * total)
             mean_rhs = iv.width / total * half_weight ** ((q - 1.0) / q) * core
-            corollary_rhs, _ = thm11_rhs(fn, iv, generic)
         elif k == 5:
             conj = generic.p
             z = mean(MeanKind.WEIGHTED_ARITHMETIC, b, a, weight=w)
@@ -185,7 +183,6 @@ def _mean_forms(k: int, a: float, b: float, p: Params, n: int | None):
             m2 = 1.0 / mean(MeanKind.HARMONIC, b2q, z2q)
             mean_rhs = (iv.width / total ** 2 * (1.0 / (conj + 1.0)) ** (1.0 / conj)
                         * (lam ** 2 * m1 ** (1.0 / q) + mu ** 2 * m2 ** (1.0 / q)))
-            corollary_rhs, _ = thm211_rhs(fn, iv, generic)
         else:
             conj = generic.p
             weight_mean = mean(MeanKind.WEIGHTED_ARITHMETIC, lam ** conj, mu ** conj, weight=w)
@@ -193,7 +190,8 @@ def _mean_forms(k: int, a: float, b: float, p: Params, n: int | None):
             mean_rhs = (iv.width / total * weight_mean ** (1.0 / conj)
                         * (1.0 / (conj + 1.0)) ** (1.0 / conj)
                         * 0.5 ** (1.0 / q) * hmean ** (-1.0 / q))
-            corollary_rhs, _ = thm22_rhs(fn, iv, generic)
             note = ("displayed mean form carries an extra (1/2)^(1/q) factor "
                     "relative to the bound it substitutes into")
+    # looked up per call so that a replaced ``bounds.<id>_rhs`` is the one used
+    corollary_rhs, _ = getattr(bounds, f"{BOUND_OF[k]}_rhs")(fn, iv, generic)
     return mean_lhs, mean_rhs, corollary_rhs, note

@@ -86,8 +86,8 @@ def _units(x: float) -> int:
     return n * ((1 << 1074) // d)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite panel sum raises NonFiniteError
 def integrate(f: Callable, iv: Interval | tuple[float, float], tol: float = 1e-9,
-              max_evals: int = MAX_EVALS,
               breakpoints: Sequence[float] = ()) -> QuadResult:
     """Globally adaptive integration of f over [a, b].
 
@@ -95,9 +95,10 @@ def integrate(f: Callable, iv: Interval | tuple[float, float], tol: float = 1e-9
     passed as ``breakpoints`` so every panel the rule sees is smooth.  f is
     called on the array of both halves' 30 nodes per bisection (node by node
     if it takes no arrays), and the panel errors are totalled exactly.  When
-    the evaluation budget runs out before the tolerance is met, the best
-    available estimate is returned flagged (``converged=False``) instead of
-    raising, so callers can widen their own tolerances by the reported error.
+    the budget of ``MAX_EVALS`` evaluations runs out before the tolerance is
+    met, the best available estimate is returned flagged (``converged=False``)
+    instead of raising, so callers can widen their own tolerances by the
+    reported error.
     """
     if not 0 < tol < math.inf:
         raise ParamError(f"tolerance must be positive and finite, got {tol}")
@@ -115,7 +116,7 @@ def integrate(f: Callable, iv: Interval | tuple[float, float], tol: float = 1e-9
             total += _units(err)
         evals += 15 * len(panels)
         # a narrow panel's width is at rounding level; further bisection is noise
-        if total <= limit or evals + 30 > max_evals or narrow:
+        if total <= limit or evals + 30 > MAX_EVALS or narrow:
             break
         _, lo, hi, _, err = heapq.heappop(heap)
         total -= _units(err)

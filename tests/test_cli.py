@@ -52,7 +52,7 @@ def global_sort_bytes(rows):
     """The reference for the streamed writers: the CSV and JSON texts of row
     dicts given in spec order, after one global stable sort, written by
     ``csv`` and ``json.dumps`` over the whole list."""
-    rows = sorted(rows, key=itemgetter(*cli.COLUMNS[1:10]))
+    rows = sorted(rows, key=itemgetter(*cli.INPUT_COLUMNS[1:]))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cli.COLUMNS)
@@ -189,7 +189,7 @@ class TestSweep:
         out_file = tmp_path / "rows.csv"
         code, _, _ = run_cli(capsys, "sweep", str(spec), "-o", str(out_file))
         assert code == 0
-        rows = list(csv.DictReader(out_file.open()))
+        rows = list(csv.DictReader(io.StringIO(out_file.read_text())))
         assert len(rows) == 1
         direct = cli.eval_row("pow2", 1.0, 2.0, 1.0, 1.0, 2.0, 1.0, 2.0, "thm11")
         assert float(rows[0]["rhs"]) == direct["rhs"]
@@ -207,7 +207,7 @@ class TestSweep:
         out_file = tmp_path / "rows.csv"
         code, out, _ = run_cli(capsys, "sweep", str(spec), "-o", str(out_file))
         assert code == 0  # input_error rows are counted, not fatal
-        rows = list(csv.DictReader(out_file.open()))
+        rows = list(csv.DictReader(io.StringIO(out_file.read_text())))
         statuses = sorted(r["status"] for r in rows)
         assert statuses == ["input_error", "ok", "ok", "ok"]
         assert "input_error=1" in out
@@ -270,7 +270,7 @@ class TestSweep:
         assert run_cli(capsys, "sweep", str(spec), "-o", str(f_json),
                        "--format", "json")[0] == 0
         json_rows = json.loads(f_json.read_text())
-        csv_rows = list(csv.DictReader(f_csv.open()))
+        csv_rows = list(csv.DictReader(io.StringIO(f_csv.read_text())))
         assert len(csv_rows) == len(json_rows) > 0
         filled = 0
         for c_row, j_row in zip(csv_rows, json_rows):
@@ -328,14 +328,15 @@ class TestSweep:
          "theorems = thm22\n", ["input_error", "ok"], []),
     ], ids=["non_finite_integral", "non_finite_gate", "division_by_underflow",
             "division_by_underflow_spares_its_group", "underflowed_thm22_kernel"])
+    @pytest.mark.filterwarnings("error")
     def test_out_of_range_group_is_isolated(self, tmp_path, capsys, text, statuses, warned):
         # the cells a value out of float range reaches are input_error, each
-        # such group is named once on stderr, and the sweep goes on
+        # such group is named once on stderr, by that line alone (numpy's
+        # overflow warnings would raise here), and the sweep goes on
         spec = tmp_path / "range.spec"
         spec.write_text(text)
         out_file = tmp_path / "rows.csv"
-        with np.errstate(all="ignore"):
-            code, out, err = run_cli(capsys, "sweep", str(spec), "-o", str(out_file))
+        code, out, err = run_cli(capsys, "sweep", str(spec), "-o", str(out_file))
         assert code == 0
         rows = csv.DictReader(io.StringIO(out_file.read_text()))
         assert [r["status"] for r in rows] == statuses
@@ -343,6 +344,19 @@ class TestSweep:
         assert len(lines) == len(warned)
         assert all(line.startswith(f"warning: {w}") for line, w in zip(lines, warned))
         assert f"input_error={statuses.count('input_error')}" in out
+
+    @pytest.mark.parametrize("text, message", [
+        ("functions = pow2\nintervals = 1:2\nalpha = x\n", ":3: 'x' is not a number"),
+        ("functions = pow2\nintervals = 1:2\nq 2\n", ":3: expected 'key = values'"),
+        ("intervals = 1:2\n", ": functions and intervals must be non-empty"),
+        ("functions = pow2\n", ": functions and intervals must be non-empty"),
+    ], ids=["not_a_number", "no_equals_sign", "no_functions", "no_intervals"])
+    def test_spec_check_names_the_fault(self, tmp_path, capsys, text, message):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(text)
+        code, out, err = run_cli(capsys, "sweep", str(spec))
+        assert code == 3 and out == ""
+        assert err == f"error: {spec}{message}\n"
 
     def test_unwritable_output_is_an_input_error(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "default", "-o", "/no/such/dir/out.csv")
@@ -364,7 +378,7 @@ class TestSweep:
         assert run_cli(capsys, "sweep", str(spec), "-o", str(serial))[0] == 1
         assert run_cli(capsys, "sweep", str(spec), "-o", str(jobs2),
                        "--jobs", "2")[0] == 1
-        rows = list(csv.DictReader(serial.open()))
+        rows = list(csv.DictReader(io.StringIO(serial.read_text())))
         assert {r["theorem"] for r in rows} == set(cli.bounds.THEOREM_IDS)
         assert {r["status"] for r in rows} == {
             "ok", "violation", "gate_skipped", "not_applicable", "input_error"}
@@ -388,7 +402,7 @@ class TestSweep:
         least = min(r["slack"] for r in ok)
         first = next(r for r in ok if r["slack"] == least)
         assert summary["min_slack"] == least
-        assert summary["min_slack_config"] == tuple(first[c] for c in cli.COLUMNS[1:10])
+        assert summary["min_slack_config"] == tuple(first[c] for c in cli.INPUT_COLUMNS[1:])
 
     def test_stdout_matches_output_file(self, tmp_path, capsys):
         spec = tmp_path / "point.spec"
@@ -444,7 +458,7 @@ class TestSweep:
                                  q=[2.0, 1.0], theorems=["thm22", "bogus", "da", "sso"])
         rows = list(cli.run_sweep(spec))
         cells = sorted((cli.eval_row(*cfg) for cfg in one_cell_configs(spec)),
-                       key=itemgetter(*cli.COLUMNS[1:10]))
+                       key=itemgetter(*cli.INPUT_COLUMNS[1:]))
         assert all(list(cell) == cli.COLUMNS for cell in cells)
         assert repr(rows) == repr([tuple(cell.values()) for cell in cells])
         statuses = {r[cli.COLUMNS.index("status")] for r in rows}
@@ -700,14 +714,15 @@ class TestTightness:
         ("pow2", ["da", "bop_m"], ["input_error", "not_applicable"]),
         ("exp", ["bop_m", "thm22"], ["not_applicable", "not_applicable"]),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_out_of_range_baseline_keeps_the_rows(self, capsys, fn_id, theorems, statuses):
         # the hh_upper baseline leaves the float range (so does da's
         # integral, for pow2); the rows still print, the baseline's as an
-        # input error
-        with np.errstate(all="ignore"):
-            code, out, err = run_cli(capsys, "tightness", "--fn", fn_id, "--a", "1",
-                                     "--b", "1e300", "--theorems", ",".join(theorems),
-                                     "--format", "csv")
+        # input error, and numpy's overflow warnings (which would raise
+        # here) stay silent
+        code, out, err = run_cli(capsys, "tightness", "--fn", fn_id, "--a", "1",
+                                 "--b", "1e300", "--theorems", ",".join(theorems),
+                                 "--format", "csv")
         rows = list(csv.DictReader(io.StringIO(out)))
         assert code == 3
         assert [(r["theorem"], r["status"]) for r in rows] == list(
@@ -729,6 +744,23 @@ class TestMeansCommand:
         payload = json.loads(out)
         assert payload["holds"]
         assert math.isclose(payload["mean_rhs"], 0.75, rel_tol=1e-14)
+
+    def test_text_format(self, capsys):
+        code, out, _ = run_cli(capsys, "means", "--prop", "1", "--a", "1",
+                               "--b", "2", "--n", "2", "--format", "text")
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split("=")[0] for line in lines] == [
+            "schema", "prop", "mean_lhs", "mean_rhs", "corollary_rhs", "residual", "holds",
+            "note"]
+        assert lines[1] == "prop=1" and lines[6] == "holds=true" and lines[7] == "note="
+
+    @pytest.mark.parametrize("prop", ["2", "3", "5", "6"])
+    def test_q_above_one_is_required(self, capsys, prop):
+        code, out, err = run_cli(capsys, "means", "--prop", prop, "--a", "1", "--b", "2",
+                                 "--n", "2", "--q", "1")
+        assert code == 3 and out == ""
+        assert err == f"error: proposition {prop} requires q > 1, got q=1.0\n"
 
     def test_small_exponent_rejected(self, capsys):
         code, _, err = run_cli(capsys, "means", "--prop", "1", "--a", "1",

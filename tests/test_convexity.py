@@ -70,6 +70,15 @@ class TestCheckAlphaMConvex:
         with pytest.raises(ParamError, match="b must be positive and finite"):
             check_alpha_m_convex(lambda x: x * x, b, 1.0, 1.0)
 
+    @pytest.mark.parametrize("alpha, m, message", [
+        (0.0, 1.0, r"alpha must lie in \(0, 1\], got 0.0"),
+        (1.0, 1.5, r"m must lie in \(0, 1\], got 1.5"),
+        (math.nan, 1.0, "alpha must be finite, got nan"),
+    ], ids=["alpha_zero", "m_above_one", "alpha_nan"])
+    def test_alpha_and_m_are_checked_as_params(self, alpha, m, message):
+        with pytest.raises(ParamError, match=message):
+            check_alpha_m_convex(lambda x: x * x, 1.0, alpha, m)
+
 
 class TestDerivativePower:
     def test_q1(self):

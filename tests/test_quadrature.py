@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hhverify import (Interval, NonFiniteError, ParamError, QuadResult, corpus_by_id,
-                      integrate, kernel_moment)
+                      integrate, kernel_moment, quadrature)
 from hhverify.cli import default_sweep_spec
 from hhverify.quadrature import _NODES
 
@@ -48,9 +48,9 @@ class TestIntegrate:
             combined_err = whole.error_estimate + left.error_estimate + right.error_estimate
             assert abs(whole.value - left.value - right.value) <= combined_err + 1e-13
 
-    def test_budget_exhaustion_returns_flagged_estimate(self):
-        res = integrate(lambda x: math.sqrt(abs(x - 0.3)), (0.0, 1.0),
-                        tol=1e-16, max_evals=200)
+    def test_budget_exhaustion_returns_flagged_estimate(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_EVALS", 200)
+        res = integrate(lambda x: math.sqrt(abs(x - 0.3)), (0.0, 1.0), tol=1e-16)
         assert not res.converged
         assert res.evaluations <= 200
         assert abs(res.value - (0.3 ** 1.5 + 0.7 ** 1.5) * 2 / 3) < 1e-3
@@ -126,8 +126,9 @@ class TestEvaluation:
         assert integrate(lambda x: x ** -0.5, (0.0, 1.0), tol=1e-12) == QuadResult(
             1.9999999972773546, 4.2077092096289716e-09, 1455, False)
 
-    def test_budget_exit_result_is_pinned(self):
-        res = integrate(lambda x: x ** -0.5, (0.0, 1.0), tol=1e-12, max_evals=600)
+    def test_budget_exit_result_is_pinned(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_EVALS", 600)
+        res = integrate(lambda x: x ** -0.5, (0.0, 1.0), tol=1e-12)
         assert res == QuadResult(1.999936915012168, 9.729617365003226e-05, 585, False)
 
 
