@@ -21,8 +21,8 @@ import numpy as np
 from .convexity import ConvexityVerdict, check_alpha_m_convex, derivative_power
 from .coefficients import gamma_coeffs, nu_coeffs
 from .core import (HOLDS_SLACK, BoundReport, CoefficientSet, DomainError, GateError,
-                   Interval, ParamColumns, ParamError, Params, TestFunction, _per_cell,
-                   make_report, py_div, py_min, py_pow)
+                   Interval, NonFiniteError, ParamColumns, ParamError, Params, TestFunction,
+                   _per_cell, make_report, py_div, py_min, py_pow)
 from .quadrature import integrate
 
 DEFAULT_LHS_TOL = 1e-9
@@ -249,11 +249,11 @@ THEOREMS = {
 THEOREM_IDS = tuple(THEOREMS)
 
 
-def hypothesis_verdict(fn: TestFunction, g: str, upper: float, alpha: float, m: float,
-                       q: float, grid_n: int) -> ConvexityVerdict:
+def hypothesis_verdict(fn: TestFunction, g: str, upper: float, alphas, m: float,
+                       q: float, grid_n: int) -> tuple[ConvexityVerdict, ...]:
     """Sample the (alpha, m)-convexity of f (g = "f") or |f'|^q (g = "df") on [0, upper]."""
     func = fn.f if g == "f" else derivative_power(fn, q)
-    return check_alpha_m_convex(func, upper, alpha, m, grid_n)
+    return check_alpha_m_convex(func, upper, alphas, m, grid_n)
 
 
 # A report row's computed columns, in row order (the CLI puts its inputs first).
@@ -271,11 +271,12 @@ def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
                  gate_of=hypothesis_verdict) -> Columns:
     """Evaluate one (function, interval) group as numpy columns; ``params``
     holds (alpha, m, lam, mu, q) tuples.  Each Params and the domain check
-    ``fn.require(a)`` run once per tuple, ``gate_of(fn, g, upper, alpha, m, q,
-    GATE_GRID_N)`` once per distinct hypothesis, in cell order (None skips the
-    gate), ``integral_mean(fn, iv, tol)`` once, and each ``<id>_rhs`` once, on
-    the ParamColumns of the cells that reach it.  An ArithmeticError of any of
-    these (a value out of float range) makes the cells it reaches input_error.
+    ``fn.require(a)`` run once per tuple, ``gate_of(fn, g, upper, alphas, m, q,
+    GATE_GRID_N)`` once per sample grid (g, m, q) with its hypotheses' alphas,
+    in cell order (None skips the gate), ``integral_mean(fn, iv, tol)`` once,
+    and each ``<id>_rhs`` once, on the ParamColumns of the cells that reach it.
+    An ArithmeticError of any of these (a value out of float range, b / m
+    among them) makes the cells it reaches input_error.
     """
     # looked up per group so that a replaced ``<id>_rhs`` is the one used
     thms = [(tid, THEOREMS.get(tid), globals().get(f"{tid}_rhs")) for tid in theorem_ids]
@@ -315,13 +316,18 @@ def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
         _, first, inverse = np.unique(wanted.view("V32").ravel(), return_index=True,
                                       return_inverse=True)
 
-        def verdict(df, alpha, m, q):  # or the ArithmeticError, for input_error cells
+        grids = {}  # each sample grid (g, m, q): its distinct hypotheses' (index, alpha)
+        for i, (df, alpha, m, q) in zip(np.argsort(first), wanted[np.sort(first)].tolist()):
+            grids.setdefault((df, m, q), []).append((i, alpha))
+        found = np.empty(len(first), object)  # a verdict, or its grid's ArithmeticError
+        for (df, m, q), members in grids.items():
+            index, alphas = map(list, zip(*members))
             try:
-                return gate_of(fn, "df" if df else "f", max(b, b / m), alpha, m, q, GATE_GRID_N)
+                if np.isinf(upper := max(b, b / m)):
+                    raise NonFiniteError(f"gate grid end b / m is not finite: {b} / {m}")
+                found[index] = gate_of(fn, "df" if df else "f", upper, alphas, m, q, GATE_GRID_N)
             except ArithmeticError as exc:  # NonFiniteError, or a float op out of range
-                return exc.with_traceback(None)
-        found = np.empty(len(first), object)  # each distinct hypothesis, in cell order
-        found[np.argsort(first)] = [verdict(*h) for h in wanted[np.sort(first)].tolist()]
+                found[index] = exc.with_traceback(None)
         failed = np.array([isinstance(v, ArithmeticError) for v in found], bool)
         worst = np.array([getattr(v, "worst_violation", None) for v in found], object)
         holds = np.array([getattr(v, "holds", False) for v in found], bool)

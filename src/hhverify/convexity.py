@@ -1,7 +1,9 @@
 """Sampling-based verification that g = |f'|^q is (alpha, m)-convex.
 
 A ``holds`` verdict is necessary-condition screening over a dense grid, not
-a proof; it gates which bounds apply to which corpus members.
+a proof; it gates which bounds apply to which corpus members.  The grid and
+the sampled left side g(tx + m(1-t)y) depend on g and m but not on alpha, so
+one call samples them once and scores every alpha given against them.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ class ConvexityVerdict:
     clipped: bool = False  # x, y sampling started above 0 to dodge a singularity
 
 
-def check_alpha_m_convex(g: Callable, b: float, alpha: float, m: float,
-                         grid_n: int = 32) -> ConvexityVerdict:
-    """Evaluate the defining inequality of (alpha, m)-convexity on a grid.
+def check_alpha_m_convex(g: Callable, b: float, alphas, m: float,
+                         grid_n: int = 32) -> tuple[ConvexityVerdict, ...]:
+    """Evaluate the defining inequality of (alpha, m)-convexity on one grid for
+    each alpha of ``alphas``: a verdict per alpha, in that order.
 
     x and y run over grid_n+1 equi-spaced points on [0, b] (started at
     1e-8*b when g is singular at 0), t over grid_n+1 points on [0, 1]; the
@@ -39,7 +42,8 @@ def check_alpha_m_convex(g: Callable, b: float, alpha: float, m: float,
         raise ParamError(f"grid_n must be at least 8, got {grid_n}")
     if not 0 < b < math.inf:
         raise ParamError(f"b must be positive and finite, got {b}")
-    Params(alpha=alpha, m=m)
+    for alpha in alphas:
+        Params(alpha=alpha, m=m)
 
     lo = 0.0
     clipped = False
@@ -70,14 +74,18 @@ def check_alpha_m_convex(g: Callable, b: float, alpha: float, m: float,
             bad = mix.ravel()[~np.isfinite(g_mix.ravel())][0]
             raise NonFiniteError(f"g is not finite at sample x={bad}")
 
-        bound = t ** alpha * gx[:, None, None] + m * (1.0 - t ** alpha) * gx[None, :, None]
-        violation = g_mix - bound
+        # an (x, y, t) block per alpha; t**alpha keeps numpy's scalar-exponent path
+        t_alpha = np.array([ts ** alpha for alpha in alphas]).reshape(-1, 1, 1, grid_n + 1)
+        violation = t_alpha * gx[:, None, None] + m * (1.0 - t_alpha) * gx[None, :, None]
+        np.subtract(g_mix, violation, out=violation)  # g_mix - bound
 
-    idx = np.unravel_index(int(np.argmax(violation)), violation.shape)
-    worst = float(violation[idx])
-    witness = (float(xs[idx[0]]), float(xs[idx[1]]), float(ts[idx[2]]))
-    return ConvexityVerdict(holds=worst <= VIOLATION_TOL, worst_violation=worst,
-                            witness=witness, clipped=clipped)
+    flat = violation.reshape(-1, g_mix.size)
+    best = flat.argmax(axis=1)  # each alpha's worst sample, the first of equals
+    ix, iy, it = np.unravel_index(best, g_mix.shape)
+    witnesses = zip(xs[ix].tolist(), xs[iy].tolist(), ts[it].tolist())
+    return tuple(ConvexityVerdict(holds=w <= VIOLATION_TOL, worst_violation=w,
+                                  witness=witness, clipped=clipped)
+                 for w, witness in zip(flat[np.arange(len(flat)), best].tolist(), witnesses))
 
 
 def derivative_power(fn: TestFunction, q: float) -> Callable:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -273,7 +274,9 @@ class TestVerify:
         assert seen == [6]
         assert cols.status == ["ok"] * 12 + ["input_error"] * 2
 
-    def test_gate_runs_once_per_distinct_hypothesis(self):
+    def test_gate_runs_once_per_sample_grid(self):
+        # the distinct hypotheses of one (g, m, q) share a call, their alphas
+        # in cell order; each cell gets the verdict of its alpha called alone
         seen = []
 
         def gate_of(*args):
@@ -281,12 +284,13 @@ class TestVerify:
             return bounds.hypothesis_verdict(*args)
 
         cells = [(alpha, 1.0, lam, 1.0, 2.0) for alpha in (0.5, 1.0) for lam in (1.0, 2.0)]
-        cols = bounds.assess_group(POW2, 1.0, 2.0, cells, ["thm11", "bop_am", "da", "sso"],
-                                   gate_of=gate_of)
-        assert seen == [("df", 2.0, 0.5, 1.0, 2.0), ("df", 2.0, 1.0, 1.0, 1.0),
-                        ("f", 2.0, 0.5, 1.0, 1.0), ("df", 2.0, 1.0, 1.0, 2.0),
-                        ("f", 2.0, 1.0, 1.0, 1.0)]
-        assert None not in cols.gate_violation
+        theorems = ["thm11", "bop_am", "da", "sso"]
+        cols = bounds.assess_group(POW2, 1.0, 2.0, cells, theorems, gate_of=gate_of)
+        assert seen == [("df", 2.0, [0.5, 1.0], 1.0, 2.0), ("df", 2.0, [1.0], 1.0, 1.0),
+                        ("f", 2.0, [0.5, 1.0], 1.0, 1.0)]
+        for (cell, theorem), verdict in zip(itertools.product(cells, theorems), cols.verdict):
+            g, alpha, m, q = bounds.THEOREMS[theorem].hypothesis(Params(*cell))
+            assert verdict == bounds.hypothesis_verdict(POW2, g, 2.0, [alpha], m, q, 16)[0]
 
     def test_a_failing_factor_fails_only_its_cell(self):
         # |f'|^3 = e^900 overflows to inf on [1, 300]; at q = 2 it does not

@@ -32,6 +32,7 @@ ALL_STATUS_SPEC = (
 
 
 TRAP_SPEC = pathlib.Path(__file__).parent / "data" / "trap.spec"
+GATE_SPEC = pathlib.Path(__file__).parent / "data" / "gate.spec"
 
 
 def run_cli(capsys, *argv):
@@ -326,8 +327,13 @@ class TestSweep:
          ["pow2 [1.0, 2.0]: float division by zero"]),
         ("functions = pow2\nintervals = 1:2\nlambda = 1e-200, 1\nmu = 0\nq = 2\n"
          "theorems = thm22\n", ["input_error", "ok"], []),
+        ("functions = pow2, exp\nintervals = 1:2\nm = 1e-320, 1\ntheorems = bop_am, da\n",
+         ["input_error", "ok", "ok", "ok"] * 2,
+         ["exp [1.0, 2.0]: gate grid end b / m is not finite: 2.0 / 1e-320",
+          "pow2 [1.0, 2.0]: gate grid end b / m is not finite: 2.0 / 1e-320"]),
     ], ids=["non_finite_integral", "non_finite_gate", "division_by_underflow",
-            "division_by_underflow_spares_its_group", "underflowed_thm22_kernel"])
+            "division_by_underflow_spares_its_group", "underflowed_thm22_kernel",
+            "overflowed_gate_grid_end"])
     @pytest.mark.filterwarnings("error")
     def test_out_of_range_group_is_isolated(self, tmp_path, capsys, text, statuses, warned):
         # the cells a value out of float range reaches are input_error, each
@@ -502,6 +508,31 @@ class TestSweep:
             "min_slack=-1.7763568394002505e-15 at "
             "('pow2', 2.0, 5.0, 1.0, 0.5, 0.0, 5.0, 1.0, 'thm11')\n")
 
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv", "96938bd2203526c149d4539c547634e73e451d03a4aff6f5983573cc2831e27f"),
+        ("json", "a72f590453713ce79bb83c63a541f3bf0b9118570641d265dee3088625e37ac8"),
+    ], ids=["csv", "json"])
+    def test_gate_spec_bytes_are_pinned(self, tmp_path, capsys, fmt, digest):
+        # four alphas per sample grid, clipped grids, the f-hypothesis of sso,
+        # and four groups whose gate leaves the float range at q = 40
+        out_file = tmp_path / f"gate.{fmt}"
+        code, out, err = run_cli(capsys, "sweep", str(GATE_SPEC), "--format", fmt,
+                                 "-o", str(out_file))
+        assert code == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+        assert out == (
+            "sweep: 1792 rows (7 functions x 2 intervals x 4x2 (alpha,m) x 1x1 weights x "
+            "4 q x 4 theorems)\n"
+            "total=1792 holds=442 violations=0 gate_skipped=1030 not_applicable=224 "
+            "input_error=96\n"
+            "min_slack=0.08802039174945886 at "
+            "('xlogx', 0.5, 1.5, 1.0, 1.0, 1.0, 1.0, 1.0, 'sso')\n")
+        assert err == (
+            "warning: pown2 [0.5, 1.5]: g is not finite at sample x=6.000000000000001e-08\n"
+            "warning: pown2 [1.0, 3.0]: g is not finite at sample x=1.2000000000000002e-07\n"
+            "warning: recip [0.5, 1.5]: g is not finite at sample x=6.000000000000001e-08\n"
+            "warning: recip [1.0, 3.0]: g is not finite at sample x=1.2000000000000002e-07\n")
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_trap_spec_matches_the_global_sort(self, tmp_path, capsys, fmt):
         # tied keys (repeats, -0.0 beside 0) must come out in the order one
@@ -554,9 +585,10 @@ class TestSweep:
 # start below a domain, parameters in and out of range (duplicates and -0.0
 # included) and known and unknown theorems: the grouped, streamed sweep must
 # write the bytes of the one-cell groups' rows under one global stable sort.
+# Up to four alphas share a sample grid, and m = 1e-320 overflows its end b / m.
 _st = hypothesis.strategies
 # The ints 0 and 1 equal the floats 0.0, -0.0 and 1.0 but are written "0" and "1".
-_values = _st.sampled_from([0.25, 0.5, 1.0, 0.5, 1.0, -0.0, 1.5, 0, 1])
+_values = [0.25, 0.5, 1.0, 0.5, 1.0, -0.0, 1.5, 0, 1]
 
 
 @hypothesis.given(_st.builds(
@@ -566,8 +598,8 @@ _values = _st.sampled_from([0.25, 0.5, 1.0, 0.5, 1.0, -0.0, 1.5, 0, 1])
     intervals=_st.lists(_st.sampled_from([(0.0, 1.0), (-0.0, 1.0), (-0.0, 0.5), (1.0, 2.0),
                                           (2.0, 1.0), (0.5, 3.0), (-1.0, 1.0)]),
                         min_size=1, max_size=3),
-    alpha=_st.lists(_values, min_size=1, max_size=2),
-    m=_st.lists(_values, min_size=1, max_size=2),
+    alpha=_st.lists(_st.sampled_from([*_values, 0.75]), min_size=1, max_size=4),
+    m=_st.lists(_st.sampled_from([*_values, 1e-320]), min_size=1, max_size=2),
     lam=_st.lists(_st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, 1.0, 0, 1]), min_size=1,
                   max_size=3),
     mu=_st.lists(_st.sampled_from([-0.0, 0.0, 1.0, 3.0, 0, 1]), min_size=1, max_size=2),
