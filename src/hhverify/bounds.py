@@ -2,8 +2,8 @@
 
 ``THEOREMS`` declares each bound once: its LHS, its convexity hypothesis
 and whether it needs q > 1.  Its RHS is ``<id>_rhs(fn, iv, p)``, which
-returns (rhs, branches) without integrating, for a scalar Params (the
-means module compares against it) or a ParamColumns of cells.
+returns (rhs, branches) without integrating, for a Params of a point (the
+means module compares against it) or of columns over cells.
 ``assess_group`` evaluates one (function, interval) group as numpy columns:
 lookup, applicability, gate, LHS and RHS.  The library's ``verify`` is its
 one-cell call; the CLI's rows come from ``cli.group_rows``.
@@ -11,6 +11,7 @@ one-cell call; the CLI's rows come from ``cli.group_rows``.
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,7 +22,7 @@ import numpy as np
 from .convexity import ConvexityVerdict, check_alpha_m_convex, derivative_power
 from .coefficients import gamma_coeffs, nu_coeffs
 from .core import (HOLDS_SLACK, BoundReport, CoefficientSet, DomainError, GateError,
-                   Interval, NonFiniteError, ParamColumns, ParamError, Params, TestFunction,
+                   Interval, NonFiniteError, ParamError, Params, TestFunction,
                    _per_cell, make_report, py_div, py_min, py_pow)
 from .quadrature import integrate
 
@@ -90,7 +91,7 @@ def bound_hh(fn: TestFunction, iv: Interval) -> tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # RHS evaluators (no quadrature), one per bound: ``<id>_rhs(fn, iv, p)``
-# returns (rhs, branches), p being a Params or a ParamColumns of cells.
+# returns (rhs, branches), p being a Params of a point or of columns.
 # Params has already checked alpha, m, the weights and q >= 1; a bound that
 # needs q > 1 reads ``p.p``, which raises ParamError at q = 1.  With a >= 0
 # and m <= 1 every sample point (a, b, a/m, b/m, the midpoint, z and their
@@ -221,18 +222,18 @@ class Theorem:
 
     ``lhs`` is "mean" (the integral mean itself), "equal" (the deviation with
     lam = mu = 1) or "weighted" (the deviation with the cell's lam, mu).
-    ``hypothesis`` maps ParamColumns to (g, alpha, m, q) of the convexity
+    ``hypothesis`` maps a Params to (g, alpha, m, q) of the convexity
     hypothesis, g being "f" or "df" (|f'|^q); q is 1 where the hypothesis
     does not depend on it, so that equal hypotheses share one gate verdict.
     ``needs_q_gt_1`` makes q = 1 not applicable before the gate.
     """
 
     lhs: str
-    hypothesis: Callable[[ParamColumns], tuple]
+    hypothesis: Callable[[Params], tuple]
     needs_q_gt_1: bool
 
 
-def _df_q(p: ParamColumns):
+def _df_q(p: Params):
     return "df", p.alpha, p.m, p.q
 
 
@@ -266,39 +267,58 @@ ROW_COLUMNS = ("status", "lhs", "rhs", "slack", "holds", "quad_error",
 Columns = namedtuple("Columns", (*ROW_COLUMNS, "error", "verdict", "branch_names"))
 
 
+def _passing(P, rows, error, call=lambda p: p):
+    """Yield (rows, call(Params(*P[rows].T))) for the rows that pass.  The cells an error
+    names get it (or their ``cell_errors``) and the rest go again, each alone if it names none."""
+    pending = [rows]
+    while pending:
+        if not len(rows := pending.pop()):
+            continue
+        try:
+            result = call(Params(*P[rows].T))
+        except (ParamError, DomainError, ArithmeticError) as exc:
+            if (cells := getattr(exc, "cells", True)) is True and len(rows) > 1:
+                pending.extend(rows[:, None])
+                continue
+            bad = np.broadcast_to(cells, rows.shape)
+            error[rows[bad]] = getattr(exc.with_traceback(None), "cell_errors", exc)
+            pending.append(rows[~bad])
+            continue
+        yield rows, result
+
+
+@np.errstate(over="ignore", invalid="ignore")  # out of range: an ArithmeticError or inf
 def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
                  tol: float = DEFAULT_LHS_TOL, holds_tol: float = HOLDS_SLACK,
                  gate_of=hypothesis_verdict) -> Columns:
     """Evaluate one (function, interval) group as numpy columns; ``params``
-    holds (alpha, m, lam, mu, q) tuples.  Each Params and the domain check
-    ``fn.require(a)`` run once per tuple, ``gate_of(fn, g, upper, alphas, m, q,
-    GATE_GRID_N)`` once per sample grid (g, m, q) with its hypotheses' alphas,
-    in cell order (None skips the gate), ``integral_mean(fn, iv, tol)`` once,
-    and each ``<id>_rhs`` once, on the ParamColumns of the cells that reach it.
-    An ArithmeticError of any of these (a value out of float range, b / m
-    among them) makes the cells it reaches input_error.
+    holds (alpha, m, lam, mu, q) tuples.  ``Interval(a, b)``, ``fn.require(a)``
+    and ``integral_mean(fn, iv, tol)`` run once, ``Params`` on the columns (a
+    rejected cell gets its own tuple's error), ``gate_of(fn, g, upper, alphas,
+    m, q, GATE_GRID_N)`` once per sample grid (g, m, q) with its hypotheses'
+    alphas, in cell order (None skips the gate), and each ``<id>_rhs`` once, on
+    the Params of the cells that reach it.  An ArithmeticError (a value out of
+    float range, b / m among them) makes the cells it reaches input_error.
     """
     # looked up per group so that a replaced ``<id>_rhs`` is the one used
     thms = [(tid, THEOREMS.get(tid), globals().get(f"{tid}_rhs")) for tid in theorem_ids]
-    params, iv, errs = list(params), None, []
-    for alpha, m, lam, mu, q in params:
-        try:
-            iv = iv or Interval(a, b)
-            Params(alpha, m, lam, mu, q)
-            errs.append(fn.require(a))
-        except (ParamError, DomainError) as exc:  # kept without the frames it holds
-            errs.append(exc.with_traceback(None))
-    P = np.array(params, dtype=float).reshape(-1, 5)
+    P = np.array(list(params), dtype=float).reshape(-1, 5)
+    errs, iv, admitted = np.full(len(P), None, object), None, []
+    try:  # precedence: the interval, the parameters, the domain
+        iv = Interval(a, b)
+        admitted = list(_passing(P, np.arange(len(P)), errs))
+        fn.require(a)
+    except (ParamError, DomainError) as exc:
+        errs[np.equal(errs, None)] = exc.with_traceback(None)
     c = {name: np.full((len(P), len(thms)), None, object) for name in Columns._fields[:-1]}
     status, error = c["status"], c["error"]
 
     # precedence: the q > 1 rule, bad input, an unknown id, the domain
-    status[:], error[:] = "input_error", np.array(errs, object)[:, None]
-    bad_input = np.array([isinstance(e, ParamError) for e in errs], bool)
+    status[:], error[:] = "input_error", errs[:, None]
     domain = np.array([isinstance(e, DomainError) for e in errs], bool)
     for j, (tid, thm, _) in enumerate(thms):
         if thm is None:
-            error[~bad_input, j] = ParamError(f"unknown theorem id {tid!r}")
+            error[np.equal(errs, None) | domain, j] = ParamError(f"unknown theorem id {tid!r}")
             continue
         status[domain, j] = "not_applicable"
         if thm.needs_q_gt_1:
@@ -309,9 +329,9 @@ def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
 
     if gate_of is not None and open_.any():
         hyp = np.zeros(open_.shape + (4,))
-        for j, (_, thm, _) in enumerate(thms):
-            for k, v in enumerate(thm.hypothesis(ParamColumns(*P.T)) if thm else ()):
-                hyp[:, j, k] = v == "df" if k == 0 else v
+        for (rows, p), (j, (_, thm, _)) in itertools.product(admitted, enumerate(thms)):
+            for k, v in enumerate(thm.hypothesis(p) if thm else ()):
+                hyp[rows, j, k] = v == "df" if k == 0 else v
         wanted = hyp[open_]
         _, first, inverse = np.unique(wanted.view("V32").ravel(), return_index=True,
                                       return_inverse=True)
@@ -344,23 +364,8 @@ def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
             error[open_], open_[:] = exc.with_traceback(None), False
     names = {}
     for j, (tid, thm, rhs_of) in enumerate(thms):
-        pending = [np.flatnonzero(open_[:, j])]
-        while pending:
-            if not len(rows := pending.pop()):
-                continue
-            try:
-                value, branches = rhs_of(fn, iv, ParamColumns(*P[rows].T))
-            except (ParamError, DomainError, ArithmeticError) as exc:
-                # the cells the error names are input_error and the others go
-                # again; after an error that names no cells, each goes alone
-                cells = getattr(exc, "cells", True)
-                if cells is True and len(rows) > 1:
-                    pending.extend(rows[:, None])
-                    continue
-                bad = np.broadcast_to(cells, rows.shape)
-                error[rows[bad], j] = exc.with_traceback(None)
-                pending.append(rows[~bad])
-                continue
+        rhs = lambda p: rhs_of(fn, iv, p)  # noqa: E731
+        for rows, (value, branches) in _passing(P, np.flatnonzero(open_[:, j]), error[:, j], rhs):
             weights = (P[rows, 2], P[rows, 3]) if thm.lhs == "weighted" else (1.0, 1.0)
             lhs = mean if thm.lhs == "mean" else abs(_weighted_endpoint(fn, iv, *weights) - mean)
             r = make_report(tid, lhs, value, err, holds_tol)

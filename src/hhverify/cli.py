@@ -62,8 +62,8 @@ def group_rows(fn_id: str, a: float, b: float, params, theorems,
                quad_tol: float = bounds.DEFAULT_LHS_TOL,
                holds_tol: float = HOLDS_SLACK) -> tuple[list, str | None]:
     """The ``bounds.ROW_COLUMNS`` of one (function, interval) group, as lists
-    in ``bounds.assess_group``'s order, and the message of its cells' first
-    out-of-float-range error, or None."""
+    in ``bounds.assess_group``'s order, and the text of its cells' first
+    out-of-float-range error (an OverflowError's without its errno), or None."""
     fn = corpus_by_id().get(fn_id)
     if fn is None:
         n = len(params) * len(theorems)
@@ -71,7 +71,7 @@ def group_rows(fn_id: str, a: float, b: float, params, theorems,
     cols = bounds.assess_group(fn, a, b, params, theorems, quad_tol, holds_tol)
     errors = dict.fromkeys(cols.error)  # each distinct one (by identity), in cell order
     return list(cols[:len(bounds.ROW_COLUMNS)]), next(
-        (str(e) for e in errors if isinstance(e, ArithmeticError)), None)
+        (str(*e.args[-1:]) for e in errors if isinstance(e, ArithmeticError)), None)
 
 
 def _rows(fn_id: str, a: float, b: float, cells, result) -> list:
@@ -181,6 +181,9 @@ def parse_sweep_file(path: str) -> SweepSpec:
             raise ParamError(f"{where}: unknown key {key!r}")
     if not spec.functions or not spec.intervals:
         raise ParamError(f"{path}: functions and intervals must be non-empty")
+    quadrature.check_tol(spec.quad_tol, f"{path}: quad_tol")
+    if math.isinf(spec.holds_tol):  # a negative one is legal
+        raise ParamError(f"{path}: holds_tol must be finite, got {spec.holds_tol}")
     return spec
 
 
@@ -452,6 +455,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return 3 if exc.code else 0
     try:
+        quadrature.check_tol(getattr(args, "tol", 1.0), "--tol")
         return args.func(args)
     except (ParamError, DomainError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,22 +3,12 @@
 Each family is an exact antiderivative of a kinked kernel moment;
 ``quadrature.kernel_moment`` is the independent oracle the tests check them
 against.  The factors that sample |f'|^q (mu, M, K) live in the ``*_rhs``
-of the bound they serve.  The parameters may be scalars or arrays over cells.
+of the bound they serve.  ``Params`` checks the parameters: scalars or arrays over cells.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .core import CoefficientSet, ParamError, py_div, py_min, py_pow
-
-
-def _check_weights(alpha, lam=1.0, mu=1.0) -> None:
-    if not np.all(np.isfinite(alpha) & (0 < alpha) & (alpha <= 1)):
-        raise ParamError(f"alpha must lie in (0, 1], got {alpha}")
-    if not np.all(np.isfinite(lam) & np.isfinite(mu) & (lam >= 0) & (mu >= 0) & (lam + mu > 0)):
-        raise ParamError(f"weights must be finite and nonnegative with lam + mu > 0, "
-                         f"got {lam}, {mu}")
+from .core import CoefficientSet, Params, py_div, py_min, py_pow
 
 
 def gamma_coeffs(alpha: float, lam: float, mu: float) -> CoefficientSet:
@@ -30,7 +20,7 @@ def gamma_coeffs(alpha: float, lam: float, mu: float) -> CoefficientSet:
     writes gamma3 with lam^(alpha+2); the swap-symmetric form below is the
     one the quadrature oracle confirms.)
     """
-    _check_weights(alpha, lam, mu)
+    Params(alpha=alpha, lam=lam, mu=mu)
     total = lam + mu
     denom = (alpha + 1.0) * (alpha + 2.0)
     half_weight = (py_pow(lam, 2) + py_pow(mu, 2)) / (2.0 * total)
@@ -50,7 +40,7 @@ def gamma_coeffs(alpha: float, lam: float, mu: float) -> CoefficientSet:
 
 def nu_coeffs(alpha: float) -> CoefficientSet:
     """Kernel moments of the equal-weights bound; nu1 + nu2 = 1/2 always."""
-    _check_weights(alpha)
+    Params(alpha=alpha)
     denom = (alpha + 1.0) * (alpha + 2.0)
     half_pow = py_pow(0.5, alpha)
     nu1 = (alpha + half_pow) / denom

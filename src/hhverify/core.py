@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import namedtuple
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -73,7 +72,8 @@ class Params:
     alpha and m live in (0, 1]; lam and mu are nonnegative weights with
     lam + mu > 0; q >= 1 is the derivative-power exponent.  The conjugate
     p = q/(q-1) only exists for q > 1 and accessing it at q = 1 raises.
-    ``ParamColumns`` holds the five as arrays over cells admitted one by one.
+    Each field is a float (a point) or an array over cells.  Over cells, the first
+    rule a cell fails raises with the ``cells`` failing it and their ``cell_errors``.
     """
 
     alpha: float = 1.0
@@ -83,20 +83,21 @@ class Params:
     q: float = 1.0
 
     def __post_init__(self):
-        for name in ("alpha", "m", "lam", "mu", "q"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ParamError(f"{name} must be finite, got {v}")
-        if not 0 < self.alpha <= 1:
-            raise ParamError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not 0 < self.m <= 1:
-            raise ParamError(f"m must lie in (0, 1], got {self.m}")
-        if self.lam < 0 or self.mu < 0:
-            raise ParamError(f"weights must be nonnegative, got lam={self.lam}, mu={self.mu}")
-        if self.lam + self.mu <= 0:
-            raise ParamError("weights must satisfy lam + mu > 0")
-        if self.q < 1:
-            raise ParamError(f"q must satisfy q >= 1, got {self.q}")
+        alpha, m, lam, mu, q = (fields := vars(self)).values()
+        for holds, message in (  # the admissible set, rule by rule
+                *((abs(v) < math.inf, f"{k} must be finite, got {{{k}}}")
+                  for k, v in fields.items()),
+                ((0 < alpha) & (alpha <= 1), "alpha must lie in (0, 1], got {alpha}"),
+                ((0 < m) & (m <= 1), "m must lie in (0, 1], got {m}"),
+                ((lam >= 0) & (mu >= 0), "weights must be nonnegative, got lam={lam}, mu={mu}"),
+                ((lam > 0) | (mu > 0), "weights must satisfy lam + mu > 0"),  # without overflow
+                (q >= 1, "q must satisfy q >= 1, got {q}")):
+            if holds is not True and not np.all(holds):  # each failing cell's error as a point
+                bad, *columns = np.broadcast_arrays(~np.asarray(holds), *fields.values())
+                errors = [ParamError(message.format(**dict(zip(fields, cell))))
+                          for cell in zip(*(column[bad].tolist() for column in columns))]
+                errors[0].cells, errors[0].cell_errors = bad, errors
+                raise errors[0]
 
     @property
     def p(self) -> float:
@@ -104,10 +105,6 @@ class Params:
         if np.any(self.q == 1):
             raise ParamError("conjugate exponent is undefined at q = 1")
         return self.q / (self.q - 1.0)
-
-
-ParamColumns = namedtuple("ParamColumns", "alpha m lam mu q")
-ParamColumns.p = Params.p
 
 
 @dataclass(frozen=True)

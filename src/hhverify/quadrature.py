@@ -86,6 +86,11 @@ def _units(x: float) -> int:
     return n * ((1 << 1074) // d)
 
 
+def check_tol(tol: float, name: str = "tolerance") -> None:
+    if not 0 < tol < math.inf:  # a tolerance the integrator can meet
+        raise ParamError(f"{name} must be positive and finite, got {tol}")
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite panel sum raises NonFiniteError
 def integrate(f: Callable, iv: Interval | tuple[float, float], tol: float = 1e-9,
               breakpoints: Sequence[float] = ()) -> QuadResult:
@@ -100,8 +105,7 @@ def integrate(f: Callable, iv: Interval | tuple[float, float], tol: float = 1e-9
     instead of raising, so callers can widen their own tolerances by the
     reported error.
     """
-    if not 0 < tol < math.inf:
-        raise ParamError(f"tolerance must be positive and finite, got {tol}")
+    check_tol(tol)
     a, b = (iv.a, iv.b) if isinstance(iv, Interval) else iv
     if not -math.inf < a < b < math.inf:
         raise ParamError(f"integration bounds must be finite with a < b, got [{a}, {b}]")

@@ -260,6 +260,20 @@ class TestVerify:
         assert isinstance(cols.error[0], ParamError)
         assert str(cols.error[0]) == "thm22 needs q > 1"
 
+    def test_a_group_admits_its_parameters_as_columns(self, monkeypatch):
+        # Params runs on the columns, again on the cells each failed rule
+        # leaves, then once per RHS call: not once per tuple
+        sizes, check = [], Params.__post_init__
+        monkeypatch.setattr(Params, "__post_init__",
+                            lambda p: sizes.append(np.size(p.q)) or check(p))
+        cells = [(alpha, 1.0, lam, mu, 2.0) for alpha in (0.5, 1.0, 2.0) for lam in (0.0, 1.0)
+                 for mu in (0.0, 1.0)]
+        cols = bounds.assess_group(POW2, 1.0, 2.0, cells, ["da"], gate_of=None)
+        assert sizes == [12, 8, 6, 6]
+        assert [str(e) if e else s for e, s in zip(cols.error, cols.status)] == [
+            "weights must satisfy lam + mu > 0", "ok", "ok", "ok"] * 2 + [
+            "alpha must lie in (0, 1], got 2.0"] * 4
+
     def test_each_rhs_runs_once_on_the_cells_that_reach_it(self, monkeypatch):
         seen = []
 

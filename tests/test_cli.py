@@ -331,9 +331,11 @@ class TestSweep:
          ["input_error", "ok", "ok", "ok"] * 2,
          ["exp [1.0, 2.0]: gate grid end b / m is not finite: 2.0 / 1e-320",
           "pow2 [1.0, 2.0]: gate grid end b / m is not finite: 2.0 / 1e-320"]),
+        ("functions = pow2\nintervals = 1:2\nlambda = 1e308\nmu = 1e308\nq = 2\n",
+         ["ok"] * 4 + ["input_error"] * 3, ["pow2 [1.0, 2.0]: Numerical result out of range"]),
     ], ids=["non_finite_integral", "non_finite_gate", "division_by_underflow",
             "division_by_underflow_spares_its_group", "underflowed_thm22_kernel",
-            "overflowed_gate_grid_end"])
+            "overflowed_gate_grid_end", "huge_weights"])
     @pytest.mark.filterwarnings("error")
     def test_out_of_range_group_is_isolated(self, tmp_path, capsys, text, statuses, warned):
         # the cells a value out of float range reaches are input_error, each
@@ -363,6 +365,22 @@ class TestSweep:
         code, out, err = run_cli(capsys, "sweep", str(spec))
         assert code == 3 and out == ""
         assert err == f"error: {spec}{message}\n"
+
+    @pytest.mark.parametrize("line, message", [
+        ("quad_tol = 0", "quad_tol must be positive and finite, got 0.0"),
+        ("quad_tol = -1e-9", "quad_tol must be positive and finite, got -1e-09"),
+        ("quad_tol = inf", "quad_tol must be positive and finite, got inf"),
+        ("holds_tol = inf", "holds_tol must be finite, got inf"),
+        ("holds_tol = -inf", "holds_tol must be finite, got -inf"),
+    ])
+    def test_tolerance_is_checked_before_the_sweep(self, tmp_path, capsys, line, message):
+        # a quad_tol of 0 made every reachable row input_error without a
+        # word, and a holds_tol of inf made every row hold
+        spec = tmp_path / "tol.spec"
+        spec.write_text(f"functions = pow2\nintervals = 1:2\n{line}\n")
+        code, out, err = run_cli(capsys, "sweep", str(spec))
+        assert code == 3 and out == ""
+        assert err == f"error: {spec}: {message}\n"
 
     def test_unwritable_output_is_an_input_error(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "default", "-o", "/no/such/dir/out.csv")
@@ -725,6 +743,18 @@ def test_eval_row_agrees_with_verify(tmp_path):
             report.lhs, report.rhs, report.quad_error, report.holds)
         seen.add(row["status"])
     assert seen == {"ok", "gate_skipped", "not_applicable", "input_error"}
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "inf", "nan"])
+@pytest.mark.parametrize("command", [["verify", "--theorem", "da"],
+                                     ["tightness", "--theorems", "da,thm11"]])
+def test_tol_flag_is_checked_before_evaluating(capsys, command, tol):
+    # verify printed an input_error row with no reason, and tightness
+    # dropped its hh_upper row
+    code, out, err = run_cli(capsys, command[0], "--fn", "pow2", "--a", "1", "--b", "2",
+                             *command[1:], f"--tol={tol}")
+    assert code == 3 and out == ""
+    assert err == f"error: --tol must be positive and finite, got {float(tol)}\n"
 
 
 class TestTightness:

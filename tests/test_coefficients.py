@@ -88,7 +88,7 @@ class TestGammaCoeffs:
     def test_non_finite_weight_is_named(self, name, bad):
         # not "coefficient gamma1 is not finite", which names no input
         args = {"alpha": 1.0, "lam": 1.0, "mu": 1.0, name: bad}
-        message = "alpha must lie in" if name == "alpha" else "weights must be finite"
+        message = f"{name} must be finite"  # Params' message
         with pytest.raises(ParamError, match=message):
             gamma_coeffs(**args)
         with pytest.raises(ParamError, match=message):

@@ -1,5 +1,6 @@
 import math
 
+import hypothesis
 import numpy as np
 import pytest
 
@@ -40,6 +41,52 @@ class TestParams:
     def test_invalid(self, kwargs):
         with pytest.raises(ParamError):
             Params(**kwargs)
+
+
+# The admissible set's rules in the order a point checks them, each known by
+# the start of its message.
+_RULES = ("alpha must be finite", "m must be finite", "lam must be finite", "mu must be finite",
+          "q must be finite", "alpha must lie in", "m must lie in", "weights must be nonnegative",
+          "weights must satisfy", "q must satisfy")
+_VALUES = [0.0, -0.0, 0.5, -0.5, 1.0, 2.0, 1e308, 5e-324, math.nan, math.inf, -math.inf]
+_st = hypothesis.strategies
+
+
+def _point_error(cell):
+    try:
+        Params(*cell)
+    except ParamError as exc:
+        return str(exc)
+    return None
+
+
+@hypothesis.given(_st.lists(_st.tuples(*[_st.sampled_from(_VALUES)] * 5), min_size=1,
+                            max_size=6))
+@hypothesis.example([(1.0, 1.0, 0.0, 0.0, 1.0), (2.0, 1.0, 1.0, 1.0, 1.0),
+                     (0.5, 0.5, 0.0, 0.0, 2.0), (3.0, 1.0, 1.0, 1.0, 1.0)])
+@hypothesis.settings(max_examples=300, deadline=None, database=None)
+def test_columns_follow_the_rules_of_a_point(cells):
+    # one rule list: columns raise iff some cell raises as a point, naming the
+    # cells that fail the first rule any cell fails, each with its own message
+    points = [_point_error(cell) for cell in cells]
+    rule = [next(i for i, r in enumerate(_RULES) if p.startswith(r)) if p else len(_RULES)
+            for p in points]
+    try:
+        Params(*np.array(cells).T)
+    except ParamError as exc:
+        first = min(rule)
+        assert exc.cells.tolist() == [r == first for r in rule]
+        assert str(exc) == points[rule.index(first)]
+        assert [str(e) for e in exc.cell_errors] == [p for p, r in zip(points, rule) if r == first]
+    else:
+        assert points == [None] * len(cells)
+    # a group's rejected cell gets the error its point raises
+    cols = bounds.assess_group(corpus_by_id()["pow2"], 1.0, 2.0, cells, ["da", "thm11"],
+                               gate_of=None)
+    for point, error, status in zip([p for p in points for _ in range(2)], cols.error,
+                                    cols.status):
+        if point is not None:
+            assert (status, str(error)) == ("input_error", point)
 
 
 class TestValidateParams:
