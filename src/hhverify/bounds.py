@@ -24,7 +24,7 @@ from .coefficients import gamma_coeffs, nu_coeffs
 from .core import (HOLDS_SLACK, BoundReport, CoefficientSet, DomainError, GateError,
                    Interval, NonFiniteError, ParamError, Params, TestFunction,
                    _per_cell, make_report, py_div, py_min, py_pow)
-from .quadrature import integrate
+from .quadrature import check_tol, integrate
 
 DEFAULT_LHS_TOL = 1e-9
 GATE_GRID_N = 16  # grid of the convexity gate (check_alpha_m_convex's grid_n)
@@ -298,8 +298,12 @@ def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
     m, q, GATE_GRID_N)`` once per sample grid (g, m, q) with its hypotheses'
     alphas, in cell order (None skips the gate), and each ``<id>_rhs`` once, on
     the Params of the cells that reach it.  An ArithmeticError (a value out of
-    float range, b / m among them) makes the cells it reaches input_error.
+    float range, b / m among them) makes the cells it reaches input_error.  A bad
+    ``tol`` (by ``check_tol``) or non-finite ``holds_tol`` raises ParamError first.
     """
+    check_tol(tol)
+    if not np.isfinite(holds_tol):  # a negative one is legal
+        raise ParamError(f"holds_tol must be finite, got {holds_tol}")
     # looked up per group so that a replaced ``<id>_rhs`` is the one used
     thms = [(tid, THEOREMS.get(tid), globals().get(f"{tid}_rhs")) for tid in theorem_ids]
     P = np.array(list(params), dtype=float).reshape(-1, 5)

@@ -3,14 +3,12 @@
 Subcommands: verify | sweep | tightness | means.  Every (function, interval,
 params, theorem) cell goes through ``group_rows``: the ``bounds.ROW_COLUMNS``
 that ``bounds.assess_group`` (the path behind the library's ``verify``)
-computes for one (function, interval) group.  ``_rows`` prefixes the
-``INPUT_COLUMNS`` the caller holds, so a ``--jobs`` worker sends back only
-what it computed.  A row is a tuple in ``COLUMNS`` order of plain values
-(str, int, float, bool or None); only ``eval_row``, the one-cell call,
-returns it as a dict keyed by ``COLUMNS``.  ``run_sweep`` yields the rows
-one group at a time; the writers format each distinct value of a column
-once per batch of rows, floats in shortest round-trip form, so identical
-inputs give identical files.
+computes for one (function, interval) group, all that a ``--jobs`` worker sends
+back.  A table is the ``COLUMNS`` as lists of plain values (str, int, float,
+bool or None); ``_table`` puts the ``INPUT_COLUMNS`` in front.  ``run_sweep``
+yields one table per tie class of groups, in row order; the writers format each
+distinct value of a column once per table, floats in shortest round-trip form,
+and join the texts row by row, so identical inputs give identical files.
 
 Exit codes: 0 all bounds hold, 1 a violation was found, 2 a convexity gate
 failed (hypothesis not satisfied, not a violation), 3 input error.
@@ -24,7 +22,7 @@ import itertools
 import json
 import math
 import sys
-from collections import Counter, namedtuple
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
@@ -42,9 +40,7 @@ SCHEMA_VERSION = 1
 
 INPUT_COLUMNS = ("schema", "fn", "a", "b", "alpha", "m", "lambda", "mu", "q", "theorem")
 COLUMNS = [*INPUT_COLUMNS, *bounds.ROW_COLUMNS]
-# A hand-built row's computed columns: those given by name, None for the rest.
-_Computed = namedtuple("_Computed", bounds.ROW_COLUMNS,
-                       defaults=(None,) * len(bounds.ROW_COLUMNS))
+_THEOREM, _STATUS, _SLACK, _HOLDS = map(COLUMNS.index, ("theorem", "status", "slack", "holds"))
 
 
 def _fmt(v) -> str:
@@ -67,33 +63,41 @@ def group_rows(fn_id: str, a: float, b: float, params, theorems,
     fn = corpus_by_id().get(fn_id)
     if fn is None:
         n = len(params) * len(theorems)
-        return [[v] * n for v in _Computed(status="input_error")], None
+        return [["input_error"] * n] + [[None] * n for _ in bounds.ROW_COLUMNS[1:]], None
     cols = bounds.assess_group(fn, a, b, params, theorems, quad_tol, holds_tol)
     errors = dict.fromkeys(cols.error)  # each distinct one (by identity), in cell order
     return list(cols[:len(bounds.ROW_COLUMNS)]), next(
         (str(*e.args[-1:]) for e in errors if isinstance(e, ArithmeticError)), None)
 
 
-def _rows(fn_id: str, a: float, b: float, cells, result) -> list:
-    """The row tuples of one group: its inputs, ``cells`` holding each row's
-    (alpha, m, lambda, mu, q, theorem), then the columns of its ``group_rows``
-    result; a group that left the float range is named on stderr."""
-    columns, overflow = result
-    if overflow:
-        print(f"warning: {fn_id} [{a}, {b}]: {overflow}", file=sys.stderr)
-    head = (SCHEMA_VERSION, fn_id, a, b)
-    return [head + cell + computed for cell, computed in zip(cells, zip(*columns))]
+def _table(groups, cells, results) -> list:
+    """The ``COLUMNS`` as lists: for each (fn_id, a, b) of ``groups`` in turn, its
+    ``cells`` of (alpha, m, lambda, mu, q, theorem) beside the columns of its
+    ``group_rows`` result; a group that left the float range is named on stderr."""
+    table = [[] for _ in COLUMNS]
+    for (fn_id, a, b), (columns, overflow) in zip(groups, results):
+        if overflow:
+            print(f"warning: {fn_id} [{a}, {b}]: {overflow}", file=sys.stderr)
+        head = ([v] * len(cells) for v in (SCHEMA_VERSION, fn_id, a, b))
+        for column, values in zip(table, (*head, *zip(*cells), *columns)):
+            column += values
+    return table
+
+
+def _point_table(args, theorems, holds_tol: float = HOLDS_SLACK) -> list:
+    """The one-group table of the point flags' ``args`` under each of ``theorems``."""
+    point = (args.alpha, args.m, args.lam, args.mu, args.q)
+    return _table([(args.fn, args.a, args.b)], [(*point, t) for t in theorems],
+                  [group_rows(args.fn, args.a, args.b, [point], theorems, args.tol, holds_tol)])
 
 
 def eval_row(fn_id: str, a: float, b: float, alpha: float, m: float,
              lam: float, mu: float, q: float, theorem: str,
              quad_tol: float = bounds.DEFAULT_LHS_TOL,
              holds_tol: float = HOLDS_SLACK) -> dict:
-    """The report row of one (config, theorem) cell: a one-cell ``group_rows``."""
-    point = [(alpha, m, lam, mu, q)]
-    (row,) = _rows(fn_id, a, b, [(*point[0], theorem)],
-                   group_rows(fn_id, a, b, point, [theorem], quad_tol, holds_tol))
-    return dict(zip(COLUMNS, row))
+    """The report row of one (config, theorem) cell, keyed by ``COLUMNS``."""
+    args = SimpleNamespace(fn=fn_id, a=a, b=b, alpha=alpha, m=m, lam=lam, mu=mu, q=q, tol=quad_tol)
+    return {c: v for c, (v,) in zip(COLUMNS, _point_table(args, [theorem], holds_tol))}
 
 
 # ---------------------------------------------------------------------------
@@ -187,72 +191,66 @@ def parse_sweep_file(path: str) -> SweepSpec:
     return spec
 
 
-_row_sort_key = itemgetter(*range(1, len(INPUT_COLUMNS)))  # the inputs after schema
-_THEOREM, _STATUS, _SLACK, _HOLDS = map(COLUMNS.index, ("theorem", "status", "slack", "holds"))
-
-
 def run_sweep(spec: SweepSpec, jobs: int = 1, summary: dict | None = None):
-    """Yield the rows of the cross product in ``_row_sort_key`` order, ties in
-    spec order; once all have gone by, ``summary`` (if given) holds the count
-    of every status and the minimum observed slack.  The (function, interval)
-    groups run in sorted order on at most ``min(jobs, groups)`` processes;
-    groups whose keys compare equal (a repeated interval, -0.0 beside 0.0)
-    form a tie class, evaluated and stable-sorted before the next one runs."""
+    """Yield the cross product's rows, in the order of the inputs after schema and
+    ties in spec order, as one table per tie class: the (function, interval)
+    groups whose keys compare equal (a repeated interval, -0.0 beside 0.0), run
+    in sorted order on at most ``min(jobs, groups)`` processes and stable-sorted
+    before the next class runs.  Once all have gone by, ``summary`` (if given)
+    holds the count of every status and the minimum observed slack."""
     params = list(itertools.product(spec.alpha, spec.m, spec.lam, spec.mu, spec.q))
     cells = [(*p, t) for p, t in itertools.product(params, spec.theorems)]
     # every group has these cells: rank places each among the distinct keys (-0.0 == 0.0)
     place = {key: i for i, key in enumerate(sorted(set(cells)))}
     rank = np.array([place[cell] for cell in cells])
     groups = sorted((f, a, b) for f, (a, b) in itertools.product(spec.functions, spec.intervals))
-    sizes = [len(list(tied)) for _, tied in itertools.groupby(groups)]
-    counts, tightest = Counter(), None
+    counts, tightest = Counter(), []  # each table's (min slack, its inputs after schema)
     workers = min(jobs, len(groups))
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
         tasks = [(*g, params, spec.theorems, spec.quad_tol, spec.holds_tol) for g in groups]
-        results = zip(groups, pool.map(group_rows, *zip(*tasks)) if pool
-                      else itertools.starmap(group_rows, tasks))
-        for size in sizes:
-            tied = [row for group, result in itertools.islice(results, size)
-                    for row in _rows(*group, cells, result)]
-            rows = [tied[i] for i in np.argsort(np.tile(rank, size), kind="stable")]
-            counts.update(row[_STATUS] for row in rows)
-            ok = [row for row in rows if row[_STATUS] == "ok"]
+        results = (pool.map(group_rows, *zip(*tasks)) if pool
+                   else itertools.starmap(group_rows, tasks))
+        for _, tied in itertools.groupby(groups):
+            tied = list(tied)
+            table = _table(tied, cells, itertools.islice(results, len(tied)))
+            order = np.argsort(np.tile(rank, len(tied)), kind="stable").tolist()
+            if len(order) > 1:  # itemgetter of one index returns the bare cell
+                table = [list(column) for column in map(itemgetter(*order), table)]
+            counts.update(table[_STATUS])
+            slack, ok = table[_SLACK], [i for i, s in enumerate(table[_STATUS]) if s == "ok"]
             if ok:  # min keeps the first of equal slacks, so ties go to the earliest row
-                tightest = min([tightest, *ok] if tightest else ok, key=itemgetter(_SLACK))
-            yield from rows
+                i = min(ok, key=slack.__getitem__)
+                tightest.append((slack[i], tuple(c[i] for c in table[1:len(INPUT_COLUMNS)])))
+            yield table
     if summary is not None:
+        min_slack, config = min(tightest, key=lambda pair: pair[0], default=(None, None))
         summary.update(total=sum(counts.values()), holds=counts["ok"],
                        violations=counts["violation"],
                        **{s: counts[s] for s in ("gate_skipped", "not_applicable", "input_error")},
-                       min_slack=tightest and tightest[_SLACK],
-                       min_slack_config=tightest and _row_sort_key(tightest))
+                       min_slack=min_slack, min_slack_config=config)
 
 
 # ---------------------------------------------------------------------------
-# Output helpers: each writes an iterable of row tuples to a text file.
+# Output helpers: each writes an iterable of tables to a text file.
 
-BATCH_ROWS = 256  # rows formatted together; a batch's texts go once it is written
-
-
-def _text_batches(rows, formats):
-    """The rows as texts, cell i by ``formats[i]``, in batches of ``BATCH_ROWS``; a
-    column of a batch whose cells have one plain type, None aside (1 == 1.0 == True),
-    and one sign of zero (0.0 == -0.0) is formatted once per distinct value."""
-    rows = iter(rows)
-    while batch := list(itertools.islice(rows, BATCH_ROWS)):
-        texts = []
-        for column, fmt in zip(zip(*batch), formats):
+def _row_texts(tables, formats, sep: str):
+    """Yield each row of the tables as its cells' texts, cell i by ``formats[i]``, joined
+    by ``sep``; a column of a table whose cells have one plain type, None aside (1 == 1.0
+    == True), and one sign of zero (0.0 == -0.0) is formatted once per distinct value."""
+    for table in tables:
+        columns = []
+        for column, fmt in zip(table, formats):
             kinds = set(map(type, column)) - {type(None)}
             zero_signs = {math.copysign(1.0, v) for v in column if v == 0} if (
                 kinds == {float} and 0.0 in column) else ()
             if len(kinds) <= 1 and kinds <= {float, int, bool, str} and len(zero_signs) < 2:
                 fmt = {v: fmt(v) for v in set(column)}.__getitem__
-            texts.append(map(fmt, column))
-        yield zip(*texts)
+            columns.append(map(fmt, column))
+        yield from map(sep.join, zip(*columns))
 
 
-def write_csv(rows, out) -> None:
+def write_csv(tables, out) -> None:
     """The bytes of ``csv.writer(out, lineterminator="\\n")`` writing the
     header and the rows, only the bool ``holds`` through ``_fmt``."""
     # writerow returns what write returns: here, the line
@@ -262,31 +260,32 @@ def write_csv(rows, out) -> None:
         return repr(v) if type(v) is float else line((v, None))[:-2]
     formats = [cell] * len(COLUMNS)
     formats[_HOLDS] = lambda v: cell(_fmt(v))
+    formats[-1] = lambda v: cell(v) + "\n"  # the last cell ends the line
     out.write(line(COLUMNS))
-    for batch in _text_batches(rows, formats):
-        out.write("\n".join(map(",".join, batch)) + "\n")
+    out.writelines(_row_texts(tables, formats, ","))
 
 
-def write_json(rows, out) -> None:
+def write_json(tables, out) -> None:
     """The bytes of ``json.dumps(dicts, indent=2) + "\\n"``, the rows as dicts keyed
-    by ``COLUMNS``: each row's texts fill one template, the brackets go between."""
+    by ``COLUMNS``: each cell's text carries its key, the brackets go between rows."""
     def cell(v) -> str:  # json writes a finite float as its repr
         return repr(v) if type(v) is float and math.isfinite(v) else json.dumps(v)
-    row = ",\n    ".join(f"{json.dumps(c)}: %s" for c in COLUMNS)
-    before, between = "[\n  {\n    ", "\n  },\n  {\n    "
-    for batch in _text_batches(rows, [cell] * len(COLUMNS)):
-        out.write(before + between.join(map(row.__mod__, batch)))
-        before = between
-    out.write("[]\n" if before.startswith("[") else "\n  }\n]\n")
+    formats = [lambda v, key=f"{json.dumps(c)}: ": key + cell(v) for c in COLUMNS]
+    rows = _row_texts(tables, formats, ",\n    ")
+    first = next(rows, None)
+    if first is not None:
+        out.write("[\n  {\n    " + first)
+        out.writelines(map("\n  },\n  {\n    ".__add__, rows))
+    out.write("[]\n" if first is None else "\n  }\n]\n")
 
 
-def _emit_rows(rows, fmt: str, out) -> None:
+def _emit(tables, fmt: str, out) -> None:
     if fmt == "csv":
-        write_csv(rows, out)
+        write_csv(tables, out)
     elif fmt == "json":
-        write_json(rows, out)
+        write_json(tables, out)
     else:
-        for row in rows:
+        for row in itertools.chain.from_iterable(zip(*table) for table in tables):
             pairs = (f"{c}={_fmt(v)}" for c, v in zip(COLUMNS, row) if v is not None)
             out.write("  ".join(pairs) + "\n")
 
@@ -295,13 +294,13 @@ def _emit_rows(rows, fmt: str, out) -> None:
 # Subcommands.
 
 def cmd_verify(args) -> int:
-    row = eval_row(args.fn, args.a, args.b, args.alpha, args.m, args.lam,
-                   args.mu, args.q, args.theorem, quad_tol=args.tol)
-    _emit_rows([tuple(row.values())], args.format, sys.stdout)
-    if args.crosscheck and row["status"] in ("ok", "violation"):
+    table = _point_table(args, [args.theorem])
+    _emit([table], args.format, sys.stdout)
+    (status,) = table[_STATUS]
+    if args.crosscheck and status in ("ok", "violation"):
         residual = crosscheck_coefficients(args.alpha, args.lam, args.mu)
         print(f"crosscheck: max gamma deviation from quadrature oracle = {residual:.3e}")
-    return {"ok": 0, "violation": 1, "gate_skipped": 2}.get(row["status"], 3)
+    return {"ok": 0, "violation": 1, "gate_skipped": 2}.get(status, 3)
 
 
 def crosscheck_coefficients(alpha: float, lam: float, mu: float) -> float:
@@ -333,7 +332,7 @@ def cmd_sweep(args) -> int:
               f"{len(spec.lam)}x{len(spec.mu)} weights x {len(spec.q)} q x "
               f"{len(spec.theorems)} theorems)")
         summary = {}
-        _emit_rows(run_sweep(spec, args.jobs, summary), args.format, out)
+        _emit(run_sweep(spec, args.jobs, summary), args.format, out)
 
     print(f"total={summary['total']} holds={summary['holds']} "
           f"violations={summary['violations']} gate_skipped={summary['gate_skipped']} "
@@ -349,9 +348,7 @@ def cmd_tightness(args) -> int:
     if len(theorems) < 2:
         print("error: tightness needs at least two theorems", file=sys.stderr)
         return 3
-    point = [(args.alpha, args.m, args.lam, args.mu, args.q)]
-    rows = _rows(args.fn, args.a, args.b, [(*point[0], t) for t in theorems],
-                 group_rows(args.fn, args.a, args.b, point, theorems, args.tol))
+    table = _point_table(args, theorems)
     # Baseline: the classical endpoint-average upper bound on the integral mean.
     try:
         fn = corpus_by_id()[args.fn]
@@ -359,24 +356,23 @@ def cmd_tightness(args) -> int:
         lower, upper = bounds.bound_hh(fn, iv)
         mean, err = bounds.integral_mean(fn, iv, args.tol)
         r = make_report("hh_upper", mean, upper, err)
-        rows.append(rows[0][:_THEOREM] + ("hh_upper",) + _Computed(
-            status="ok", lhs=r.lhs, rhs=r.rhs, slack=r.slack, holds=r.holds,
-            quad_error=r.quad_error, branch1=lower))
+        baseline = dict(theorem="hh_upper", status="ok", lhs=r.lhs, rhs=r.rhs, slack=r.slack,
+                        holds=r.holds, quad_error=r.quad_error, branch1=lower)
     except (KeyError, ParamError, DomainError):
-        pass  # group_rows has already marked these rows input_error or not_applicable
+        baseline = None  # group_rows has already marked these rows input_error or not_applicable
     except ArithmeticError:  # a value out of float range: the baseline is an input error
-        rows.append(rows[0][:_THEOREM] + ("hh_upper",) + _Computed(status="input_error"))
+        baseline = dict(theorem="hh_upper", status="input_error")
+    if baseline:  # one more row: the point's inputs, then the baseline's columns or None
+        for i, (column, name) in enumerate(zip(table, COLUMNS)):
+            column.append(column[0] if i < _THEOREM else baseline.get(name))
 
-    ranked = sorted((r for r in rows if r[_STATUS] in ("ok", "violation")),
-                    key=itemgetter(_SLACK))
-    _emit_rows(rows, args.format, sys.stdout)
+    status, slack = table[_STATUS], table[_SLACK]
+    ranked = sorted((i for i, s in enumerate(status) if s in ("ok", "violation")),
+                    key=slack.__getitem__)
+    _emit([table], args.format, sys.stdout)
     if ranked:
-        print(f"tightest: {ranked[0][_THEOREM]} (slack={_fmt(ranked[0][_SLACK])})")
-    if any(r[_STATUS] == "violation" for r in rows):
-        return 1
-    if any(r[_STATUS] == "input_error" for r in rows):
-        return 3
-    return 0
+        print(f"tightest: {table[_THEOREM][ranked[0]]} (slack={_fmt(slack[ranked[0]])})")
+    return 1 if "violation" in status else 3 if "input_error" in status else 0
 
 
 def cmd_means(args) -> int:

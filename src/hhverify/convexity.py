@@ -42,8 +42,7 @@ def check_alpha_m_convex(g: Callable, b: float, alphas, m: float,
         raise ParamError(f"grid_n must be at least 8, got {grid_n}")
     if not 0 < b < math.inf:
         raise ParamError(f"b must be positive and finite, got {b}")
-    for alpha in alphas:
-        Params(alpha=alpha, m=m)
+    Params(*np.broadcast_arrays(alphas, m))  # each alpha beside m, as columns over cells
 
     lo = 0.0
     clipped = False

@@ -6,6 +6,7 @@ import json
 import math
 import pathlib
 import random
+import re
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -61,12 +62,20 @@ def global_sort_bytes(rows):
     return buf.getvalue(), json.dumps(rows, indent=2) + "\n"
 
 
-def streamed_bytes(rows):
-    """The CSV and JSON texts the sweep writes for ``rows``, an iterable of tuples."""
-    rows = list(rows)
+def table_rows(tables):
+    """The rows of ``tables``, each the ``COLUMNS`` as equal-length lists, as tuples."""
+    tables = list(tables)
+    assert all(len(table) == len(cli.COLUMNS) and len(set(map(len, table))) <= 1
+               for table in tables)
+    return [row for table in tables for row in zip(*table)]
+
+
+def streamed_bytes(tables):
+    """The CSV and JSON texts the sweep writes for ``tables``, an iterable of tables."""
+    tables = list(tables)
     texts = io.StringIO(), io.StringIO()
-    cli.write_csv(rows, texts[0])
-    cli.write_json(rows, texts[1])
+    cli.write_csv(tables, texts[0])
+    cli.write_json(tables, texts[1])
     return texts[0].getvalue(), texts[1].getvalue()
 
 
@@ -412,8 +421,8 @@ class TestSweep:
         spec = tmp_path / "all.spec"
         spec.write_text(ALL_STATUS_SPEC + "holds_tol = -0.5\n")
         summary = {}
-        rows = [dict(zip(cli.COLUMNS, row))
-                for row in cli.run_sweep(cli.parse_sweep_file(str(spec)), summary=summary)]
+        rows = [dict(zip(cli.COLUMNS, row)) for row in table_rows(
+            cli.run_sweep(cli.parse_sweep_file(str(spec)), summary=summary))]
         counts = Counter(r["status"] for r in rows)
         assert summary == {
             "total": len(rows), "holds": counts["ok"], "violations": counts["violation"],
@@ -460,11 +469,11 @@ class TestSweep:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
         three = cli.SweepSpec(functions=["pow2"], intervals=[(1.0, 2.0), (0.5, 3.0), (2.0, 5.0)],
                               q=[1.0, 2.0], theorems=["da", "thm11"])
-        rows = list(cli.run_sweep(three, jobs=100))
+        rows = table_rows(cli.run_sweep(three, jobs=100))
         assert started == [3]
-        assert rows == list(cli.run_sweep(three))
+        assert rows == table_rows(cli.run_sweep(three))
         one = cli.SweepSpec(functions=["pow2"], intervals=[(1.0, 2.0)], theorems=["da"])
-        assert len(list(cli.run_sweep(one, jobs=100))) == 1
+        assert len(table_rows(cli.run_sweep(one, jobs=100))) == 1
         assert started == [3]  # a single group runs in this process
 
     @pytest.mark.parametrize("case", ["all_statuses", "precedence"])
@@ -480,7 +489,7 @@ class TestSweep:
                                  intervals=[(1.0, 2.0), (2.0, 1.0), (0.0, 1.0)],
                                  alpha=[1.0, 0.5, 1.0], lam=[0.0, 1.0], mu=[0.0, 2.0],
                                  q=[2.0, 1.0], theorems=["thm22", "bogus", "da", "sso"])
-        rows = list(cli.run_sweep(spec))
+        rows = table_rows(cli.run_sweep(spec))
         cells = sorted((cli.eval_row(*cfg) for cfg in one_cell_configs(spec)),
                        key=itemgetter(*cli.INPUT_COLUMNS[1:]))
         assert all(list(cell) == cli.COLUMNS for cell in cells)
@@ -492,16 +501,16 @@ class TestSweep:
     def test_json_bytes_are_the_indented_dump(self, tmp_path, capsys):
         path = tmp_path / "all.spec"
         path.write_text(ALL_STATUS_SPEC)
-        rows = list(cli.run_sweep(cli.parse_sweep_file(str(path))))
+        tables = list(cli.run_sweep(cli.parse_sweep_file(str(path))))
         # exp at m = 0.5 fails the gate, so lhs through rhs_loose are None
         argv = ("verify", "--fn", "exp", "--a", "0", "--b", "1", "--m", "0.5",
                 "--theorem", "bop_am", "--format", "json")
         (row,) = json.loads(run_cli(capsys, *argv)[1])
         assert row["lhs"] is None and row["gate_violation"] is not None
-        for case in (rows, [tuple(row.values())], []):
+        for case in (tables, [[[v] for v in row.values()]], []):
             text = io.StringIO()
             cli.write_json(case, text)
-            dicts = [dict(zip(cli.COLUMNS, r)) for r in case]
+            dicts = [dict(zip(cli.COLUMNS, r)) for r in table_rows(case)]
             assert text.getvalue() == json.dumps(dicts, indent=2) + "\n"
 
     def test_jobs_defaults_to_one(self, monkeypatch):
@@ -577,13 +586,13 @@ class TestSweep:
                             lambda *args: calls.append(args[:3]) or original(*args))
         spec = cli.SweepSpec(functions=["pow2"], intervals=[(1.0, 2.0), (0.0, 1.0), (-0.0, 1.0)],
                              q=[1.0, 2.0], theorems=["da", "thm11"])
-        rows = cli.run_sweep(spec)
+        tables = cli.run_sweep(spec)
         assert calls == []
-        first = next(rows)
+        first = table_rows([next(tables)])
         # the tie class of [0, 1] and [-0, 1], in spec order, and nothing more
         assert repr(calls) == repr([("pow2", 0.0, 1.0), ("pow2", -0.0, 1.0)])
-        assert first[1:4] == ("pow2", 0.0, 1.0)
-        assert len(list(rows)) == 11 and len(calls) == 3
+        assert first[0][1:4] == ("pow2", 0.0, 1.0)
+        assert len(first) == 8 and len(table_rows(tables)) == 4 and len(calls) == 3
 
     def test_deterministic_output(self, tmp_path, capsys):
         spec = tmp_path / "small.spec"
@@ -630,33 +639,35 @@ def test_grouped_sweep_equals_one_cell_rows(spec):
     assert streamed_bytes(cli.run_sweep(spec)) == global_sort_bytes(cells)
 
 
-# Rows of 20 cells from per-column pools of plain values, so that a column of
-# a batch is sometimes of one type (formatted through a memo) and sometimes
-# mixed, with up to 600 rows so that batch boundaries are crossed.  The
-# writers must write the bytes of csv.writer and json.dumps.
+# Tables of 20 columns drawn from per-column pools of plain values: a column
+# of a table is sometimes of one type (formatted through a memo) and sometimes
+# mixed, and a one-row table's columns are each of one type, so the same
+# column can be one type in one table and mixed in the next.  The writers must
+# write the bytes of csv.writer and json.dumps over the concatenated rows.
 _CELLS = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300, 0.1, math.nan, math.inf, -math.inf,
           0, 1, True, False, None, "", 'say "hi"', "a,b", "two\nlines", "cr\r", "é", "∑"]
+_MIXED = ([[0.0, -0.0, None], [0, 1], [True, False, None], [1, 1.0, True], [0.0, -0.0, 0, False],
+           [math.nan, math.inf, None], ["a,b", 'say "hi"', "cr\r", None], ["é", ""]] * 3)[:20]
 
 
 @hypothesis.given(
     pools=_st.lists(_st.lists(_st.sampled_from(_CELLS), min_size=1, max_size=3),
                     min_size=len(cli.COLUMNS), max_size=len(cli.COLUMNS)),
-    n=_st.integers(0, 600), seed=_st.integers(0, 2**32))
-@hypothesis.example(pools=([[0.0, -0.0, None], [0, 1], [True, False, None], [1, 1.0, True],
-                            [0.0, -0.0, 0, False], [math.nan, math.inf, None],
-                            ["a,b", 'say "hi"', "cr\r", None], ["é", ""]] * 3)[:20],
-                    n=2 * cli.BATCH_ROWS + 1, seed=0)
+    sizes=_st.lists(_st.integers(0, 300), max_size=4), seed=_st.integers(0, 2**32))
+@hypothesis.example(pools=_MIXED, sizes=[1, 300, 1, 0], seed=0)
+@hypothesis.example(pools=_MIXED, sizes=[300, 1], seed=1)
 @hypothesis.settings(max_examples=60, deadline=None, database=None)
-def test_writers_equal_csv_and_json(pools, n, seed):
+def test_writers_equal_csv_and_json(pools, sizes, seed):
     rng = random.Random(seed)
-    rows = [tuple(map(rng.choice, pools)) for _ in range(n)]
+    tables = [[[rng.choice(pool) for _ in range(n)] for pool in pools] for n in sizes]
+    rows = table_rows(tables)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cli.COLUMNS)
     writer.writerows([cli._fmt(v) if c == "holds" else v for c, v in zip(cli.COLUMNS, r)]
                      for r in rows)
     dicts = [dict(zip(cli.COLUMNS, r)) for r in rows]
-    assert streamed_bytes(rows) == (buf.getvalue(), json.dumps(dicts, indent=2) + "\n")
+    assert streamed_bytes(tables) == (buf.getvalue(), json.dumps(dicts, indent=2) + "\n")
 
 
 # Random argv for verify, tightness and means, and small random spec files for
@@ -755,6 +766,26 @@ def test_tol_flag_is_checked_before_evaluating(capsys, command, tol):
                              *command[1:], f"--tol={tol}")
     assert code == 3 and out == ""
     assert err == f"error: --tol must be positive and finite, got {float(tol)}\n"
+
+
+@pytest.mark.parametrize("tols, message", [
+    ({"quad_tol": 0.0}, "tolerance must be positive and finite, got 0.0"),
+    ({"quad_tol": math.nan}, "tolerance must be positive and finite, got nan"),
+    ({"holds_tol": math.inf}, "holds_tol must be finite, got inf"),
+    ({"holds_tol": math.nan}, "holds_tol must be finite, got nan"),
+], ids=["quad_tol_zero", "quad_tol_nan", "holds_tol_inf", "holds_tol_nan"])
+def test_library_tolerances_are_checked_before_evaluating(monkeypatch, tols, message):
+    # run_sweep yielded input_error rows without a reason at quad_tol = 0, and
+    # every row held at holds_tol = inf and none at nan; eval_row gave input_error
+    def unreachable(*args):
+        raise AssertionError("evaluated before the tolerances were checked")
+    monkeypatch.setattr(bounds, "check_alpha_m_convex", unreachable)
+    monkeypatch.setattr(bounds, "integral_mean", unreachable)
+    spec = cli.SweepSpec(functions=["pow2"], intervals=[(1.0, 2.0)], **tols)
+    with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):
+        list(cli.run_sweep(spec))
+    with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):
+        cli.eval_row("pow2", 1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, "da", **tols)
 
 
 class TestTightness:

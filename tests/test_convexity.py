@@ -71,14 +71,19 @@ class TestCheckAlphaMConvex:
         with pytest.raises(ParamError, match="b must be positive and finite"):
             check_alpha_m_convex(lambda x: x * x, b, [1.0], 1.0)
 
-    @pytest.mark.parametrize("alpha, m, message", [
-        (0.0, 1.0, r"alpha must lie in \(0, 1\], got 0.0"),
-        (1.0, 1.5, r"m must lie in \(0, 1\], got 1.5"),
-        (math.nan, 1.0, "alpha must be finite, got nan"),
-    ], ids=["alpha_zero", "m_above_one", "alpha_nan"])
-    def test_alpha_and_m_are_checked_as_params(self, alpha, m, message):
+    @pytest.mark.parametrize("alphas, m, message", [
+        ([0.0], 1.0, r"alpha must lie in \(0, 1\], got 0.0$"),
+        ([1.0], 1.5, r"m must lie in \(0, 1\], got 1.5$"),
+        ([math.nan], 1.0, "alpha must be finite, got nan$"),
+        ([0], 1.0, r"alpha must lie in \(0, 1\], got 0$"),
+        ([1.0, 0.0], 1.0, r"alpha must lie in \(0, 1\], got 0.0$"),
+        # the list is one column: the first rule any alpha fails names its alpha
+        ([2.0, math.nan], 1.0, "alpha must be finite, got nan$"),
+    ], ids=["alpha_zero", "m_above_one", "alpha_nan", "alpha_int_zero", "second_alpha_zero",
+            "two_bad_alphas"])
+    def test_alpha_and_m_are_checked_as_params(self, alphas, m, message):
         with pytest.raises(ParamError, match=message):
-            check_alpha_m_convex(lambda x: x * x, 1.0, [alpha], m)
+            check_alpha_m_convex(lambda x: x * x, 1.0, alphas, m)
 
 
 def _verdicts_or_message(g, b, alphas, m):
