@@ -21,10 +21,10 @@ import numpy as np
 
 from .convexity import ConvexityVerdict, check_alpha_m_convex, derivative_power
 from .coefficients import gamma_coeffs, nu_coeffs
-from .core import (HOLDS_SLACK, BoundReport, CoefficientSet, DomainError, GateError,
-                   Interval, NonFiniteError, ParamError, Params, TestFunction,
-                   _per_cell, make_report, py_div, py_min, py_pow)
-from .quadrature import check_tol, integrate
+from .core import (BoundReport, CoefficientSet, DomainError, GateError, Interval,
+                   NonFiniteError, ParamError, Params, TestFunction, _per_cell, make_report,
+                   py_div, py_min, py_pow)
+from .quadrature import integrate
 
 DEFAULT_LHS_TOL = 1e-9
 GATE_GRID_N = 16  # grid of the convexity gate (check_alpha_m_convex's grid_n)
@@ -289,21 +289,17 @@ def _passing(P, rows, error, call=lambda p: p):
 
 @np.errstate(over="ignore", invalid="ignore")  # out of range: an ArithmeticError or inf
 def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
-                 tol: float = DEFAULT_LHS_TOL, holds_tol: float = HOLDS_SLACK,
                  gate_of=hypothesis_verdict) -> Columns:
     """Evaluate one (function, interval) group as numpy columns; ``params``
     holds (alpha, m, lam, mu, q) tuples.  ``Interval(a, b)``, ``fn.require(a)``
-    and ``integral_mean(fn, iv, tol)`` run once, ``Params`` on the columns (a
+    and ``integral_mean(fn, iv)`` run once, ``Params`` on the columns (a
     rejected cell gets its own tuple's error), ``gate_of(fn, g, upper, alphas,
     m, q, GATE_GRID_N)`` once per sample grid (g, m, q) with its hypotheses'
     alphas, in cell order (None skips the gate), and each ``<id>_rhs`` once, on
     the Params of the cells that reach it.  An ArithmeticError (a value out of
-    float range, b / m among them) makes the cells it reaches input_error.  A bad
-    ``tol`` (by ``check_tol``) or non-finite ``holds_tol`` raises ParamError first.
+    float range, b / m among them) makes the cells it reaches input_error.
+    A row holds by ``core.make_report``'s rule.
     """
-    check_tol(tol)
-    if not np.isfinite(holds_tol):  # a negative one is legal
-        raise ParamError(f"holds_tol must be finite, got {holds_tol}")
     # looked up per group so that a replaced ``<id>_rhs`` is the one used
     thms = [(tid, THEOREMS.get(tid), globals().get(f"{tid}_rhs")) for tid in theorem_ids]
     P = np.array(list(params), dtype=float).reshape(-1, 5)
@@ -363,7 +359,7 @@ def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
 
     if open_.any():
         try:
-            mean, err = integral_mean(fn, iv, tol)
+            mean, err = integral_mean(fn, iv)
         except (ParamError, DomainError, ArithmeticError) as exc:
             error[open_], open_[:] = exc.with_traceback(None), False
     names = {}
@@ -372,7 +368,7 @@ def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
         for rows, (value, branches) in _passing(P, np.flatnonzero(open_[:, j]), error[:, j], rhs):
             weights = (P[rows, 2], P[rows, 3]) if thm.lhs == "weighted" else (1.0, 1.0)
             lhs = mean if thm.lhs == "mean" else abs(_weighted_endpoint(fn, iv, *weights) - mean)
-            r = make_report(tid, lhs, value, err, holds_tol)
+            r = make_report(tid, lhs, value, err)
             pair = sorted(k for k in branches if k != "loose")
             names[tid] = (*pair[:2], "loose") if len(pair) >= 2 else (None, None, "loose")
             for col, v in (("lhs", lhs), ("rhs", value), ("slack", r.slack), ("holds", r.holds),
@@ -386,7 +382,7 @@ def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
 
 
 def verify(fn: TestFunction, iv: Interval, p: Params, theorem_id: str,
-           tol: float = DEFAULT_LHS_TOL, gate: bool = True) -> BoundReport:
+           gate: bool = True) -> BoundReport:
     """Check the named bound; ``gate=False`` skips the hypothesis check.
 
     Raises ParamError (unknown theorem, q = 1 for a bound that needs q > 1),
@@ -395,7 +391,7 @@ def verify(fn: TestFunction, iv: Interval, p: Params, theorem_id: str,
     failure is never a theorem violation.
     """
     cols = assess_group(fn, iv.a, iv.b, [(p.alpha, p.m, p.lam, p.mu, p.q)], [theorem_id],
-                        tol, gate_of=hypothesis_verdict if gate else None)
+                        gate_of=hypothesis_verdict if gate else None)
     cell = Columns(*(column[0] for column in cols[:-1]), cols.branch_names)
     if cell.status == "gate_skipped":
         v = cell.verdict

@@ -9,6 +9,8 @@ bool or None); ``_table`` puts the ``INPUT_COLUMNS`` in front.  ``run_sweep``
 yields one table per tie class of groups, in row order; the writers format each
 distinct value of a column once per table, floats in shortest round-trip form,
 and join the texts row by row, so identical inputs give identical files.
+The LHS quadrature tolerance (``bounds.DEFAULT_LHS_TOL``) and the slack a row
+may miss by (``core.HOLDS_SLACK``) are constants: no flag or spec key sets them.
 
 Exit codes: 0 all bounds hold, 1 a violation was found, 2 a convexity gate
 failed (hypothesis not satisfied, not a violation), 3 input error.
@@ -32,8 +34,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import bounds, coefficients, quadrature
-from .core import (HOLDS_SLACK, DomainError, Interval, ParamError, Params, corpus_by_id,
-                   make_report)
+from .core import DomainError, Interval, ParamError, Params, corpus_by_id, make_report
 from .means import BOUND_OF, proposition_check
 
 SCHEMA_VERSION = 1
@@ -54,9 +55,7 @@ def _fmt(v) -> str:
 # ---------------------------------------------------------------------------
 # Rows.
 
-def group_rows(fn_id: str, a: float, b: float, params, theorems,
-               quad_tol: float = bounds.DEFAULT_LHS_TOL,
-               holds_tol: float = HOLDS_SLACK) -> tuple[list, str | None]:
+def group_rows(fn_id: str, a: float, b: float, params, theorems) -> tuple[list, str | None]:
     """The ``bounds.ROW_COLUMNS`` of one (function, interval) group, as lists
     in ``bounds.assess_group``'s order, and the text of its cells' first
     out-of-float-range error (an OverflowError's without its errno), or None."""
@@ -64,7 +63,7 @@ def group_rows(fn_id: str, a: float, b: float, params, theorems,
     if fn is None:
         n = len(params) * len(theorems)
         return [["input_error"] * n] + [[None] * n for _ in bounds.ROW_COLUMNS[1:]], None
-    cols = bounds.assess_group(fn, a, b, params, theorems, quad_tol, holds_tol)
+    cols = bounds.assess_group(fn, a, b, params, theorems)
     errors = dict.fromkeys(cols.error)  # each distinct one (by identity), in cell order
     return list(cols[:len(bounds.ROW_COLUMNS)]), next(
         (str(*e.args[-1:]) for e in errors if isinstance(e, ArithmeticError)), None)
@@ -84,20 +83,18 @@ def _table(groups, cells, results) -> list:
     return table
 
 
-def _point_table(args, theorems, holds_tol: float = HOLDS_SLACK) -> list:
+def _point_table(args, theorems) -> list:
     """The one-group table of the point flags' ``args`` under each of ``theorems``."""
     point = (args.alpha, args.m, args.lam, args.mu, args.q)
     return _table([(args.fn, args.a, args.b)], [(*point, t) for t in theorems],
-                  [group_rows(args.fn, args.a, args.b, [point], theorems, args.tol, holds_tol)])
+                  [group_rows(args.fn, args.a, args.b, [point], theorems)])
 
 
 def eval_row(fn_id: str, a: float, b: float, alpha: float, m: float,
-             lam: float, mu: float, q: float, theorem: str,
-             quad_tol: float = bounds.DEFAULT_LHS_TOL,
-             holds_tol: float = HOLDS_SLACK) -> dict:
+             lam: float, mu: float, q: float, theorem: str) -> dict:
     """The report row of one (config, theorem) cell, keyed by ``COLUMNS``."""
-    args = SimpleNamespace(fn=fn_id, a=a, b=b, alpha=alpha, m=m, lam=lam, mu=mu, q=q, tol=quad_tol)
-    return {c: v for c, (v,) in zip(COLUMNS, _point_table(args, [theorem], holds_tol))}
+    args = SimpleNamespace(fn=fn_id, a=a, b=b, alpha=alpha, m=m, lam=lam, mu=mu, q=q)
+    return {c: v for c, (v,) in zip(COLUMNS, _point_table(args, [theorem]))}
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +110,6 @@ class SweepSpec:
     mu: list = field(default_factory=lambda: [1.0])
     q: list = field(default_factory=lambda: [1.0])
     theorems: list = field(default_factory=lambda: list(bounds.THEOREM_IDS))
-    quad_tol: float = bounds.DEFAULT_LHS_TOL
-    holds_tol: float = HOLDS_SLACK
 
     def size(self) -> int:
         return (len(self.functions) * len(self.intervals) * len(self.alpha)
@@ -177,17 +172,10 @@ def parse_sweep_file(path: str) -> SweepSpec:
         elif key in ("alpha", "m", "lambda", "mu", "q"):
             setattr(spec, "lam" if key == "lambda" else key,
                     [_number(s, where) for s in items])
-        elif key in ("quad_tol", "holds_tol"):
-            if len(items) != 1:
-                raise ParamError(f"{where}: {key} takes one value")
-            setattr(spec, key, _number(items[0], where))
         else:
             raise ParamError(f"{where}: unknown key {key!r}")
     if not spec.functions or not spec.intervals:
         raise ParamError(f"{path}: functions and intervals must be non-empty")
-    quadrature.check_tol(spec.quad_tol, f"{path}: quad_tol")
-    if math.isinf(spec.holds_tol):  # a negative one is legal
-        raise ParamError(f"{path}: holds_tol must be finite, got {spec.holds_tol}")
     return spec
 
 
@@ -208,7 +196,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, summary: dict | None = None):
     workers = min(jobs, len(groups))
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
-        tasks = [(*g, params, spec.theorems, spec.quad_tol, spec.holds_tol) for g in groups]
+        tasks = [(*g, params, spec.theorems) for g in groups]
         results = (pool.map(group_rows, *zip(*tasks)) if pool
                    else itertools.starmap(group_rows, tasks))
         for _, tied in itertools.groupby(groups):
@@ -354,7 +342,7 @@ def cmd_tightness(args) -> int:
         fn = corpus_by_id()[args.fn]
         iv = Interval(args.a, args.b)
         lower, upper = bounds.bound_hh(fn, iv)
-        mean, err = bounds.integral_mean(fn, iv, args.tol)
+        mean, err = bounds.integral_mean(fn, iv)
         r = make_report("hh_upper", mean, upper, err)
         baseline = dict(theorem="hh_upper", status="ok", lhs=r.lhs, rhs=r.rhs, slack=r.slack,
                         holds=r.holds, quad_error=r.quad_error, branch1=lower)
@@ -402,7 +390,6 @@ def _add_point_flags(sub) -> None:
     sub.add_argument("--lambda", dest="lam", type=float, default=1.0)
     sub.add_argument("--mu", type=float, default=1.0)
     sub.add_argument("--q", type=float, default=1.0)
-    sub.add_argument("--tol", type=float, default=bounds.DEFAULT_LHS_TOL)
     sub.add_argument("--format", choices=["json", "csv", "text"], default="text")
 
 
@@ -451,7 +438,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return 3 if exc.code else 0
     try:
-        quadrature.check_tol(getattr(args, "tol", 1.0), "--tol")
         return args.func(args)
     except (ParamError, DomainError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -49,7 +50,7 @@ HOLDS_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class Interval:
-    """Integration domain [a, b] with 0 <= a < b."""
+    """Integration domain [a, b] with 0 <= a < b and a normal float width b - a."""
 
     a: float
     b: float
@@ -59,6 +60,8 @@ class Interval:
             raise ParamError(f"interval endpoints must be finite, got [{self.a}, {self.b}]")
         if not 0 <= self.a < self.b:
             raise ParamError(f"interval requires 0 <= a < b, got [{self.a}, {self.b}]")
+        if self.b - self.a < sys.float_info.min:  # the integral would round to 0
+            raise ParamError(f"interval width must be a normal float, got [{self.a}, {self.b}]")
 
     @property
     def width(self) -> float:
@@ -96,8 +99,9 @@ class Params:
                 bad, *columns = np.broadcast_arrays(~np.asarray(holds), *fields.values())
                 errors = [ParamError(message.format(**dict(zip(fields, cell))))
                           for cell in zip(*(column[bad].tolist() for column in columns))]
-                errors[0].cells, errors[0].cell_errors = bad, errors
-                raise errors[0]
+                if errors:  # a column of zero cells has no failing cell
+                    errors[0].cells, errors[0].cell_errors = bad, errors
+                    raise errors[0]
 
     @property
     def p(self) -> float:
@@ -153,11 +157,10 @@ class BoundReport:
     branches: dict = field(default_factory=dict)
 
 
-def make_report(theorem_id: str, lhs: float, rhs: float, quad_error: float,
-                holds_tol: float = HOLDS_SLACK) -> BoundReport:
-    """The bound holds when lhs <= rhs + quad_error + holds_tol."""
+def make_report(theorem_id: str, lhs: float, rhs: float, quad_error: float) -> BoundReport:
+    """The bound holds when lhs <= rhs + quad_error + HOLDS_SLACK."""
     slack = rhs - lhs
-    holds = lhs <= rhs + quad_error + holds_tol
+    holds = lhs <= rhs + quad_error + HOLDS_SLACK
     return BoundReport(theorem_id=theorem_id, lhs=lhs, rhs=rhs, slack=slack,
                        holds=holds, quad_error=quad_error)
 

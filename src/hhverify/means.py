@@ -110,7 +110,7 @@ def proposition_check(k: int, a: float, b: float, p: Params,
         mean_lhs, mean_rhs, corollary_rhs, note = _mean_forms(k, a, b, p, n)
     except ArithmeticError as exc:
         raise NonFiniteError(f"proposition {k}: a power of a or b is out of float "
-                             f"range on ({a}, {b}) ({exc})") from None
+                             f"range on ({a}, {b}) ({str(*exc.args[-1:])})") from None
     residual = abs(mean_rhs - corollary_rhs)
     holds = mean_lhs <= corollary_rhs + HOLDS_SLACK
     return PropositionResult(prop=k, mean_lhs=mean_lhs, mean_rhs=mean_rhs,

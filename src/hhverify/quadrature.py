@@ -86,11 +86,6 @@ def _units(x: float) -> int:
     return n * ((1 << 1074) // d)
 
 
-def check_tol(tol: float, name: str = "tolerance") -> None:
-    if not 0 < tol < math.inf:  # a tolerance the integrator can meet
-        raise ParamError(f"{name} must be positive and finite, got {tol}")
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite panel sum raises NonFiniteError
 def integrate(f: Callable, iv: Interval | tuple[float, float], tol: float = 1e-9,
               breakpoints: Sequence[float] = ()) -> QuadResult:
@@ -105,7 +100,8 @@ def integrate(f: Callable, iv: Interval | tuple[float, float], tol: float = 1e-9
     instead of raising, so callers can widen their own tolerances by the
     reported error.
     """
-    check_tol(tol)
+    if not 0 < tol < math.inf:  # a tolerance the integrator can meet
+        raise ParamError(f"tolerance must be positive and finite, got {tol}")
     a, b = (iv.a, iv.b) if isinstance(iv, Interval) else iv
     if not -math.inf < a < b < math.inf:
         raise ParamError(f"integration bounds must be finite with a < b, got [{a}, {b}]")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import hypothesis
 import numpy as np
@@ -19,6 +20,14 @@ class TestInterval:
     def test_invalid(self, a, b):
         with pytest.raises(ParamError):
             Interval(a, b)
+
+    @pytest.mark.parametrize("a,b", [(0.0, 5e-324), (0.0, 2.5e-310), (1e-308, 1.5e-308)])
+    def test_subnormal_width_rejected(self, a, b):
+        # the integral of exp over [0, 5e-324] is 0.0, so its mean read 0
+        with pytest.raises(ParamError) as info:
+            Interval(a, b)
+        assert str(info.value) == f"interval width must be a normal float, got [{a}, {b}]"
+        assert Interval(a, a + sys.float_info.min).width == sys.float_info.min
 
 
 class TestParams:
@@ -41,6 +50,12 @@ class TestParams:
     def test_invalid(self, kwargs):
         with pytest.raises(ParamError):
             Params(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [dict(alpha=np.array([]), m=math.nan),
+                                        dict(q=np.array([]), lam=0.0, mu=0.0)])
+    def test_zero_cells_have_no_failing_cell(self, kwargs):
+        # a scalar field that fails a rule beside an empty column raised IndexError
+        assert np.broadcast(*vars(Params(**kwargs)).values()).size == 0
 
 
 # The admissible set's rules in the order a point checks them, each known by

@@ -67,7 +67,7 @@ class TestIntegrate:
             integrate(lambda x: float("nan") if 0.4 < x < 0.6 else x, (0.0, 1.0))
 
     def test_bad_tolerance_rejected(self):
-        with pytest.raises(ParamError):
+        with pytest.raises(ParamError, match="^tolerance must be positive and finite, got 0.0$"):
             integrate(lambda x: x, (0.0, 1.0), tol=0.0)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
