@@ -4,11 +4,13 @@ Subcommands: verify | sweep | tightness | means.  Every (function, interval,
 params, theorem) cell goes through ``group_rows``: the ``bounds.ROW_COLUMNS``
 that ``bounds.assess_group`` (the path behind the library's ``verify``)
 computes for one (function, interval) group, all that a ``--jobs`` worker sends
-back.  A table is the ``COLUMNS`` as lists of plain values (str, int, float,
-bool or None); ``_table`` puts the ``INPUT_COLUMNS`` in front.  ``run_sweep``
-yields one table per tie class of groups, in row order; the writers format each
-distinct value of a column once per table, floats in shortest round-trip form,
-and join the texts row by row, so identical inputs give identical files.
+back.  ``run_sweep`` yields one ``Table`` per tie class of groups, in row order:
+the groups' heads (schema, fn, a, b), the sweep's one list of cells (alpha, m,
+lambda, mu, q, theorem), the row order and the computed columns in that order,
+all plain values (str, int, float, bool or None).  The writers format the cells
+once per sweep, a head once per group and a computed column once per distinct
+value, floats in shortest round-trip form, and join the texts row by row, so
+identical inputs give identical files.
 The LHS quadrature tolerance (``bounds.DEFAULT_LHS_TOL``) and the slack a row
 may miss by (``core.HOLDS_SLACK``) are constants: no flag or spec key sets them.
 
@@ -24,7 +26,7 @@ import itertools
 import json
 import math
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
@@ -41,60 +43,68 @@ SCHEMA_VERSION = 1
 
 INPUT_COLUMNS = ("schema", "fn", "a", "b", "alpha", "m", "lambda", "mu", "q", "theorem")
 COLUMNS = [*INPUT_COLUMNS, *bounds.ROW_COLUMNS]
-_THEOREM, _STATUS, _SLACK, _HOLDS = map(COLUMNS.index, ("theorem", "status", "slack", "holds"))
+_STATUS, _SLACK = map(bounds.ROW_COLUMNS.index, ("status", "slack"))
+Table = namedtuple("Table", ("heads", "cells", "order", "columns"))
 
 
 def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return str(v)
+    return "" if v is None else ("true" if v else "false") if isinstance(v, bool) else str(v)
 
 
 # ---------------------------------------------------------------------------
 # Rows.
 
-def group_rows(fn_id: str, a: float, b: float, params, theorems) -> tuple[list, str | None]:
-    """The ``bounds.ROW_COLUMNS`` of one (function, interval) group, as lists
-    in ``bounds.assess_group``'s order, and the text of its cells' first
-    out-of-float-range error (an OverflowError's without its errno), or None."""
+def _assess(fn_id: str, a: float, b: float, params, theorems) -> tuple[list, list]:
+    """One (function, interval) group's ``bounds.ROW_COLUMNS`` as lists in ``assess_group``'s
+    order, and each distinct error (by identity) of its input_error cells, in cell order."""
     fn = corpus_by_id().get(fn_id)
     if fn is None:
         n = len(params) * len(theorems)
-        return [["input_error"] * n] + [[None] * n for _ in bounds.ROW_COLUMNS[1:]], None
+        return ([["input_error"] * n] + [[None] * n for _ in bounds.ROW_COLUMNS[1:]],
+                [ParamError(f"unknown function {fn_id!r}")])
     cols = bounds.assess_group(fn, a, b, params, theorems)
-    errors = dict.fromkeys(cols.error)  # each distinct one (by identity), in cell order
-    return list(cols[:len(bounds.ROW_COLUMNS)]), next(
-        (str(*e.args[-1:]) for e in errors if isinstance(e, ArithmeticError)), None)
+    return list(cols[:len(bounds.ROW_COLUMNS)]), list(dict.fromkeys(
+        e for e, s in zip(cols.error, cols.status) if s == "input_error"))
 
 
-def _table(groups, cells, results) -> list:
-    """The ``COLUMNS`` as lists: for each (fn_id, a, b) of ``groups`` in turn, its
-    ``cells`` of (alpha, m, lambda, mu, q, theorem) beside the columns of its
-    ``group_rows`` result; a group that left the float range is named on stderr."""
-    table = [[] for _ in COLUMNS]
-    for (fn_id, a, b), (columns, overflow) in zip(groups, results):
-        if overflow:
-            print(f"warning: {fn_id} [{a}, {b}]: {overflow}", file=sys.stderr)
-        head = ([v] * len(cells) for v in (SCHEMA_VERSION, fn_id, a, b))
-        for column, values in zip(table, (*head, *zip(*cells), *columns)):
-            column += values
-    return table
+def group_rows(fn_id: str, a: float, b: float, params, theorems) -> tuple[list, str | None]:
+    """``_assess``' columns, and the text of the group's first out-of-float-range error
+    (its last argument: an OverflowError's without the errno) or None; all that a
+    ``--jobs`` worker sends back."""
+    columns, errors = _assess(fn_id, a, b, params, theorems)
+    return columns, next((str(*e.args[-1:]) for e in errors if isinstance(e, ArithmeticError)),
+                         None)
 
 
-def _point_table(args, theorems) -> list:
-    """The one-group table of the point flags' ``args`` under each of ``theorems``."""
+def _rows(table: Table, heads: list, cells: list):
+    """Each row i of ``table`` as (``heads[order[i] // len(table.cells)]``, ``cells[order[i]
+    % len(table.cells)]``, *its computed values): the table's own heads and cells, or texts."""
+    n = len(table.cells)
+    return zip([heads[i // n] for i in table.order], [cells[i % n] for i in table.order],
+               *table.columns)
+
+
+def _point_table(args, theorems) -> Table:
+    """The one-group table of the point flags' ``args`` under each of ``theorems``, rows in
+    cell order; each distinct input error is named on stderr, an overflow as a sweep does."""
     point = (args.alpha, args.m, args.lam, args.mu, args.q)
-    return _table([(args.fn, args.a, args.b)], [(*point, t) for t in theorems],
-                  [group_rows(args.fn, args.a, args.b, [point], theorems)])
+    columns, errors = _assess(args.fn, args.a, args.b, [point], theorems)
+    warning = f"warning: {args.fn} [{args.a}, {args.b}]:"  # a value out of float range
+    for line in dict.fromkeys(f"{warning if isinstance(e, ArithmeticError) else 'error:'} "
+                              f"{str(*e.args[-1:])}" for e in errors):
+        print(line, file=sys.stderr)
+    cells = [(*point, t) for t in theorems]
+    return Table([(SCHEMA_VERSION, args.fn, args.a, args.b)], cells, list(range(len(cells))),
+                 columns)
 
 
 def eval_row(fn_id: str, a: float, b: float, alpha: float, m: float,
              lam: float, mu: float, q: float, theorem: str) -> dict:
     """The report row of one (config, theorem) cell, keyed by ``COLUMNS``."""
     args = SimpleNamespace(fn=fn_id, a=a, b=b, alpha=alpha, m=m, lam=lam, mu=mu, q=q)
-    return {c: v for c, (v,) in zip(COLUMNS, _point_table(args, [theorem]))}
+    table = _point_table(args, [theorem])
+    ((head, cell, *values),) = _rows(table, table.heads, table.cells)
+    return dict(zip(COLUMNS, (*head, *cell, *values)))
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +122,8 @@ class SweepSpec:
     theorems: list = field(default_factory=lambda: list(bounds.THEOREM_IDS))
 
     def size(self) -> int:
-        return (len(self.functions) * len(self.intervals) * len(self.alpha)
-                * len(self.m) * len(self.lam) * len(self.mu) * len(self.q)
-                * len(self.theorems))
+        return math.prod(map(len, (self.functions, self.intervals, self.alpha, self.m, self.lam,
+                                   self.mu, self.q, self.theorems)))
 
 
 def default_sweep_spec() -> SweepSpec:
@@ -123,12 +132,7 @@ def default_sweep_spec() -> SweepSpec:
     return SweepSpec(
         functions=sorted(corpus_by_id()),
         intervals=[(0.0, 1.0), (1.0, 2.0), (0.5, 3.0), (2.0, 5.0)],
-        alpha=[0.5, 1.0],
-        m=[0.5, 1.0],
-        lam=grid,
-        mu=grid,
-        q=[1.0, 2.0, 3.0],
-    )
+        alpha=[0.5, 1.0], m=[0.5, 1.0], lam=grid, mu=grid, q=[1.0, 2.0, 3.0])
 
 
 def _number(text: str, where: str) -> float:
@@ -159,8 +163,9 @@ def parse_sweep_file(path: str) -> SweepSpec:
         key = key.strip().lower()
         items = [s.strip() for s in rest.split(",") if s.strip()]
         where = f"{path}:{lineno}"
-        if not items and key in ("functions", "intervals", "theorems", "alpha", "m", "lambda",
-                                 "mu", "q"):
+        if key not in ("functions", "intervals", "theorems", "alpha", "m", "lambda", "mu", "q"):
+            raise ParamError(f"{where}: unknown key {key!r}")
+        if not items:
             raise ParamError(f"{where}: {key} needs at least one value")
         if key in ("functions", "theorems"):
             setattr(spec, key, items)
@@ -169,11 +174,8 @@ def parse_sweep_file(path: str) -> SweepSpec:
             if any(len(pair) != 2 for pair in pairs):
                 raise ParamError(f"{where}: intervals must be a:b pairs")
             spec.intervals = [(_number(a, where), _number(b, where)) for a, b in pairs]
-        elif key in ("alpha", "m", "lambda", "mu", "q"):
-            setattr(spec, "lam" if key == "lambda" else key,
-                    [_number(s, where) for s in items])
         else:
-            raise ParamError(f"{where}: unknown key {key!r}")
+            setattr(spec, "lam" if key == "lambda" else key, [_number(s, where) for s in items])
     if not spec.functions or not spec.intervals:
         raise ParamError(f"{path}: functions and intervals must be non-empty")
     return spec
@@ -181,38 +183,45 @@ def parse_sweep_file(path: str) -> SweepSpec:
 
 def run_sweep(spec: SweepSpec, jobs: int = 1, summary: dict | None = None):
     """Yield the cross product's rows, in the order of the inputs after schema and
-    ties in spec order, as one table per tie class: the (function, interval)
-    groups whose keys compare equal (a repeated interval, -0.0 beside 0.0), run
-    in sorted order on at most ``min(jobs, groups)`` processes and stable-sorted
-    before the next class runs.  Once all have gone by, ``summary`` (if given)
-    holds the count of every status and the minimum observed slack."""
+    ties in spec order, as one ``Table`` per tie class: the (function, interval)
+    groups whose keys compare equal (a repeated interval, -0.0 beside 0.0), run in
+    sorted order on at most ``min(jobs, groups)`` processes and stable-sorted before
+    the next class runs; every table holds the one list of cells.  Once all have gone
+    by, ``summary`` (if given) holds the count of every status and the least slack."""
     params = list(itertools.product(spec.alpha, spec.m, spec.lam, spec.mu, spec.q))
     cells = [(*p, t) for p, t in itertools.product(params, spec.theorems)]
     # every group has these cells: rank places each among the distinct keys (-0.0 == 0.0)
     place = {key: i for i, key in enumerate(sorted(set(cells)))}
-    rank = np.array([place[cell] for cell in cells])
+    rank = np.array([place[cell] for cell in cells], dtype=int)
+    by_rank = np.argsort(rank, kind="stable").tolist()  # the order of a one-group class
     groups = sorted((f, a, b) for f, (a, b) in itertools.product(spec.functions, spec.intervals))
     counts, tightest = Counter(), []  # each table's (min slack, its inputs after schema)
     workers = min(jobs, len(groups))
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else nullcontext()) as pool:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         tasks = [(*g, params, spec.theorems) for g in groups]
         results = (pool.map(group_rows, *zip(*tasks)) if pool
                    else itertools.starmap(group_rows, tasks))
         for _, tied in itertools.groupby(groups):
             tied = list(tied)
-            table = _table(tied, cells, itertools.islice(results, len(tied)))
-            order = np.argsort(np.tile(rank, len(tied)), kind="stable").tolist()
-            if len(order) > 1:  # itemgetter of one index returns the bare cell
-                table = [list(column) for column in map(itemgetter(*order), table)]
-            counts.update(table[_STATUS])
-            slack, ok = table[_SLACK], [i for i, s in enumerate(table[_STATUS]) if s == "ok"]
+            columns = [[] for _ in bounds.ROW_COLUMNS]
+            for (fn_id, a, b), (computed, overflow) in zip(tied, results):  # stops at tied's end
+                if overflow:  # the group left the float range
+                    print(f"warning: {fn_id} [{a}, {b}]: {overflow}", file=sys.stderr)
+                for column, values in zip(columns, computed):
+                    column += values
+            order = by_rank if len(tied) == 1 else np.argsort(
+                np.tile(rank, len(tied)), kind="stable").tolist()
+            if len(order) > 1:  # itemgetter of one index returns the bare value
+                columns = [list(column) for column in map(itemgetter(*order), columns)]
+            counts.update(columns[_STATUS])
+            slack, ok = columns[_SLACK], [i for i, s in enumerate(columns[_STATUS]) if s == "ok"]
             if ok:  # min keeps the first of equal slacks, so ties go to the earliest row
                 i = min(ok, key=slack.__getitem__)
-                tightest.append((slack[i], tuple(c[i] for c in table[1:len(INPUT_COLUMNS)])))
-            yield table
+                g, c = divmod(order[i], len(cells))
+                tightest.append((slack[i], (*tied[g], *cells[c])))
+            yield Table([(SCHEMA_VERSION, *group) for group in tied], cells, order, columns)
     if summary is not None:
-        min_slack, config = min(tightest, key=lambda pair: pair[0], default=(None, None))
+        min_slack, config = min(tightest, key=itemgetter(0), default=(None, None))
         summary.update(total=sum(counts.values()), holds=counts["ok"],
                        violations=counts["violation"],
                        **{s: counts[s] for s in ("gate_skipped", "not_applicable", "input_error")},
@@ -222,20 +231,29 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, summary: dict | None = None):
 # ---------------------------------------------------------------------------
 # Output helpers: each writes an iterable of tables to a text file.
 
+def _texts(column, fmt):
+    """``fmt`` of each value of ``column``, once per distinct value in a column of one plain
+    type, None aside (1 == 1.0 == True), and one sign of zero (0.0 == -0.0)."""
+    kinds = set(map(type, column)) - {type(None)}
+    zero_signs = {math.copysign(1.0, v) for v in column if v == 0} if (
+        kinds == {float} and 0.0 in column) else ()
+    if len(kinds) <= 1 and kinds <= {float, int, bool, str} and len(zero_signs) < 2:
+        fmt = {v: fmt(v) for v in set(column)}.__getitem__
+    return map(fmt, column)
+
+
 def _row_texts(tables, formats, sep: str):
-    """Yield each row of the tables as its cells' texts, cell i by ``formats[i]``, joined
-    by ``sep``; a column of a table whose cells have one plain type, None aside (1 == 1.0
-    == True), and one sign of zero (0.0 == -0.0) is formatted once per distinct value."""
+    """Yield each row of the tables as its texts, value i by ``formats[i]`` (``COLUMNS``: 4
+    of the head, 6 of the cell, then the computed ones), joined by ``sep``; the cells are
+    formatted once per cell list (a sweep has one), the heads once per table."""
+    cells, cell_texts = None, []
     for table in tables:
-        columns = []
-        for column, fmt in zip(table, formats):
-            kinds = set(map(type, column)) - {type(None)}
-            zero_signs = {math.copysign(1.0, v) for v in column if v == 0} if (
-                kinds == {float} and 0.0 in column) else ()
-            if len(kinds) <= 1 and kinds <= {float, int, bool, str} and len(zero_signs) < 2:
-                fmt = {v: fmt(v) for v in set(column)}.__getitem__
-            columns.append(map(fmt, column))
-        yield from map(sep.join, zip(*columns))
+        if table.cells is not cells:
+            cells = table.cells
+            cell_texts = list(map(sep.join, zip(*map(_texts, zip(*cells), formats[4:10]))))
+        heads = [sep.join(f(v) for f, v in zip(formats, head)) for head in table.heads]
+        columns = map(_texts, table.columns, formats[10:])
+        yield from map(sep.join, _rows(table._replace(columns=columns), heads, cell_texts))
 
 
 def write_csv(tables, out) -> None:
@@ -247,7 +265,7 @@ def write_csv(tables, out) -> None:
     def cell(v) -> str:  # csv writes a float as its repr, and None as ""
         return repr(v) if type(v) is float else line((v, None))[:-2]
     formats = [cell] * len(COLUMNS)
-    formats[_HOLDS] = lambda v: cell(_fmt(v))
+    formats[COLUMNS.index("holds")] = lambda v: cell(_fmt(v))
     formats[-1] = lambda v: cell(v) + "\n"  # the last cell ends the line
     out.write(line(COLUMNS))
     out.writelines(_row_texts(tables, formats, ","))
@@ -273,9 +291,11 @@ def _emit(tables, fmt: str, out) -> None:
     elif fmt == "json":
         write_json(tables, out)
     else:
-        for row in itertools.chain.from_iterable(zip(*table) for table in tables):
-            pairs = (f"{c}={_fmt(v)}" for c, v in zip(COLUMNS, row) if v is not None)
-            out.write("  ".join(pairs) + "\n")
+        for table in tables:
+            for head, cell, *values in _rows(table, table.heads, table.cells):
+                pairs = (f"{c}={_fmt(v)}" for c, v in zip(COLUMNS, (*head, *cell, *values))
+                         if v is not None)
+                out.write("  ".join(pairs) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +304,7 @@ def _emit(tables, fmt: str, out) -> None:
 def cmd_verify(args) -> int:
     table = _point_table(args, [args.theorem])
     _emit([table], args.format, sys.stdout)
-    (status,) = table[_STATUS]
+    (status,) = table.columns[_STATUS]
     if args.crosscheck and status in ("ok", "violation"):
         residual = crosscheck_coefficients(args.alpha, args.lam, args.mu)
         print(f"crosscheck: max gamma deviation from quadrature oracle = {residual:.3e}")
@@ -293,14 +313,10 @@ def cmd_verify(args) -> int:
 
 def crosscheck_coefficients(alpha: float, lam: float, mu: float) -> float:
     """Largest deviation of the closed-form kernel moments from quadrature."""
-    g = coefficients.gamma_coeffs(alpha, lam, mu)
-    pairs = [
-        (g["gamma1"], quadrature.kernel_moment(alpha, lam, mu, "t^alpha", "lambda")),
-        (g["gamma2"], quadrature.kernel_moment(alpha, lam, mu, "1-t^alpha", "lambda")),
-        (g["gamma3"], quadrature.kernel_moment(alpha, lam, mu, "t^alpha", "mu")),
-        (g["gamma4"], quadrature.kernel_moment(alpha, lam, mu, "1-t^alpha", "mu")),
-    ]
-    return max(abs(c - o) for c, o in pairs)
+    g = coefficients.gamma_coeffs(alpha, lam, mu)  # gamma1..gamma4, lambda's pair first
+    pairs = itertools.product(("lambda", "mu"), ("t^alpha", "1-t^alpha"))
+    return max(abs(g[f"gamma{i}"] - quadrature.kernel_moment(alpha, lam, mu, kernel, weight))
+               for i, (weight, kernel) in enumerate(pairs, 1))
 
 
 def cmd_sweep(args) -> int:
@@ -314,18 +330,15 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     with output as out:
-        print(f"sweep: {spec.size()} rows "
-              f"({len(spec.functions)} functions x {len(spec.intervals)} intervals x "
-              f"{len(spec.alpha)}x{len(spec.m)} (alpha,m) x "
-              f"{len(spec.lam)}x{len(spec.mu)} weights x {len(spec.q)} q x "
-              f"{len(spec.theorems)} theorems)")
+        print(f"sweep: {spec.size()} rows ({len(spec.functions)} functions x "
+              f"{len(spec.intervals)} intervals x {len(spec.alpha)}x{len(spec.m)} (alpha,m) x "
+              f"{len(spec.lam)}x{len(spec.mu)} weights x {len(spec.q)} q x {len(spec.theorems)} "
+              "theorems)")
         summary = {}
         _emit(run_sweep(spec, args.jobs, summary), args.format, out)
 
-    print(f"total={summary['total']} holds={summary['holds']} "
-          f"violations={summary['violations']} gate_skipped={summary['gate_skipped']} "
-          f"not_applicable={summary['not_applicable']} "
-          f"input_error={summary['input_error']}")
+    print(" ".join(f"{key}={summary[key]}" for key in ("total", "holds", "violations",
+                   "gate_skipped", "not_applicable", "input_error")))
     if summary["min_slack"] is not None:
         print(f"min_slack={_fmt(summary['min_slack'])} at {summary['min_slack_config']}")
     return 1 if summary["violations"] else 0
@@ -344,22 +357,24 @@ def cmd_tightness(args) -> int:
         lower, upper = bounds.bound_hh(fn, iv)
         mean, err = bounds.integral_mean(fn, iv)
         r = make_report("hh_upper", mean, upper, err)
-        baseline = dict(theorem="hh_upper", status="ok", lhs=r.lhs, rhs=r.rhs, slack=r.slack,
+        baseline = dict(status="ok", lhs=r.lhs, rhs=r.rhs, slack=r.slack,
                         holds=r.holds, quad_error=r.quad_error, branch1=lower)
     except (KeyError, ParamError, DomainError):
         baseline = None  # group_rows has already marked these rows input_error or not_applicable
     except ArithmeticError:  # a value out of float range: the baseline is an input error
-        baseline = dict(theorem="hh_upper", status="input_error")
+        baseline = dict(status="input_error")
     if baseline:  # one more row: the point's inputs, then the baseline's columns or None
-        for i, (column, name) in enumerate(zip(table, COLUMNS)):
-            column.append(column[0] if i < _THEOREM else baseline.get(name))
+        table.order.append(len(table.cells))
+        table.cells.append((*table.cells[0][:-1], "hh_upper"))
+        for column, name in zip(table.columns, bounds.ROW_COLUMNS):
+            column.append(baseline.get(name))
 
-    status, slack = table[_STATUS], table[_SLACK]
+    status, slack = table.columns[_STATUS], table.columns[_SLACK]
     ranked = sorted((i for i, s in enumerate(status) if s in ("ok", "violation")),
                     key=slack.__getitem__)
     _emit([table], args.format, sys.stdout)
-    if ranked:
-        print(f"tightest: {table[_THEOREM][ranked[0]]} (slack={_fmt(slack[ranked[0]])})")
+    if ranked:  # a point table's rows are in cell order
+        print(f"tightest: {table.cells[ranked[0]][-1]} (slack={_fmt(slack[ranked[0]])})")
     return 1 if "violation" in status else 3 if "input_error" in status else 0
 
 
@@ -371,25 +386,23 @@ def cmd_means(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     payload = {"schema": SCHEMA_VERSION, **asdict(result)}
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for key, value in payload.items():
-            print(f"{key}={_fmt(value)}")
+    print(json.dumps(payload, indent=2) if args.format == "json"
+          else "\n".join(f"{key}={_fmt(value)}" for key, value in payload.items()))
     return 0 if result.holds else 1
 
 
 # ---------------------------------------------------------------------------
 
+def _weight_flags(sub, *flags) -> None:
+    for flag in flags:  # lambda is a Python keyword, so --lambda is read into lam
+        sub.add_argument(flag, dest=flag[2:].replace("lambda", "lam"), type=float, default=1.0)
+
+
 def _add_point_flags(sub) -> None:
     sub.add_argument("--fn", required=True, help="corpus function id")
-    sub.add_argument("--a", type=float, required=True)
-    sub.add_argument("--b", type=float, required=True)
-    sub.add_argument("--alpha", type=float, default=1.0)
-    sub.add_argument("--m", type=float, default=1.0)
-    sub.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    sub.add_argument("--mu", type=float, default=1.0)
-    sub.add_argument("--q", type=float, default=1.0)
+    for flag in ("--a", "--b"):
+        sub.add_argument(flag, type=float, required=True)
+    _weight_flags(sub, "--alpha", "--m", "--lambda", "--mu", "--q")
     sub.add_argument("--format", choices=["json", "csv", "text"], default="text")
 
 
@@ -422,11 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_means.add_argument("--prop", type=int, required=True, choices=list(BOUND_OF))
     p_means.add_argument("--a", type=float, required=True)
     p_means.add_argument("--b", type=float, required=True)
-    p_means.add_argument("--n", type=int, default=None,
-                         help="power exponent for propositions 1-3 (|n| >= 2)")
-    p_means.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p_means.add_argument("--mu", type=float, default=1.0)
-    p_means.add_argument("--q", type=float, default=1.0)
+    p_means.add_argument("--n", type=int, help="power exponent for propositions 1-3 (|n| >= 2)")
+    _weight_flags(p_means, "--lambda", "--mu", "--q")
     p_means.add_argument("--format", choices=["json", "text"], default="text")
     p_means.set_defaults(func=cmd_means)
     return parser

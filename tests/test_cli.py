@@ -63,11 +63,18 @@ def global_sort_bytes(rows):
 
 
 def table_rows(tables):
-    """The rows of ``tables``, each the ``COLUMNS`` as equal-length lists, as tuples."""
-    tables = list(tables)
-    assert all(len(table) == len(cli.COLUMNS) and len(set(map(len, table))) <= 1
-               for table in tables)
-    return [row for table in tables for row in zip(*table)]
+    """The rows of ``tables``, each a ``cli.Table``, as tuples of the ``COLUMNS``: row i
+    of a table is its head ``order[i] // len(cells)``, its cell ``order[i] % len(cells)``
+    and the i-th value of each of its ``bounds.ROW_COLUMNS``."""
+    rows = []
+    for heads, cells, order, columns in tables:
+        assert sorted(order) == list(range(len(heads) * len(cells)))
+        assert len(columns) == len(bounds.ROW_COLUMNS)
+        assert all(len(column) == len(order) for column in columns)
+        n = len(cells)
+        rows += [(*heads[i // n], *cells[i % n], *values)
+                 for i, *values in zip(order, *columns)]
+    return rows
 
 
 def streamed_bytes(tables):
@@ -134,26 +141,30 @@ class TestVerifyCommand:
                                  "--alpha", "0.5", "--m", "0.25", "--lambda", "1e-200",
                                  "--mu", "0", "--q", "2", "--theorem", "thm11")
         assert code == 3
-        assert "status=input_error" in out and err == ""
+        assert "status=input_error" in out
+        assert err == ("error: coefficient gamma1 must be nonnegative, "
+                       "got -2.6666666666666665e-201\n")
 
     def test_input_error_exit_three(self, capsys):
-        code, _, _ = run_cli(capsys, "verify", "--fn", "nope", "--a", "0",
-                             "--b", "1", "--theorem", "da")
+        code, _, err = run_cli(capsys, "verify", "--fn", "nope", "--a", "0",
+                               "--b", "1", "--theorem", "da")
         assert code == 3
+        assert err == "error: unknown function 'nope'\n"
 
     def test_subnormal_width_is_an_input_error(self, capsys):
         # the integral of exp over [0, 5e-324] is 0.0: the row read lhs=1.0,
         # rhs=0.0 and status=violation
         code, out, err = run_cli(capsys, "verify", "--fn", "exp", "--a", "0", "--b", "5e-324",
                                  "--theorem", "da")
-        assert code == 3 and err == ""
+        assert code == 3
+        assert err == "error: interval width must be a normal float, got [0.0, 5e-324]\n"
         assert "status=input_error" in out and "lhs=" not in out
 
     def test_q1_not_applicable_exit_three(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--fn", "pow2", "--a", "1",
-                               "--b", "2", "--q", "1", "--theorem", "thm22")
+        code, out, err = run_cli(capsys, "verify", "--fn", "pow2", "--a", "1",
+                                 "--b", "2", "--q", "1", "--theorem", "thm22")
         assert code == 3
-        assert "status=not_applicable" in out
+        assert "status=not_applicable" in out and err == ""  # not an input error
 
     def test_crosscheck(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--fn", "pow2", "--a", "1",
@@ -516,7 +527,10 @@ class TestSweep:
                 "--theorem", "bop_am", "--format", "json")
         (row,) = json.loads(run_cli(capsys, *argv)[1])
         assert row["lhs"] is None and row["gate_violation"] is not None
-        for case in (tables, [[[v] for v in row.values()]], []):
+        values = list(row.values())
+        one_row = cli.Table([tuple(values[:4])], [tuple(values[4:10])], [0],
+                            [[v] for v in values[10:]])
+        for case in (tables, [one_row], []):
             text = io.StringIO()
             cli.write_json(case, text)
             dicts = [dict(zip(cli.COLUMNS, r)) for r in table_rows(case)]
@@ -568,6 +582,38 @@ class TestSweep:
             "warning: pown2 [1.0, 3.0]: g is not finite at sample x=1.2000000000000002e-07\n"
             "warning: recip [0.5, 1.5]: g is not finite at sample x=6.000000000000001e-08\n"
             "warning: recip [1.0, 3.0]: g is not finite at sample x=1.2000000000000002e-07\n")
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv", "7e40f2ed00d4967afab8a81fa9e1800e341537ccd615b64060b0999664d53530"),
+        ("json", "4c2fbdbae944497c6392390015b21d20cc0f668847757ad893b59cbfc4a80613"),
+    ], ids=["csv", "json"])
+    def test_trap_spec_bytes_are_pinned(self, tmp_path, capsys, fmt, digest):
+        # tie classes of several groups: a repeated interval and function, -0.0 beside 0
+        out_file = tmp_path / f"trap.{fmt}"
+        code, out, err = run_cli(capsys, "sweep", str(TRAP_SPEC), "--format", fmt,
+                                 "-o", str(out_file))
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+        assert out == (
+            "sweep: 11520 rows (4 functions x 5 intervals x 3x4 (alpha,m) x 4x1 weights x "
+            "3 q x 4 theorems)\n"
+            "total=11520 holds=3168 violations=0 gate_skipped=288 not_applicable=720 "
+            "input_error=7344\n"
+            "min_slack=0.08333333333333331 at ('pow2', 0.0, 1.0, 0.5, 0.5, 0.0, 1.0, 1.0, 'da')\n")
+
+    @pytest.mark.parametrize("writer", ["write_csv", "write_json"])
+    def test_cells_are_formatted_once_per_sweep(self, monkeypatch, writer):
+        # two groups, each a tie class and a table of its own, share the one
+        # cell, whose alpha 0.625 is no other value of the rows: the writers
+        # format it once per sweep, not once per group
+        spec = cli.SweepSpec(functions=["pow2", "exp"], intervals=[(1.0, 2.0)], alpha=[0.625],
+                             theorems=["da"])
+        tables = list(cli.run_sweep(spec))
+        assert len(tables) == 2 and tables[0].cells is tables[1].cells
+        formatted = []
+        monkeypatch.setattr(cli, "repr", lambda v: formatted.append(v) or repr(v), raising=False)
+        getattr(cli, writer)(tables, io.StringIO())
+        assert formatted.count(0.625) == 1 and formatted.count(2.0) == 2
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_trap_spec_matches_the_global_sort(self, tmp_path, capsys, fmt):
@@ -648,27 +694,44 @@ def test_grouped_sweep_equals_one_cell_rows(spec):
     assert streamed_bytes(cli.run_sweep(spec)) == global_sort_bytes(cells)
 
 
-# Tables of 20 columns drawn from per-column pools of plain values: a column
-# of a table is sometimes of one type (formatted through a memo) and sometimes
-# mixed, and a one-row table's columns are each of one type, so the same
-# column can be one type in one table and mixed in the next.  The writers must
-# write the bytes of csv.writer and json.dumps over the concatenated rows.
+# Tables whose 20 columns are drawn from per-column pools of plain values: the
+# first 4 pools give a table's heads (one per group, ``sizes`` of them), the
+# next 6 the cells of one of two cell lists (each table takes one, so a list is
+# shared by several tables as in a sweep, or changes between them), the last 10
+# the computed columns, and the order is a random permutation.  A column of a
+# table or a cell list is sometimes of one type (formatted through a memo) and
+# sometimes mixed, and a one-row table's columns are each of one type, so the
+# same column can be one type in one table and mixed in the next.  The writers
+# must write the bytes of csv.writer and json.dumps over the concatenated rows.
 _CELLS = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300, 0.1, math.nan, math.inf, -math.inf,
           0, 1, True, False, None, "", 'say "hi"', "a,b", "two\nlines", "cr\r", "é", "∑"]
 _MIXED = ([[0.0, -0.0, None], [0, 1], [True, False, None], [1, 1.0, True], [0.0, -0.0, 0, False],
            [math.nan, math.inf, None], ["a,b", 'say "hi"', "cr\r", None], ["é", ""]] * 3)[:20]
+# every cell input mixes 0, 0.0, -0.0 and True, so a cell list's columns fall
+# back to one format call per value wherever a table's column did
+_MIXED_CELLS = [*_MIXED[:4], *[[0, 0.0, -0.0, True]] * 6, *_MIXED[10:]]
 
 
 @hypothesis.given(
     pools=_st.lists(_st.lists(_st.sampled_from(_CELLS), min_size=1, max_size=3),
                     min_size=len(cli.COLUMNS), max_size=len(cli.COLUMNS)),
-    sizes=_st.lists(_st.integers(0, 300), max_size=4), seed=_st.integers(0, 2**32))
+    sizes=_st.lists(_st.integers(0, 4), max_size=4), seed=_st.integers(0, 2**32))
 @hypothesis.example(pools=_MIXED, sizes=[1, 300, 1, 0], seed=0)
 @hypothesis.example(pools=_MIXED, sizes=[300, 1], seed=1)
+@hypothesis.example(pools=_MIXED_CELLS, sizes=[1, 3, 1, 2], seed=0)
 @hypothesis.settings(max_examples=60, deadline=None, database=None)
 def test_writers_equal_csv_and_json(pools, sizes, seed):
     rng = random.Random(seed)
-    tables = [[[rng.choice(pool) for _ in range(n)] for pool in pools] for n in sizes]
+
+    def draw(column_pools):
+        return tuple(rng.choice(pool) for pool in column_pools)
+    cell_lists = [[draw(pools[4:10]) for _ in range(rng.randint(0, 5))] for _ in range(2)]
+    tables = []
+    for k in sizes:
+        cells = rng.choice(cell_lists)
+        order = rng.sample(range(k * len(cells)), k * len(cells))
+        tables.append(cli.Table([draw(pools[:4]) for _ in range(k)], cells, order,
+                                [[rng.choice(pool) for _ in order] for pool in pools[10:]]))
     rows = table_rows(tables)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -783,10 +846,24 @@ class TestTightness:
         assert "hh_upper" in out  # baseline row is always appended
 
     def test_unknown_function_is_input_error(self, capsys):
-        code, out, _ = run_cli(capsys, "tightness", "--fn", "nope", "--a", "1",
-                               "--b", "2", "--theorems", "da,thm11")
+        code, out, err = run_cli(capsys, "tightness", "--fn", "nope", "--a", "1",
+                                 "--b", "2", "--theorems", "da,thm11")
         assert code == 3
         assert out.count("status=input_error") == 2
+        assert err == "error: unknown function 'nope'\n"  # once for both rows
+
+    @pytest.mark.parametrize("flags, message", [
+        # every row has the weights' error, which takes precedence over the id's
+        (["--lambda", "0", "--mu", "0"], "weights must satisfy lam + mu > 0"),
+        ([], "unknown theorem id 'bogus'"),
+    ])
+    def test_input_errors_are_named_once(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "tightness", "--fn", "pow2", "--a", "1", "--b", "2",
+                                 *flags, "--theorems", "bogus,da,bogus")
+        assert code == 3
+        assert "theorem=hh_upper  status=ok" in out
+        assert out.count("status=input_error") == (3 if flags else 2)
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("fn_id, theorems, statuses", [
         ("pow2", ["da", "bop_m"], ["input_error", "not_applicable"]),
