@@ -19,15 +19,15 @@ from typing import Callable
 
 import numpy as np
 
-from .convexity import ConvexityVerdict, check_alpha_m_convex, derivative_power
+from .convexity import check_hypotheses
 from .coefficients import gamma_coeffs, nu_coeffs
 from .core import (BoundReport, CoefficientSet, DomainError, GateError, Interval,
-                   NonFiniteError, ParamError, Params, TestFunction, _per_cell, make_report,
-                   py_div, py_min, py_pow)
+                   ParamError, Params, TestFunction, _per_cell, make_report, py_div, py_min,
+                   py_pow)
 from .quadrature import integrate
 
 DEFAULT_LHS_TOL = 1e-9
-GATE_GRID_N = 16  # grid of the convexity gate (check_alpha_m_convex's grid_n)
+GATE_GRID_N = 16  # grid of the convexity gate (check_hypotheses' grid_n)
 
 
 @dataclass(frozen=True)
@@ -250,13 +250,6 @@ THEOREMS = {
 THEOREM_IDS = tuple(THEOREMS)
 
 
-def hypothesis_verdict(fn: TestFunction, g: str, upper: float, alphas, m: float,
-                       q: float, grid_n: int) -> tuple[ConvexityVerdict, ...]:
-    """Sample the (alpha, m)-convexity of f (g = "f") or |f'|^q (g = "df") on [0, upper]."""
-    func = fn.f if g == "f" else derivative_power(fn, q)
-    return check_alpha_m_convex(func, upper, alphas, m, grid_n)
-
-
 # A report row's computed columns, in row order (the CLI puts its inputs first).
 # ``Columns`` holds one (function, interval) group's cells as lists in
 # product(params, theorem_ids) order: these (None where a cell has no value),
@@ -289,14 +282,14 @@ def _passing(P, rows, error, call=lambda p: p):
 
 @np.errstate(over="ignore", invalid="ignore")  # out of range: an ArithmeticError or inf
 def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
-                 gate_of=hypothesis_verdict) -> Columns:
+                 gate_of=check_hypotheses) -> Columns:
     """Evaluate one (function, interval) group as numpy columns; ``params``
     holds (alpha, m, lam, mu, q) tuples.  ``Interval(a, b)``, ``fn.require(a)``
     and ``integral_mean(fn, iv)`` run once, ``Params`` on the columns (a
-    rejected cell gets its own tuple's error), ``gate_of(fn, g, upper, alphas,
-    m, q, GATE_GRID_N)`` once per sample grid (g, m, q) with its hypotheses'
-    alphas, in cell order (None skips the gate), and each ``<id>_rhs`` once, on
-    the Params of the cells that reach it.  An ArithmeticError (a value out of
+    rejected cell gets its own tuple's error), ``gate_of(fn, b, hypotheses,
+    GATE_GRID_N)`` once, with the group's distinct (g, alpha, m, q) hypotheses
+    in cell order (None skips the gate), and each ``<id>_rhs`` once, on the
+    Params of the cells that reach it.  An ArithmeticError (a value out of
     float range, b / m among them) makes the cells it reaches input_error.
     A row holds by ``core.make_report``'s rule.
     """
@@ -335,19 +328,9 @@ def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
         wanted = hyp[open_]
         _, first, inverse = np.unique(wanted.view("V32").ravel(), return_index=True,
                                       return_inverse=True)
-
-        grids = {}  # each sample grid (g, m, q): its distinct hypotheses' (index, alpha)
-        for i, (df, alpha, m, q) in zip(np.argsort(first), wanted[np.sort(first)].tolist()):
-            grids.setdefault((df, m, q), []).append((i, alpha))
+        hypotheses = [("df" if df else "f", *amq) for df, *amq in wanted[np.sort(first)].tolist()]
         found = np.empty(len(first), object)  # a verdict, or its grid's ArithmeticError
-        for (df, m, q), members in grids.items():
-            index, alphas = map(list, zip(*members))
-            try:
-                if np.isinf(upper := max(b, b / m)):
-                    raise NonFiniteError(f"gate grid end b / m is not finite: {b} / {m}")
-                found[index] = gate_of(fn, "df" if df else "f", upper, alphas, m, q, GATE_GRID_N)
-            except ArithmeticError as exc:  # NonFiniteError, or a float op out of range
-                found[index] = exc.with_traceback(None)
+        found[np.argsort(first)] = gate_of(fn, b, hypotheses, GATE_GRID_N)
         failed = np.array([isinstance(v, ArithmeticError) for v in found], bool)
         worst = np.array([getattr(v, "worst_violation", None) for v in found], object)
         holds = np.array([getattr(v, "holds", False) for v in found], bool)
@@ -391,7 +374,7 @@ def verify(fn: TestFunction, iv: Interval, p: Params, theorem_id: str,
     failure is never a theorem violation.
     """
     cols = assess_group(fn, iv.a, iv.b, [(p.alpha, p.m, p.lam, p.mu, p.q)], [theorem_id],
-                        gate_of=hypothesis_verdict if gate else None)
+                        gate_of=check_hypotheses if gate else None)
     cell = Columns(*(column[0] for column in cols[:-1]), cols.branch_names)
     if cell.status == "gate_skipped":
         v = cell.verdict

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from hhverify import (GateError, Interval, ParamError, Params, TestFunction,
-                      bound_hh, corpus_by_id, derivative_power, deviation, kernel_moment,
-                      lemma21_residual, reflect, verify)
+                      bound_hh, check_alpha_m_convex, check_hypotheses, corpus_by_id,
+                      derivative_power, deviation, kernel_moment, lemma21_residual, reflect,
+                      verify)
 from hhverify import bounds
 from hhverify.bounds import thm11_rhs
 
@@ -288,23 +289,24 @@ class TestVerify:
         assert seen == [6]
         assert cols.status == ["ok"] * 12 + ["input_error"] * 2
 
-    def test_gate_runs_once_per_sample_grid(self):
-        # the distinct hypotheses of one (g, m, q) share a call, their alphas
-        # in cell order; each cell gets the verdict of its alpha called alone
+    def test_gate_runs_once_per_group(self):
+        # the group's distinct hypotheses (g, alpha, m, q) share one call, in cell
+        # order; each cell gets the verdict of its hypothesis checked alone
         seen = []
 
         def gate_of(*args):
-            seen.append(args[1:6])
-            return bounds.hypothesis_verdict(*args)
+            seen.append(args[1:3])
+            return check_hypotheses(*args)
 
         cells = [(alpha, 1.0, lam, 1.0, 2.0) for alpha in (0.5, 1.0) for lam in (1.0, 2.0)]
         theorems = ["thm11", "bop_am", "da", "sso"]
         cols = bounds.assess_group(POW2, 1.0, 2.0, cells, theorems, gate_of=gate_of)
-        assert seen == [("df", 2.0, [0.5, 1.0], 1.0, 2.0), ("df", 2.0, [1.0], 1.0, 1.0),
-                        ("f", 2.0, [0.5, 1.0], 1.0, 1.0)]
+        assert seen == [(2.0, [("df", 0.5, 1.0, 2.0), ("df", 1.0, 1.0, 1.0), ("f", 0.5, 1.0, 1.0),
+                               ("df", 1.0, 1.0, 2.0), ("f", 1.0, 1.0, 1.0)])]
         for (cell, theorem), verdict in zip(itertools.product(cells, theorems), cols.verdict):
             g, alpha, m, q = bounds.THEOREMS[theorem].hypothesis(Params(*cell))
-            assert verdict == bounds.hypothesis_verdict(POW2, g, 2.0, [alpha], m, q, 16)[0]
+            func = POW2.f if g == "f" else derivative_power(POW2, q)
+            assert verdict == check_alpha_m_convex(func, 2.0, [alpha], m, 16)[0]
 
     def test_a_failing_factor_fails_only_its_cell(self):
         # |f'|^3 = e^900 overflows to inf on [1, 300]; at q = 2 it does not
@@ -363,11 +365,13 @@ class TestVerify:
 
         def gate_of(*args):
             seen.append(args[-1])
-            return bounds.hypothesis_verdict(*args)
+            return check_hypotheses(*args)
 
         cols = bounds.assess_group(POW2, 1.0, 2.0, [(1.0, 1.0, 1.0, 1.0, 2.0)], ["thm11"],
                                    gate_of=gate_of)
         assert cols.status == ["ok"]
+        assert cols.verdict == list(check_alpha_m_convex(derivative_power(POW2, 2.0), 2.0, [1.0],
+                                                         1.0, 16))
         assert seen == [bounds.GATE_GRID_N] == [16]
 
     def test_swap_symmetry_sample(self):

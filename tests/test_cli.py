@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import hhverify.core
-from hhverify import (DomainError, GateError, Interval, ParamError, Params, bounds, cli,
-                      corpus_by_id, verify)
+from hhverify import (DomainError, GateError, Interval, ParamError, Params, bounds,
+                      check_hypotheses, cli, corpus_by_id, verify)
 
 # Every theorem and every status but violation: q = 1 makes bop_m/thm211/
 # thm22 not applicable, lam = mu = 0 is an input error, recip on [0, 1]
@@ -34,6 +34,7 @@ ALL_STATUS_SPEC = (
 
 TRAP_SPEC = pathlib.Path(__file__).parent / "data" / "trap.spec"
 GATE_SPEC = pathlib.Path(__file__).parent / "data" / "gate.spec"
+DENSE_SPEC = pathlib.Path(__file__).parent / "data" / "dense.spec"
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +61,19 @@ def global_sort_bytes(rows):
     writer.writerow(cli.COLUMNS)
     writer.writerows([cli._fmt(v) if c == "holds" else v for c, v in r.items()] for r in rows)
     return buf.getvalue(), json.dumps(rows, indent=2) + "\n"
+
+
+def assert_same_text(got: str, want: str, what: str) -> None:
+    """got == want, decided by sha256 digest; a mismatch reports both line counts and the
+    first differing line only, so a regression fails at once instead of diffing megabytes."""
+    if hashlib.sha256(got.encode()).digest() == hashlib.sha256(want.encode()).digest():
+        return
+    got_lines, want_lines = got.splitlines(True), want.splitlines(True)
+    i = next((i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w),
+             min(len(got_lines), len(want_lines)))
+    pytest.fail(f"{what}: {len(got_lines)} lines, expected {len(want_lines)}; first difference "
+                f"at line {i + 1}: {got_lines[i:i + 1]!r} != {want_lines[i:i + 1]!r}",
+                pytrace=False)
 
 
 def table_rows(tables):
@@ -584,6 +598,42 @@ class TestSweep:
             "warning: recip [1.0, 3.0]: g is not finite at sample x=1.2000000000000002e-07\n")
 
     @pytest.mark.parametrize("fmt, digest", [
+        ("csv", "896f3a49544a5d6992cfdbb0d6c975f387d5182d2b29532db2eeb00611f7fa01"),
+        ("json", "5c76474a4c8b61bc9b6f46e84660225103914962966d261b79867a4a412ddc67"),
+    ], ids=["csv", "json"])
+    def test_dense_spec_bytes_are_pinned(self, tmp_path, capsys, fmt, digest):
+        # each group's one gate call scores 4 m x 4 q x 4 alpha hypotheses of |f'|^q
+        out_file = tmp_path / f"dense.{fmt}"
+        code, out, err = run_cli(capsys, "sweep", str(DENSE_SPEC), "--format", fmt,
+                                 "-o", str(out_file))
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+        assert out == (
+            "sweep: 28672 rows (8 functions x 4 intervals x 4x4 (alpha,m) x 2x1 weights x "
+            "4 q x 7 theorems)\n"
+            "total=28672 holds=10320 violations=0 gate_skipped=15280 not_applicable=3072 "
+            "input_error=0\n"
+            "min_slack=2.220446049250313e-16 at "
+            "('pow2', 0.5, 1.5, 1.0, 0.25, 0.0, 1.0, 1.0, 'thm11')\n")
+
+    def test_default_sweep_gates_once_per_group(self, monkeypatch):
+        # one gate call per group that has a cell open after the interval, parameter,
+        # domain and q > 1 checks (pown2, recip and xlogx on [0, 1] have none): 29
+        # calls, against 232 with a call per sample grid (g, m, q), and 321 Params
+        # builds, against 698 when each grid's call admitted alpha, m and q again
+        calls, builds, check = [], [], Params.__post_init__
+        monkeypatch.setattr(Params, "__post_init__", lambda p: builds.append(p) or check(p))
+        assess = bounds.assess_group
+        monkeypatch.setattr(bounds, "assess_group", lambda fn, a, b, *rest: assess(
+            fn, a, b, *rest,
+            gate_of=lambda *args: calls.append((fn.id, a, b)) or check_hypotheses(*args)))
+        spec = cli.default_sweep_spec()
+        assert len(table_rows(cli.run_sweep(spec))) == 67200
+        assert calls == [(fn_id, a, b) for fn_id, (a, b) in sorted(itertools.product(
+            spec.functions, spec.intervals)) if a > 0 or fn_id not in ("pown2", "recip", "xlogx")]
+        assert len(builds) == 321
+
+    @pytest.mark.parametrize("fmt, digest", [
         ("csv", "7e40f2ed00d4967afab8a81fa9e1800e341537ccd615b64060b0999664d53530"),
         ("json", "4c2fbdbae944497c6392390015b21d20cc0f668847757ad893b59cbfc4a80613"),
     ], ids=["csv", "json"])
@@ -632,7 +682,7 @@ class TestSweep:
             out_file = tmp_path / f"trap{jobs}.{fmt}"
             assert run_cli(capsys, "sweep", str(TRAP_SPEC), "--format", fmt, "--jobs", jobs,
                            "-o", str(out_file))[0] == 0
-            assert out_file.read_text() == expected, jobs
+            assert_same_text(out_file.read_text(), expected, f"--jobs {jobs}")
 
     def test_rows_stream_one_tie_class_at_a_time(self, monkeypatch):
         calls = []
@@ -691,7 +741,9 @@ _values = [0.25, 0.5, 1.0, 0.5, 1.0, -0.0, 1.5, 0, 1]
 @hypothesis.settings(max_examples=80, deadline=None, database=None)
 def test_grouped_sweep_equals_one_cell_rows(spec):
     cells = [cli.eval_row(*cfg) for cfg in one_cell_configs(spec)]
-    assert streamed_bytes(cli.run_sweep(spec)) == global_sort_bytes(cells)
+    for fmt, got, want in zip(("csv", "json"), streamed_bytes(cli.run_sweep(spec)),
+                              global_sort_bytes(cells)):
+        assert_same_text(got, want, fmt)
 
 
 # Tables whose 20 columns are drawn from per-column pools of plain values: the

@@ -4,8 +4,8 @@ import hypothesis
 import numpy as np
 import pytest
 
-from hhverify import (NonFiniteError, ParamError, check_alpha_m_convex, corpus_by_id,
-                      derivative_power)
+from hhverify import (NonFiniteError, ParamError, check_alpha_m_convex, check_hypotheses,
+                      corpus_by_id, derivative_power)
 
 
 class TestCheckAlphaMConvex:
@@ -117,6 +117,44 @@ def test_batched_verdicts_equal_one_alpha_verdicts(fn_id, q, b, m, alphas):
         assert alone == [batched] * len(alphas)
     else:
         assert [[v] for v in batched] == alone
+
+
+def _result_text(result):
+    """A verdict's bits as text, or an ArithmeticError's message."""
+    if isinstance(result, ArithmeticError):
+        return str(result)
+    return (result.holds, result.clipped, repr(result.worst_violation), *map(repr, result.witness))
+
+
+def _checked_alone(fn, b, g, alpha, m, q):
+    """One hypothesis through its own one-grid ``check_alpha_m_convex`` call."""
+    if max(b, b / m) == math.inf:
+        return f"gate grid end b / m is not finite: {b} / {m}"
+    func = fn.f if g == "f" else derivative_power(fn, q)
+    try:
+        return _result_text(check_alpha_m_convex(func, max(b, b / m), [alpha], m, 16)[0])
+    except ArithmeticError as exc:
+        return _result_text(exc)
+
+
+# One group call gives every hypothesis the bits (or the error text) of its
+# own one-grid call: b / m may leave the float range (m = 5e-324), |f'|^q may
+# overflow (q up to 60), and the hypotheses come in any order.
+@hypothesis.given(fn_id=_st.sampled_from(sorted(corpus_by_id())),
+                  b=_st.one_of(_st.sampled_from([1.0, 3.0, 1e3]), _st.floats(1e-3, 1e3)),
+                  ms=_st.lists(_st.one_of(_st.sampled_from([1.0, 0.5, 0.25, 5e-324]),
+                                          _st.floats(1e-3, 1.0)), min_size=1, max_size=3),
+                  qs=_st.lists(_st.one_of(_st.sampled_from([1.0, 1.5, 2.0, 3.0, 60.0]),
+                                          _st.floats(1.0, 60.0)), min_size=1, max_size=3),
+                  alphas=_st.lists(_alpha, min_size=1, max_size=4), data=_st.data())
+@hypothesis.settings(max_examples=100, deadline=None, database=None)
+def test_group_verdicts_equal_one_grid_verdicts(fn_id, b, ms, qs, alphas, data):
+    fn = corpus_by_id()[fn_id]
+    hyps = [("f", alpha, m, 1.0) for m in ms for alpha in alphas]
+    hyps += [("df", alpha, m, q) for m in ms for q in qs for alpha in alphas]
+    hyps = data.draw(_st.permutations(hyps))
+    assert ([_result_text(r) for r in check_hypotheses(fn, b, hyps, 16)]
+            == [_checked_alone(fn, b, *hyp) for hyp in hyps])
 
 
 class TestDerivativePower:
