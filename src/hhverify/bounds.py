@@ -11,7 +11,6 @@ one-cell call; the CLI's rows come from ``cli.group_rows``.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,9 +20,8 @@ import numpy as np
 
 from .convexity import check_hypotheses
 from .coefficients import gamma_coeffs, nu_coeffs
-from .core import (BoundReport, CoefficientSet, DomainError, GateError, Interval,
-                   ParamError, Params, TestFunction, _per_cell, make_report, py_div, py_min,
-                   py_pow)
+from .core import (BoundReport, CoefficientSet, DomainError, GateError, Interval, ParamError,
+                   Params, TestFunction, _per_cell, fail, make_report, py_div, py_min, py_pow)
 from .quadrature import integrate
 
 DEFAULT_LHS_TOL = 1e-9
@@ -97,16 +95,17 @@ def bound_hh(fn: TestFunction, iv: Interval) -> tuple[float, float]:
 # and m <= 1 every sample point (a, b, a/m, b/m, the midpoint, z and their
 # m-stretches) lies at or above a, so on a domain [domain_min, inf)
 # requiring a alone covers them all.  Each operation keeps the order of the
-# scalar expression, so every cell gets the bits of a scalar call.
+# scalar expression, so every cell gets the bits of a scalar call, and over cells
+# a failing one gets NaN and, in ``p.errors``, the error its point call raises.
 
-def _each(g, x, q=0.0):
+def _each(g, x, q, errors):
     """g(x, q) at each cell, called on Python floats once per distinct (x, q)."""
-    return _per_cell(lru_cache(maxsize=None)(g))(x, q)
+    return _per_cell(lru_cache(maxsize=None)(g))(x, q, errors)
 
 
-def _dq(fn: TestFunction, x, q):
+def _dq(fn: TestFunction, x, p):
     """|f'(x)|^q at each cell."""
-    return _each(lambda x, q: abs(fn.df(x)) ** q, x, q)
+    return _each(lambda x, q: abs(fn.df(x)) ** q, x, p.q, p.errors)
 
 
 def da_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
@@ -118,8 +117,8 @@ def sso_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     a, b, alpha, m = iv.a, iv.b, p.alpha, p.m
     fn.require(a)
     f_at = lambda x, _: fn.f(x)  # noqa: E731
-    branch1 = (fn.f(a) + alpha * m * _each(f_at, b / m)) / (alpha + 1.0)
-    branch2 = (fn.f(b) + alpha * m * _each(f_at, a / m)) / (alpha + 1.0)
+    branch1 = (fn.f(a) + alpha * m * _each(f_at, b / m, 0.0, p.errors)) / (alpha + 1.0)
+    branch2 = (fn.f(b) + alpha * m * _each(f_at, a / m, 0.0, p.errors)) / (alpha + 1.0)
     return py_min(branch1, branch2), {"branch1": branch1, "branch2": branch2}
 
 
@@ -127,46 +126,48 @@ def bop_m_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     """m-convex midpoint bound; mu1/mu2 are min-of-averages factors of
     |f'|^q over the two half-intervals."""
     p.p  # raises ParamError at q = 1
-    a, b, m, q = iv.a, iv.b, p.m, p.q
+    a, b, m, q, e = iv.a, iv.b, p.m, p.q, p.errors
     mid = 0.5 * (a + b)
     fn.require(a)
-    da_, db_, dmid = (_dq(fn, x, q) for x in (a, b, mid))
-    dam, dbm, dmidm = (_dq(fn, x / m, q) for x in (a, b, mid))
+    da_, db_, dmid = (_dq(fn, x, p) for x in (a, b, mid))
+    dam, dbm, dmidm = (_dq(fn, x / m, p) for x in (a, b, mid))
     coeffs = CoefficientSet({
         "mu1": py_min((da_ + m * dmidm) / 2.0, (dmid + m * dam) / 2.0),
         "mu2": py_min((db_ + m * dmidm) / 2.0, (dmid + m * dbm) / 2.0),
-    })
-    spread = py_pow(coeffs["mu1"], 1.0 / q) + py_pow(coeffs["mu2"], 1.0 / q)
+    }, errors=e)
+    spread = py_pow(coeffs["mu1"], 1.0 / q, e) + py_pow(coeffs["mu2"], 1.0 / q, e)
     loose = iv.width / 4.0 * spread
-    tight = loose * py_pow((q - 1.0) / (2.0 * q - 1.0), (q - 1.0) / q)
+    tight = loose * py_pow((q - 1.0) / (2.0 * q - 1.0), (q - 1.0) / q, e)
     return tight, {"loose": loose, **coeffs.values}
 
 
 def bop_am_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
-    a, b, m, q = iv.a, iv.b, p.m, p.q
+    a, b, m, q, e = iv.a, iv.b, p.m, p.q, p.errors
     fn.require(a)
     coeffs = nu_coeffs(p.alpha)
     nu1, nu2 = coeffs["nu1"], coeffs["nu2"]
-    da_, db_, dam, dbm = (_dq(fn, x, q) for x in (a, b, a / m, b / m))
-    branch1 = py_pow(nu1 * da_ + m * nu2 * dbm, 1.0 / q)
-    branch2 = py_pow(nu1 * db_ + m * nu2 * dam, 1.0 / q)
-    rhs = iv.width / 2.0 * py_pow(0.5, 1.0 - 1.0 / q) * py_min(branch1, branch2)
+    da_, db_, dam, dbm = (_dq(fn, x, p) for x in (a, b, a / m, b / m))
+    branch1 = py_pow(nu1 * da_ + m * nu2 * dbm, 1.0 / q, e)
+    branch2 = py_pow(nu1 * db_ + m * nu2 * dam, 1.0 / q, e)
+    rhs = iv.width / 2.0 * py_pow(0.5, 1.0 - 1.0 / q, e) * py_min(branch1, branch2)
     return rhs, {"branch1": branch1, "branch2": branch2}
 
 
 def thm11_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     a, b = iv.a, iv.b
-    m, q, lam, mu = p.m, p.q, p.lam, p.mu
+    m, q, lam, mu, e = p.m, p.q, p.lam, p.mu, p.errors
     fn.require(a)
     g = gamma_coeffs(p.alpha, lam, mu)
-    da_, db_, dam, dbm = (_dq(fn, x, q) for x in (a, b, a / m, b / m))
+    for i, error in (g.errors or {}).items():  # the cells gamma failed
+        e.setdefault(i, error)
+    da_, db_, dam, dbm = (_dq(fn, x, p) for x in (a, b, a / m, b / m))
     branch1 = g["gamma1"] * db_ + m * g["gamma2"] * dam
     branch2 = g["gamma3"] * da_ + m * g["gamma4"] * dbm
     total = lam + mu
     # at q = 1 the powers are exact (x ** 0.0 = 1, x ** 1.0 = x): the linear form
-    half_weight = (py_pow(lam, 2) + py_pow(mu, 2)) / (2.0 * total)
-    rhs = (iv.width / total * py_pow(half_weight, (q - 1.0) / q)
-           * py_pow(py_min(branch1, branch2), 1.0 / q))
+    half_weight = (py_pow(lam, 2, e) + py_pow(mu, 2, e)) / (2.0 * total)
+    rhs = (iv.width / total * py_pow(half_weight, (q - 1.0) / q, e)
+           * py_pow(py_min(branch1, branch2), 1.0 / q, e))
     return rhs, {"branch1": branch1, "branch2": branch2}
 
 
@@ -174,41 +175,41 @@ def thm211_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     """Hoelder split bound; M1/M2 are per-segment factors of |f'|^q around
     the interior node z = (lam*b + mu*a)/(lam + mu)."""
     conj = p.p  # raises ParamError at q = 1
-    a, b, alpha, m, lam, mu, q = iv.a, iv.b, p.alpha, p.m, p.lam, p.mu, p.q
+    a, b, alpha, m, lam, mu, q, e = iv.a, iv.b, p.alpha, p.m, p.lam, p.mu, p.q, p.errors
     z = (lam * b + mu * a) / (lam + mu)
     fn.require(a)
-    da_, db_, dz = (_dq(fn, x, q) for x in (a, b, z))
-    dam, dbm, dzm = (_dq(fn, x / m, q) for x in (a, b, z))
+    da_, db_, dz = (_dq(fn, x, p) for x in (a, b, z))
+    dam, dbm, dzm = (_dq(fn, x / m, p) for x in (a, b, z))
     denom = alpha + 1.0
     coeffs = CoefficientSet({
         "M1": py_min((da_ + alpha * m * dzm) / denom, (dz + alpha * m * dam) / denom),
         "M2": py_min((db_ + alpha * m * dzm) / denom, (dz + alpha * m * dbm) / denom),
-    })
+    }, errors=e)
     total = lam + mu
-    rhs = (py_div(iv.width, py_pow(total, 2)) * py_pow(1.0 / (conj + 1.0), 1.0 / conj)
-           * (py_pow(lam, 2) * py_pow(coeffs["M1"], 1.0 / q)
-              + py_pow(mu, 2) * py_pow(coeffs["M2"], 1.0 / q)))
+    rhs = (py_div(iv.width, py_pow(total, 2, e), e) * py_pow(1.0 / (conj + 1.0), 1.0 / conj, e)
+           * (py_pow(lam, 2, e) * py_pow(coeffs["M1"], 1.0 / q, e)
+              + py_pow(mu, 2, e) * py_pow(coeffs["M2"], 1.0 / q, e)))
     return rhs, coeffs.values
 
 
 def thm22_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     """Global Hoelder bound; K1/K2 are endpoint factors of |f'|^q."""
     conj = p.p  # raises ParamError at q = 1
-    a, b, alpha, m, q = iv.a, iv.b, p.alpha, p.m, p.q
+    a, b, alpha, m, q, e = iv.a, iv.b, p.alpha, p.m, p.q, p.errors
     fn.require(a)
     coeffs = CoefficientSet({
-        "K1": _dq(fn, b, q) + m * alpha * _dq(fn, a / m, q),
-        "K2": _dq(fn, a, q) + m * alpha * _dq(fn, b / m, q),
-    })
+        "K1": _dq(fn, b, p) + m * alpha * _dq(fn, a / m, p),
+        "K2": _dq(fn, a, p) + m * alpha * _dq(fn, b / m, p),
+    }, errors=e)
     total = p.lam + p.mu
-    kernel = py_pow((py_pow(p.lam, conj + 1.0) + py_pow(p.mu, conj + 1.0))
-                    / ((conj + 1.0) * total), 1.0 / conj)
-    if np.any(kernel == 0.0):  # underflowed: the exact kernel is positive when lam + mu > 0
-        error = ParamError(f"thm22 kernel underflows to 0 at lambda = {p.lam}, mu = {p.mu}")
-        error.cells = kernel == 0.0
-        raise error
-    rhs = (iv.width / total * kernel * py_pow(1.0 / (alpha + 1.0), 1.0 / q)
-           * py_pow(py_min(coeffs["K1"], coeffs["K2"]), 1.0 / q))
+    kernel = py_pow((py_pow(p.lam, conj + 1.0, e) + py_pow(p.mu, conj + 1.0, e))
+                    / ((conj + 1.0) * total), 1.0 / conj, e)
+    underflow = kernel == 0.0  # the exact kernel is positive when lam + mu > 0
+    fail(e, underflow, lambda lam, mu: ParamError(
+        f"thm22 kernel underflows to 0 at lambda = {lam}, mu = {mu}"), p.lam, p.mu)
+    kernel = kernel if e is None else np.where(underflow, np.nan, kernel)
+    rhs = (iv.width / total * kernel * py_pow(1.0 / (alpha + 1.0), 1.0 / q, e)
+           * py_pow(py_min(coeffs["K1"], coeffs["K2"]), 1.0 / q, e))
     return rhs, coeffs.values
 
 
@@ -260,46 +261,28 @@ ROW_COLUMNS = ("status", "lhs", "rhs", "slack", "holds", "quad_error",
 Columns = namedtuple("Columns", (*ROW_COLUMNS, "error", "verdict", "branch_names"))
 
 
-def _passing(P, rows, error, call=lambda p: p):
-    """Yield (rows, call(Params(*P[rows].T))) for the rows that pass.  The cells an error
-    names get it (or their ``cell_errors``) and the rest go again, each alone if it names none."""
-    pending = [rows]
-    while pending:
-        if not len(rows := pending.pop()):
-            continue
-        try:
-            result = call(Params(*P[rows].T))
-        except (ParamError, DomainError, ArithmeticError) as exc:
-            if (cells := getattr(exc, "cells", True)) is True and len(rows) > 1:
-                pending.extend(rows[:, None])
-                continue
-            bad = np.broadcast_to(cells, rows.shape)
-            error[rows[bad]] = getattr(exc.with_traceback(None), "cell_errors", exc)
-            pending.append(rows[~bad])
-            continue
-        yield rows, result
-
-
-@np.errstate(over="ignore", invalid="ignore")  # out of range: an ArithmeticError or inf
+@np.errstate(over="ignore", invalid="ignore")  # out of range: an error of its cell, or inf
 def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
                  gate_of=check_hypotheses) -> Columns:
     """Evaluate one (function, interval) group as numpy columns; ``params``
-    holds (alpha, m, lam, mu, q) tuples.  ``Interval(a, b)``, ``fn.require(a)``
-    and ``integral_mean(fn, iv)`` run once, ``Params`` on the columns (a
-    rejected cell gets its own tuple's error), ``gate_of(fn, b, hypotheses,
+    holds (alpha, m, lam, mu, q) tuples.  ``Interval(a, b)``, one ``Params`` of
+    all the cells (a rejected cell gets its own tuple's error), ``fn.require(a)``
+    and ``integral_mean(fn, iv)`` run once, ``gate_of(fn, b, hypotheses,
     GATE_GRID_N)`` once, with the group's distinct (g, alpha, m, q) hypotheses
     in cell order (None skips the gate), and each ``<id>_rhs`` once, on the
-    Params of the cells that reach it.  An ArithmeticError (a value out of
-    float range, b / m among them) makes the cells it reaches input_error.
+    Params of the cells that reach it.  The RHS does not raise over cells: a
+    cell it fails (a value out of float range, b / m among them) keeps the error
+    its own call raises, in the ``error`` column, and is input_error.
     A row holds by ``core.make_report``'s rule.
     """
     # looked up per group so that a replaced ``<id>_rhs`` is the one used
     thms = [(tid, THEOREMS.get(tid), globals().get(f"{tid}_rhs")) for tid in theorem_ids]
     P = np.array(list(params), dtype=float).reshape(-1, 5)
-    errs, iv, admitted = np.full(len(P), None, object), None, []
+    errs, iv, p = np.full(len(P), None, object), None, None
     try:  # precedence: the interval, the parameters, the domain
         iv = Interval(a, b)
-        admitted = list(_passing(P, np.arange(len(P)), errs))
+        p = Params(*P.T)
+        errs[list(p.errors)] = list(p.errors.values())
         fn.require(a)
     except (ParamError, DomainError) as exc:
         errs[np.equal(errs, None)] = exc.with_traceback(None)
@@ -322,9 +305,9 @@ def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
 
     if gate_of is not None and open_.any():
         hyp = np.zeros(open_.shape + (4,))
-        for (rows, p), (j, (_, thm, _)) in itertools.product(admitted, enumerate(thms)):
+        for j, (_, thm, _) in enumerate(thms):
             for k, v in enumerate(thm.hypothesis(p) if thm else ()):
-                hyp[rows, j, k] = v == "df" if k == 0 else v
+                hyp[:, j, k] = v == "df" if k == 0 else v
         wanted = hyp[open_]
         _, first, inverse = np.unique(wanted.view("V32").ravel(), return_index=True,
                                       return_inverse=True)
@@ -347,20 +330,25 @@ def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
             error[open_], open_[:] = exc.with_traceback(None), False
     names = {}
     for j, (tid, thm, rhs_of) in enumerate(thms):
-        rhs = lambda p: rhs_of(fn, iv, p)  # noqa: E731
-        for rows, (value, branches) in _passing(P, np.flatnonzero(open_[:, j]), error[:, j], rhs):
-            weights = (P[rows, 2], P[rows, 3]) if thm.lhs == "weighted" else (1.0, 1.0)
-            lhs = mean if thm.lhs == "mean" else abs(_weighted_endpoint(fn, iv, *weights) - mean)
-            r = make_report(tid, lhs, value, err)
-            pair = sorted(k for k in branches if k != "loose")
-            names[tid] = (*pair[:2], "loose") if len(pair) >= 2 else (None, None, "loose")
-            for col, v in (("lhs", lhs), ("rhs", value), ("slack", r.slack), ("holds", r.holds),
-                           ("quad_error", err), *zip(("branch1", "branch2", "rhs_loose"),
-                                                     map(branches.get, names[tid]))):
-                if v is not None:  # numpy scalars as Python ones, shared by the cells
-                    c[col][rows, j] = v.item() if isinstance(v, np.generic) else v
-            ok = np.broadcast_to(r.holds, rows.shape)
-            status[rows[ok], j], status[rows[~ok], j] = "ok", "violation"
+        if not len(rows := np.flatnonzero(open_[:, j])):
+            continue
+        value, branches = rhs_of(fn, iv, cells := Params(*P[rows].T))
+        weights = (P[rows, 2], P[rows, 3]) if thm.lhs == "weighted" else (1.0, 1.0)
+        lhs = mean if thm.lhs == "mean" else abs(_weighted_endpoint(fn, iv, *weights) - mean)
+        r = make_report(tid, lhs, value, err)
+        pair = sorted(k for k in branches if k != "loose")
+        names[tid] = (*pair[:2], "loose") if len(pair) >= 2 else (None, None, "loose")
+        for col, v in (("lhs", lhs), ("rhs", value), ("slack", r.slack), ("holds", r.holds),
+                       ("quad_error", err), *zip(("branch1", "branch2", "rhs_loose"),
+                                                 map(branches.get, names[tid]))):
+            if v is not None:  # numpy scalars as Python ones, shared by the cells
+                c[col][rows, j] = v.item() if isinstance(v, np.generic) else v
+        ok = np.broadcast_to(r.holds, rows.shape)
+        status[rows[ok], j], status[rows[~ok], j] = "ok", "violation"
+        for i, exc in cells.errors.items():  # a cell the RHS failed: its error and no values
+            status[rows[i], j], error[rows[i], j] = "input_error", exc
+            for col in ROW_COLUMNS[1:-1]:
+                c[col][rows[i], j] = None
     return Columns(*(column.ravel().tolist() for column in c.values()), names)
 
 

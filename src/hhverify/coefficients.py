@@ -18,15 +18,16 @@ def gamma_coeffs(alpha: float, lam: float, mu: float) -> CoefficientSet:
     complement; gamma3/gamma4 are the same moments for the reflected kernel,
     i.e. gamma1/gamma2 with lam and mu swapped.  (A circulating misprint
     writes gamma3 with lam^(alpha+2); the swap-symmetric form below is the
-    one the quadrature oracle confirms.)
+    one the quadrature oracle confirms.)  Over cells, a bad parameter raises
+    (``Params.checked``), and a cell whose gamma fails is marked in ``errors``.
     """
-    Params(alpha=alpha, lam=lam, mu=mu)
+    e = Params(alpha=alpha, lam=lam, mu=mu).checked().errors
     total = lam + mu
     denom = (alpha + 1.0) * (alpha + 2.0)
-    half_weight = (py_pow(lam, 2) + py_pow(mu, 2)) / (2.0 * total)
-    spread = py_pow(total, alpha + 1.0)
-    g1 = (py_div(2.0 * py_pow(lam, alpha + 2.0), spread) + (alpha + 1.0) * mu - lam) / denom
-    g3 = (py_div(2.0 * py_pow(mu, alpha + 2.0), spread) + (alpha + 1.0) * lam - mu) / denom
+    half_weight = (py_pow(lam, 2, e) + py_pow(mu, 2, e)) / (2.0 * total)
+    spread = py_pow(total, alpha + 1.0, e)
+    g1 = (py_div(2.0 * py_pow(lam, alpha + 2.0, e), spread, e) + (alpha + 1.0) * mu - lam) / denom
+    g3 = (py_div(2.0 * py_pow(mu, alpha + 2.0, e), spread, e) + (alpha + 1.0) * lam - mu) / denom
     # Each pair sums to half_weight, so a gamma below -1e-12 of it is not a
     # rounded 0 but an underflowed lam^2 or lam^(alpha+2) (a tiny weight);
     # above half_weight = 1 the absolute -1e-12 still holds.
@@ -35,12 +36,12 @@ def gamma_coeffs(alpha: float, lam: float, mu: float) -> CoefficientSet:
         "gamma2": half_weight - g1,
         "gamma3": g3,
         "gamma4": half_weight - g3,
-    }, tol=1e-12 * py_min(1.0, half_weight))
+    }, tol=1e-12 * py_min(1.0, half_weight), errors=e)
 
 
 def nu_coeffs(alpha: float) -> CoefficientSet:
     """Kernel moments of the equal-weights bound; nu1 + nu2 = 1/2 always."""
-    Params(alpha=alpha)
+    Params(alpha=alpha).checked()
     denom = (alpha + 1.0) * (alpha + 2.0)
     half_pow = py_pow(0.5, alpha)
     nu1 = (alpha + half_pow) / denom

@@ -35,7 +35,7 @@ def _admit(b: float, grid_n: int, alphas, m, q=1.0) -> None:
     if not 0 < b < math.inf:
         raise ParamError(f"b must be positive and finite, got {b}")
     alphas, m, q = np.broadcast_arrays(alphas, m, q)
-    Params(alphas, m, q=q)  # each alpha beside its m and q, as columns
+    Params(alphas, m, q=q).checked()  # each alpha beside its m and q, as columns
 
 
 def _finite(points, h, q):

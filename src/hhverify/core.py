@@ -18,8 +18,6 @@ import numpy as np
 class ParamError(ValueError):
     """A parameter tuple violates its admissibility constraints."""
 
-    cells = True  # raised over cells of array parameters: a mask of the failing ones
-
 
 class DomainError(ValueError):
     """An evaluation point falls outside a function's declared domain."""
@@ -46,6 +44,18 @@ class NonFiniteError(ArithmeticError):
 # whether an inequality holds; absorbs double rounding, never masks a
 # genuine violation (those exceed it by orders of magnitude).
 HOLDS_SLACK = 1e-12
+
+
+def fail(errors, bad, error_of, *columns) -> None:
+    """Give each cell of the mask ``bad`` without an error in ``errors`` (a dict by cell
+    index) the error ``error_of`` makes of its values of ``columns``; a point (``errors``
+    None) raises it."""
+    if np.any(bad):
+        if errors is None:
+            raise error_of(*columns)
+        bad, *columns = np.broadcast_arrays(bad, *columns)
+        for i, *cell in zip(np.flatnonzero(bad).tolist(), *(c[bad].tolist() for c in columns)):
+            errors.setdefault(i, error_of(*cell))
 
 
 @dataclass(frozen=True)
@@ -75,8 +85,10 @@ class Params:
     alpha and m live in (0, 1]; lam and mu are nonnegative weights with
     lam + mu > 0; q >= 1 is the derivative-power exponent.  The conjugate
     p = q/(q-1) only exists for q > 1 and accessing it at q = 1 raises.
-    Each field is a float (a point) or an array over cells.  Over cells, the first
-    rule a cell fails raises with the ``cells`` failing it and their ``cell_errors``.
+    Each field is a float (a point) or an array over cells (columns).  A point
+    raises the first rule it fails.  Columns do not raise: ``errors`` maps each
+    failing cell's index to the error its point raises, in the order the rules
+    meet them, and the operations of a bound over these cells add theirs.
     """
 
     alpha: float = 1.0
@@ -84,9 +96,11 @@ class Params:
     lam: float = 1.0
     mu: float = 1.0
     q: float = 1.0
+    errors: dict | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         alpha, m, lam, mu, q = (fields := vars(self)).values()
+        errors = {} if np.broadcast(*fields.values()).shape else None
         for holds, message in (  # the admissible set, rule by rule
                 *((abs(v) < math.inf, f"{k} must be finite, got {{{k}}}")
                   for k, v in fields.items()),
@@ -95,13 +109,16 @@ class Params:
                 ((lam >= 0) & (mu >= 0), "weights must be nonnegative, got lam={lam}, mu={mu}"),
                 ((lam > 0) | (mu > 0), "weights must satisfy lam + mu > 0"),  # without overflow
                 (q >= 1, "q must satisfy q >= 1, got {q}")):
-            if holds is not True and not np.all(holds):  # each failing cell's error as a point
-                bad, *columns = np.broadcast_arrays(~np.asarray(holds), *fields.values())
-                errors = [ParamError(message.format(**dict(zip(fields, cell))))
-                          for cell in zip(*(column[bad].tolist() for column in columns))]
-                if errors:  # a column of zero cells has no failing cell
-                    errors[0].cells, errors[0].cell_errors = bad, errors
-                    raise errors[0]
+            if holds is not True and not np.all(holds):
+                fail(errors, ~np.asarray(holds), lambda *cell: ParamError(
+                    message.format(**dict(zip(fields, cell)))), *fields.values())
+        object.__setattr__(self, "errors", errors)
+
+    def checked(self) -> Params:
+        """These Params once no cell fails a rule; else the first error met raises."""
+        if self.errors:
+            raise next(iter(self.errors.values()))
+        return self
 
     @property
     def p(self) -> float:
@@ -170,13 +187,16 @@ class CoefficientSet:
     """Named closed-form constants belonging to one bound family.
 
     Each value must be finite and at least -tol, the rounding allowed around
-    a true 0; tol may be an array over cells.
+    a true 0; tol may be an array over cells.  A point raises; over cells, a
+    failing cell gets its error in ``errors`` (``fail``) and NaN in every value.
     """
 
     values: dict
     tol: float = 1e-12
+    errors: dict | None = None
 
     def __post_init__(self):
+        failing = False
         for name, v in self.values.items():
             if not isinstance(v, np.ndarray) and math.isfinite(v) and v >= -self.tol:
                 continue  # a valid scalar, checked without numpy's per-call cost
@@ -184,9 +204,11 @@ class CoefficientSet:
             for bad, what in ((~np.isfinite(v), "is not finite:"),
                               (v < -self.tol, "must be nonnegative, got")):
                 if bad.any():
-                    error = ParamError(f"coefficient {name} {what} {v[bad][0]}")
-                    error.cells = bad
-                    raise error
+                    fail(self.errors, bad, lambda x: ParamError(
+                        f"coefficient {name} {what} {x}"), v)
+                    failing = failing | bad
+        if np.any(failing):
+            self.values.update({k: np.where(failing, np.nan, v) for k, v in self.values.items()})
 
     def __getitem__(self, name: str) -> float:
         return self.values[name]
@@ -195,15 +217,33 @@ class CoefficientSet:
 # Per-cell arithmetic with the bits of the scalar expression.  numpy's +, -,
 # *, / and abs round as Python's do; its array power can differ from libm's
 # pow in the last bit, and Python's ** and / raise where numpy returns inf.
-# Scalar arguments (a call with Params) get the scalar expression itself.
+# Scalar arguments (a call with Params) get the scalar expression itself.  Over
+# cells, a cell that raises gets NaN and, as with ``fail``, its error in ``errors``.
 
 def _per_cell(op):
     ufunc = np.frompyfunc(op, 2, 1)  # calls op on each cell's Python floats
 
-    def per_cell(x, y):
-        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+    def real(x, y):  # op at one cell, where Python's x ** y is complex for x < 0
+        if type(z := op(x, y)) is complex:
+            raise DomainError(f"{op.__name__}({x}, {y}) is not a real number")
+        return z
+
+    def per_cell(x, y, errors=None):
+        if not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray)):
+            return real(x, y)
+        try:  # the whole column in one call
             return np.asarray(ufunc(x, y), dtype=float)
-        return op(x, y)
+        except (ArithmeticError, DomainError, TypeError):  # a cell raised, or is complex
+            if errors is None:
+                raise
+        values = []
+        for i, cell in enumerate(zip(*(v.tolist() for v in np.broadcast_arrays(x, y)))):
+            try:
+                values.append(real(*cell))
+            except (ArithmeticError, DomainError) as exc:
+                values.append(math.nan)
+                errors.setdefault(i, exc.with_traceback(None))
+        return np.array(values, dtype=float)
     return per_cell
 
 

@@ -1,16 +1,21 @@
+import contextlib
+import io
 import itertools
 import math
+import pathlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from hhverify import (GateError, Interval, ParamError, Params, TestFunction,
+from hhverify import (DomainError, GateError, Interval, ParamError, Params, TestFunction,
                       bound_hh, check_alpha_m_convex, check_hypotheses, corpus_by_id,
                       derivative_power, deviation, kernel_moment, lemma21_residual, reflect,
                       verify)
-from hhverify import bounds
+from hhverify import bounds, cli
 from hhverify.bounds import thm11_rhs
 
+OVERFLOW_SPEC = pathlib.Path(__file__).parent / "data" / "overflow.spec"
 POW2 = corpus_by_id()["pow2"]
 EXP = corpus_by_id()["exp"]
 RECIP = corpus_by_id()["recip"]
@@ -262,15 +267,16 @@ class TestVerify:
         assert str(cols.error[0]) == "thm22 needs q > 1"
 
     def test_a_group_admits_its_parameters_as_columns(self, monkeypatch):
-        # Params runs on the columns, again on the cells each failed rule
-        # leaves, then once per RHS call: not once per tuple
+        # Params runs once on the columns, each cell keeping its first failing
+        # rule, then once per RHS call: not once per tuple, nor again on the
+        # cells a failed rule leaves
         sizes, check = [], Params.__post_init__
         monkeypatch.setattr(Params, "__post_init__",
                             lambda p: sizes.append(np.size(p.q)) or check(p))
         cells = [(alpha, 1.0, lam, mu, 2.0) for alpha in (0.5, 1.0, 2.0) for lam in (0.0, 1.0)
                  for mu in (0.0, 1.0)]
         cols = bounds.assess_group(POW2, 1.0, 2.0, cells, ["da"], gate_of=None)
-        assert sizes == [12, 8, 6, 6]
+        assert sizes == [12, 6]
         assert [str(e) if e else s for e, s in zip(cols.error, cols.status)] == [
             "weights must satisfy lam + mu > 0", "ok", "ok", "ok"] * 2 + [
             "alpha must lie in (0, 1], got 2.0"] * 4
@@ -288,6 +294,37 @@ class TestVerify:
         cols = bounds.assess_group(POW2, 1.0, 2.0, cells, ["thm11", "da"], gate_of=None)
         assert seen == [6]
         assert cols.status == ["ok"] * 12 + ["input_error"] * 2
+        # lambda = 1e308 overflows in thm11 and thm22 beside ordinary cells: still
+        # one call per (group, theorem), 14 on the two groups
+        calls = Counter()
+        for tid in bounds.THEOREM_IDS:
+            monkeypatch.setattr(bounds, f"{tid}_rhs", lambda *args, tid=tid, rhs=getattr(
+                bounds, f"{tid}_rhs"): calls.update([tid]) or rhs(*args))
+        spec = cli.parse_sweep_file(str(OVERFLOW_SPEC))
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert sum(len(table.order) for table in cli.run_sweep(spec)) == 70560
+        assert calls == {tid: 2 for tid in bounds.THEOREM_IDS}
+
+    def test_a_cell_keeps_the_error_of_its_point_call(self):
+        # pown2 on [1, 1e200] at alpha = 1e-100: at lambda = 5 gamma2 = -4.4e-16
+        # passes as a rounded 0 and |f'(b)|^2 underflows, so thm11's smaller branch
+        # is negative and its power 1/q not real; lambda = 1e308 overflows; lambda =
+        # 1e-200 underflows thm22's kernel; lambda = 1 fails nothing
+        fn, iv = corpus_by_id()["pown2"], Interval(1.0, 1e200)
+        cells = [(1e-100, 1.0, lam, mu, 2.0) for lam, mu in ((5.0, 1.0), (1.0, 1.0),
+                                                             (1e308, 1.0), (1e-200, 0.0))]
+        cols = bounds.assess_group(fn, iv.a, iv.b, cells, ["thm11", "thm22"], gate_of=None)
+        for (cell, tid), status, error, rhs in zip(itertools.product(cells, ["thm11", "thm22"]),
+                                                   cols.status, cols.error, cols.rhs):
+            try:
+                value, _ = getattr(bounds, f"{tid}_rhs")(fn, iv, Params(*cell))
+            except (ParamError, DomainError, ArithmeticError) as exc:
+                assert (status, type(error), str(error)) == ("input_error", type(exc), str(exc))
+                assert rhs is None
+            else:
+                assert error is None and rhs == value
+        assert [type(e).__name__ for e in cols.error[::2]] == [
+            "DomainError", "NoneType", "OverflowError", "ParamError"]
 
     def test_gate_runs_once_per_group(self):
         # the group's distinct hypotheses (g, alpha, m, q) share one call, in cell

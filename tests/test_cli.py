@@ -35,6 +35,7 @@ ALL_STATUS_SPEC = (
 TRAP_SPEC = pathlib.Path(__file__).parent / "data" / "trap.spec"
 GATE_SPEC = pathlib.Path(__file__).parent / "data" / "gate.spec"
 DENSE_SPEC = pathlib.Path(__file__).parent / "data" / "dense.spec"
+OVERFLOW_SPEC = pathlib.Path(__file__).parent / "data" / "overflow.spec"
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +159,21 @@ class TestVerifyCommand:
         assert "status=input_error" in out
         assert err == ("error: coefficient gamma1 must be nonnegative, "
                        "got -2.6666666666666665e-201\n")
+
+    @pytest.mark.parametrize("argv, reason", [
+        # gamma2 = -4.4e-16 passes as a rounded 0 and |f'(b)|^2 underflows, so thm11's
+        # smaller branch is negative and its power 1/q is not real
+        (["--fn", "pown2", "--a", "1", "--b", "1e200", "--alpha", "1e-100", "--lambda", "5",
+          "--mu", "1", "--q", "2", "--theorem", "thm11"],
+         "pow(-1.7763568394002505e-15, 0.5) is not a real number"),
+        # the one cell's reason is the text its point call raises
+        (["--fn", "pow2", "--a", "1", "--b", "2", "--lambda", "1e-200", "--mu", "0", "--q", "2",
+          "--theorem", "thm22"], "thm22 kernel underflows to 0 at lambda = 1e-200, mu = 0.0"),
+    ], ids=["non_real_power", "underflowed_thm22_kernel"])
+    def test_a_failed_cell_names_its_reason(self, capsys, argv, reason):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 3 and "status=input_error" in out
+        assert err == f"error: {reason}\n"
 
     def test_input_error_exit_three(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--fn", "nope", "--a", "0",
@@ -384,9 +400,13 @@ class TestSweep:
           "pow2 [1.0, 2.0]: gate grid end b / m is not finite: 2.0 / 1e-320"]),
         ("functions = pow2\nintervals = 1:2\nlambda = 1e308\nmu = 1e308\nq = 2\n",
          ["ok"] * 4 + ["input_error"] * 3, ["pow2 [1.0, 2.0]: Numerical result out of range"]),
+        # gamma2 = -4.4e-16 passes as a rounded 0 and |f'(b)|^2 underflows: thm11's
+        # smaller branch is negative and its power 1/q is not real
+        ("functions = pown2\nintervals = 1:1e200\nalpha = 1e-100\nlambda = 5\nmu = 1\nq = 2\n"
+         "theorems = thm11, da\n", ["ok", "input_error"], []),
     ], ids=["non_finite_integral", "non_finite_gate", "division_by_underflow",
             "division_by_underflow_spares_its_group", "underflowed_thm22_kernel",
-            "overflowed_gate_grid_end", "huge_weights"])
+            "overflowed_gate_grid_end", "huge_weights", "non_real_power"])
     @pytest.mark.filterwarnings("error")
     def test_out_of_range_group_is_isolated(self, tmp_path, capsys, text, statuses, warned):
         # the cells a value out of float range reaches are input_error, each
@@ -616,11 +636,35 @@ class TestSweep:
             "min_slack=2.220446049250313e-16 at "
             "('pow2', 0.5, 1.5, 1.0, 0.25, 0.0, 1.0, 1.0, 'thm11')\n")
 
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv", "ae31958a75e9cfd70554e12473e163d63184fc5557d0cfbadc39a8b4bc47c787"),
+        ("json", "bddcc4dde2af05fef8d5a67a33e21e97c7492bac86d96a168acf352d77b5c0d3"),
+    ], ids=["csv", "json"])
+    def test_overflow_spec_bytes_are_pinned(self, tmp_path, capsys, fmt, digest):
+        # lambda = 1e308 beside an ordinary grid: only the cells it reaches are
+        # input_error, and each group's first out-of-range text is its warning
+        out_file = tmp_path / f"overflow.{fmt}"
+        code, out, err = run_cli(capsys, "sweep", str(OVERFLOW_SPEC), "--format", fmt,
+                                 "-o", str(out_file))
+        assert code == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+        assert out == (
+            "sweep: 70560 rows (2 functions x 1 intervals x 2x2 (alpha,m) x 21x20 weights x "
+            "3 q x 7 theorems)\n"
+            "total=70560 holds=35494 violations=0 gate_skipped=24302 not_applicable=10080 "
+            "input_error=684\n"
+            "min_slack=-8.881784197001252e-16 at "
+            "('pow2', 1.0, 2.0, 1.0, 0.5, 1.75, 0.0, 1.0, 'thm11')\n")
+        assert err == ("warning: exp [1.0, 2.0]: Numerical result out of range\n"
+                       "warning: pow2 [1.0, 2.0]: Numerical result out of range\n")
+
     def test_default_sweep_gates_once_per_group(self, monkeypatch):
         # one gate call per group that has a cell open after the interval, parameter,
         # domain and q > 1 checks (pown2, recip and xlogx on [0, 1] have none): 29
-        # calls, against 232 with a call per sample grid (g, m, q), and 321 Params
-        # builds, against 698 when each grid's call admitted alpha, m and q again
+        # calls, against 232 with a call per sample grid (g, m, q), and 289 Params
+        # builds: one per group, RHS call, gate call, gamma_coeffs and nu_coeffs, against
+        # 321 when the cells a failed rule left were admitted again and 698 when each
+        # grid's call admitted alpha, m and q again
         calls, builds, check = [], [], Params.__post_init__
         monkeypatch.setattr(Params, "__post_init__", lambda p: builds.append(p) or check(p))
         assess = bounds.assess_group
@@ -631,7 +675,7 @@ class TestSweep:
         assert len(table_rows(cli.run_sweep(spec))) == 67200
         assert calls == [(fn_id, a, b) for fn_id, (a, b) in sorted(itertools.product(
             spec.functions, spec.intervals)) if a > 0 or fn_id not in ("pown2", "recip", "xlogx")]
-        assert len(builds) == 321
+        assert len(builds) == 289
 
     @pytest.mark.parametrize("fmt, digest", [
         ("csv", "7e40f2ed00d4967afab8a81fa9e1800e341537ccd615b64060b0999664d53530"),
@@ -718,6 +762,8 @@ class TestSweep:
 # included) and known and unknown theorems: the grouped, streamed sweep must
 # write the bytes of the one-cell groups' rows under one global stable sort.
 # Up to four alphas share a sample grid, and m = 1e-320 overflows its end b / m.
+# lambda = 1e308 and q = 1e308 overflow and lambda = 1e-200 underflows in some
+# RHS, beside ordinary cells of the same group.
 _st = hypothesis.strategies
 # The ints 0 and 1 equal the floats 0.0, -0.0 and 1.0 but are written "0" and "1".
 _values = [0.25, 0.5, 1.0, 0.5, 1.0, -0.0, 1.5, 0, 1]
@@ -732,10 +778,11 @@ _values = [0.25, 0.5, 1.0, 0.5, 1.0, -0.0, 1.5, 0, 1]
                         min_size=1, max_size=3),
     alpha=_st.lists(_st.sampled_from([*_values, 0.75]), min_size=1, max_size=4),
     m=_st.lists(_st.sampled_from([*_values, 1e-320]), min_size=1, max_size=2),
-    lam=_st.lists(_st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, 1.0, 0, 1]), min_size=1,
-                  max_size=3),
+    lam=_st.lists(_st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, 1.0, 0, 1, 1e308, 1e-200]),
+                  min_size=1, max_size=3),
     mu=_st.lists(_st.sampled_from([-0.0, 0.0, 1.0, 3.0, 0, 1]), min_size=1, max_size=2),
-    q=_st.lists(_st.sampled_from([1.0, 2.0, 3.0, 2.0, 0.5, -0.0, 1]), min_size=1, max_size=3),
+    q=_st.lists(_st.sampled_from([1.0, 2.0, 3.0, 2.0, 0.5, -0.0, 1, 1e308]), min_size=1,
+                max_size=3),
     theorems=_st.lists(_st.sampled_from([*cli.bounds.THEOREM_IDS, "bogus"]),
                        min_size=1, max_size=3)))
 @hypothesis.settings(max_examples=80, deadline=None, database=None)

@@ -81,20 +81,21 @@ def _point_error(cell):
                      (0.5, 0.5, 0.0, 0.0, 2.0), (3.0, 1.0, 1.0, 1.0, 1.0)])
 @hypothesis.settings(max_examples=300, deadline=None, database=None)
 def test_columns_follow_the_rules_of_a_point(cells):
-    # one rule list: columns raise iff some cell raises as a point, naming the
-    # cells that fail the first rule any cell fails, each with its own message
+    # one rule list: columns do not raise; each failing cell's error is the one
+    # its point raises (its first failing rule), and ``checked`` raises the error
+    # of the first rule any cell fails, at the first cell that fails it
     points = [_point_error(cell) for cell in cells]
-    rule = [next(i for i, r in enumerate(_RULES) if p.startswith(r)) if p else len(_RULES)
-            for p in points]
-    try:
-        Params(*np.array(cells).T)
-    except ParamError as exc:
-        first = min(rule)
-        assert exc.cells.tolist() == [r == first for r in rule]
-        assert str(exc) == points[rule.index(first)]
-        assert [str(e) for e in exc.cell_errors] == [p for p, r in zip(points, rule) if r == first]
+    p = Params(*np.array(cells).T)
+    assert {i: (type(e), str(e)) for i, e in p.errors.items()} == {
+        i: (ParamError, e) for i, e in enumerate(points) if e}
+    rule = [next(i for i, r in enumerate(_RULES) if e.startswith(r)) if e else len(_RULES)
+            for e in points]
+    if any(points):
+        with pytest.raises(ParamError) as info:
+            p.checked()
+        assert str(info.value) == points[rule.index(min(rule))]
     else:
-        assert points == [None] * len(cells)
+        assert p.checked() is p
     # a group's rejected cell gets the error its point raises
     cols = bounds.assess_group(corpus_by_id()["pow2"], 1.0, 2.0, cells, ["da", "thm11"],
                                gate_of=None)
