@@ -4,9 +4,11 @@
 and whether it needs q > 1.  Its RHS is ``<id>_rhs(fn, iv, p)``, which
 returns (rhs, branches) without integrating, for a Params of a point (the
 means module compares against it) or of columns over cells.
-``assess_group`` evaluates one (function, interval) group as numpy columns:
-lookup, applicability, gate, LHS and RHS.  The library's ``verify`` is its
-one-cell call; the CLI's rows come from ``cli.group_rows``.
+``admit`` checks a sweep's (params, theorem) cells once: parameters, the q > 1
+rule and the distinct gate hypotheses.  ``assess_group`` evaluates them for one
+(function, interval) group as typed ``Columns``: domain, gate, LHS and RHS.  The
+library's ``verify`` is its one-cell call; the CLI's rows come from
+``cli.group_rows``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -251,105 +253,187 @@ THEOREMS = {
 THEOREM_IDS = tuple(THEOREMS)
 
 
-# A report row's computed columns, in row order (the CLI puts its inputs first).
-# ``Columns`` holds one (function, interval) group's cells as lists in
-# product(params, theorem_ids) order: these (None where a cell has no value),
-# each cell's exception for ``verify`` and gate verdict, and per theorem id
-# the RHS's names for branch1, branch2 and rhs_loose.
+# A report row's computed columns, in row order (the CLI puts its inputs first):
+# ``status`` a code into ``STATUSES``, ``holds`` one into ``HOLDS`` (None: the
+# cell has no value) and the ``FLOAT_COLUMNS`` float64, each with a presence mask.
 ROW_COLUMNS = ("status", "lhs", "rhs", "slack", "holds", "quad_error",
                "branch1", "branch2", "rhs_loose", "gate_violation")
-Columns = namedtuple("Columns", (*ROW_COLUMNS, "error", "verdict", "branch_names"))
+STATUSES = ("ok", "violation", "gate_skipped", "not_applicable", "input_error")
+OK, VIOLATION, GATE_SKIPPED, NOT_APPLICABLE, INPUT_ERROR = range(len(STATUSES))
+HOLDS = (False, True, None)
+FLOAT_COLUMNS = tuple(c for c in ROW_COLUMNS if c not in ("status", "holds"))
+PlainColumns = namedtuple("PlainColumns", ROW_COLUMNS)
+
+
+class Columns(NamedTuple):
+    """Cells' ``ROW_COLUMNS`` as typed arrays: the codes ``status`` and ``holds``, the
+    ``FLOAT_COLUMNS`` as the rows of ``values``, and ``present`` False where a value is
+    None.  ``assess_group`` adds each cell's exception (for ``verify``) and gate
+    verdict, and per theorem id the RHS's names for branch1, branch2 and rhs_loose; a
+    sweep's tables carry the typed arrays alone."""
+
+    status: np.ndarray
+    holds: np.ndarray
+    values: np.ndarray
+    present: np.ndarray
+    error: np.ndarray | None = None
+    verdict: np.ndarray | None = None
+    branch_names: dict | None = None
+
+    @classmethod
+    def empty(cls, n: int) -> Columns:
+        """n cells, each an input_error without a value, an error or a verdict."""
+        shape = (len(FLOAT_COLUMNS), n)
+        return cls(np.full(n, INPUT_ERROR, np.int8), np.full(n, HOLDS.index(None), np.int8),
+                   np.full(shape, np.nan), np.zeros(shape, bool), np.full(n, None, object),
+                   np.full(n, None, object), {})
+
+    def put(self, at, name: str, value) -> None:
+        """The float column ``name`` holds ``value`` at the cells ``at``."""
+        k = FLOAT_COLUMNS.index(name)
+        self.values[k, at], self.present[k, at] = value, True
+
+    def plain(self) -> PlainColumns:
+        """The ``ROW_COLUMNS`` as lists of plain values: str, float, bool or None."""
+        floats = np.where(self.present, self.values, None).tolist()
+        return PlainColumns(status=[STATUSES[s] for s in self.status.tolist()],
+                            holds=[HOLDS[h] for h in self.holds.tolist()],
+                            **dict(zip(FLOAT_COLUMNS, floats)))
+
+
+class Cells(NamedTuple):
+    """A sweep's (params, theorem) cells, admitted once for all its groups.
+
+    ``params`` holds the params tuples as one Params of columns, and ``errors`` each
+    tuple's error or None.  ``status`` and ``error`` have a row per tuple and a
+    column per theorem id: the outcome of the q > 1 rule, bad input and an unknown id,
+    an open cell having no error.  ``hypotheses`` lists the open cells' distinct gate
+    hypotheses (g, alpha, m, q) in cell order, and ``hypothesis`` holds each cell's
+    index into it (-1 for a closed cell).
+    """
+
+    params: Params
+    theorem_ids: tuple
+    errors: np.ndarray
+    status: np.ndarray
+    error: np.ndarray
+    hypotheses: list
+    hypothesis: np.ndarray
+
+
+def _precedence(q, theorem_ids, errs) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's status code and error before the gate, given each params tuple's q
+    and error ``errs`` (None, or the interval's, its Params' or the domain's);
+    precedence: the q > 1 rule, bad input, an unknown id, the domain."""
+    status = np.full((len(q), len(theorem_ids)), INPUT_ERROR, np.int8)
+    error = np.empty(status.shape, object)
+    error[:] = errs[:, None]
+    domain = np.array([isinstance(e, DomainError) for e in errs], bool)
+    for j, tid in enumerate(theorem_ids):
+        if (thm := THEOREMS.get(tid)) is None:
+            error[np.equal(errs, None) | domain, j] = ParamError(f"unknown theorem id {tid!r}")
+            continue
+        status[domain, j] = NOT_APPLICABLE
+        if thm.needs_q_gt_1:
+            q_rule = q == 1
+            error[q_rule, j] = ParamError(f"{tid} needs q > 1")
+            status[q_rule, j] = NOT_APPLICABLE
+    return status, error
+
+
+def admit(params, theorem_ids) -> Cells:
+    """The ``Cells`` of ``params``, (alpha, m, lam, mu, q) tuples, under each of
+    ``theorem_ids``: one ``Params`` of all the tuples (a rejected one gets its own
+    error), and one pass that finds the open cells' distinct hypotheses."""
+    p = Params(*np.array(list(params), dtype=float).reshape(-1, 5).T)
+    errors = np.full(len(p.q), None, object)
+    errors[list(p.errors)] = list(p.errors.values())
+    status, error = _precedence(p.q, theorem_ids, errors)
+    open_ = np.equal(error, None)
+    hyp = np.zeros(open_.shape + (4,))
+    for j, tid in enumerate(theorem_ids):
+        for k, v in enumerate(THEOREMS[tid].hypothesis(p) if tid in THEOREMS else ()):
+            hyp[:, j, k] = v == "df" if k == 0 else v
+    wanted = hyp[open_]
+    _, first, inverse = np.unique(wanted.view("V32").ravel(), return_index=True,
+                                  return_inverse=True)
+    rank = np.empty(len(first), int)
+    rank[np.argsort(first)] = np.arange(len(first))  # first occurrence in cell order
+    hypothesis = np.full(open_.shape, -1)
+    hypothesis[open_] = rank[inverse.ravel()]
+    hypotheses = [("df" if df else "f", *amq) for df, *amq in wanted[np.sort(first)].tolist()]
+    return Cells(p, tuple(theorem_ids), errors, status, error, hypotheses, hypothesis)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # out of range: an error of its cell, or inf
-def assess_group(fn: TestFunction, a: float, b: float, params, theorem_ids,
+def assess_group(fn: TestFunction, a: float, b: float, cells: Cells,
                  gate_of=check_hypotheses) -> Columns:
-    """Evaluate one (function, interval) group as numpy columns; ``params``
-    holds (alpha, m, lam, mu, q) tuples.  ``Interval(a, b)``, one ``Params`` of
-    all the cells (a rejected cell gets its own tuple's error), ``fn.require(a)``
-    and ``integral_mean(fn, iv)`` run once, ``gate_of(fn, b, hypotheses,
-    GATE_GRID_N)`` once, with the group's distinct (g, alpha, m, q) hypotheses
-    in cell order (None skips the gate), and each ``<id>_rhs`` once, on the
-    Params of the cells that reach it.  The RHS does not raise over cells: a
-    cell it fails (a value out of float range, b / m among them) keeps the error
-    its own call raises, in the ``error`` column, and is input_error.
-    A row holds by ``core.make_report``'s rule.
+    """Evaluate one (function, interval) group's ``cells`` (``admit``) as ``Columns``.
+    ``Interval(a, b)`` and ``fn.require(a)`` run once (a failure closes every cell),
+    ``integral_mean(fn, iv)`` once, ``gate_of(fn, b, cells.hypotheses, GATE_GRID_N)``
+    once (None skips the gate), and each ``<id>_rhs`` once, on the Params of the cells
+    that reach it (``cells.params.take``: no rule runs again).  The RHS does not raise
+    over cells: a cell it fails (a value out of float range, b / m among them) keeps
+    the error its own call raises, in the ``error`` column, and is input_error.  A row
+    holds by ``core.make_report``'s rule.
     """
-    # looked up per group so that a replaced ``<id>_rhs`` is the one used
-    thms = [(tid, THEOREMS.get(tid), globals().get(f"{tid}_rhs")) for tid in theorem_ids]
-    P = np.array(list(params), dtype=float).reshape(-1, 5)
-    errs, iv, p = np.full(len(P), None, object), None, None
+    n, t = cells.status.shape
+    cols = Columns.empty(n * t)
+    status, error, verdict = (c.reshape(n, t) for c in (cols.status, cols.error, cols.verdict))
+    iv = None
     try:  # precedence: the interval, the parameters, the domain
         iv = Interval(a, b)
-        p = Params(*P.T)
-        errs[list(p.errors)] = list(p.errors.values())
         fn.require(a)
     except (ParamError, DomainError) as exc:
-        errs[np.equal(errs, None)] = exc.with_traceback(None)
-    c = {name: np.full((len(P), len(thms)), None, object) for name in Columns._fields[:-1]}
-    status, error = c["status"], c["error"]
-
-    # precedence: the q > 1 rule, bad input, an unknown id, the domain
-    status[:], error[:] = "input_error", errs[:, None]
-    domain = np.array([isinstance(e, DomainError) for e in errs], bool)
-    for j, (tid, thm, _) in enumerate(thms):
-        if thm is None:
-            error[np.equal(errs, None) | domain, j] = ParamError(f"unknown theorem id {tid!r}")
-            continue
-        status[domain, j] = "not_applicable"
-        if thm.needs_q_gt_1:
-            q_rule = P[:, 4] == 1
-            error[q_rule, j] = ParamError(f"{tid} needs q > 1")
-            status[q_rule, j] = "not_applicable"
-    open_ = np.equal(error, None)
+        errs = np.full(n, exc.with_traceback(None), object)
+        if iv is not None:  # the domain's error, where the parameters have none
+            errs = np.where(np.equal(cells.errors, None), errs, cells.errors)
+        status[:], error[:] = _precedence(cells.params.q, cells.theorem_ids, errs)
+        return cols
+    status[:], error[:] = cells.status, cells.error
+    open_ = cells.hypothesis >= 0
 
     if gate_of is not None and open_.any():
-        hyp = np.zeros(open_.shape + (4,))
-        for j, (_, thm, _) in enumerate(thms):
-            for k, v in enumerate(thm.hypothesis(p) if thm else ()):
-                hyp[:, j, k] = v == "df" if k == 0 else v
-        wanted = hyp[open_]
-        _, first, inverse = np.unique(wanted.view("V32").ravel(), return_index=True,
-                                      return_inverse=True)
-        hypotheses = [("df" if df else "f", *amq) for df, *amq in wanted[np.sort(first)].tolist()]
-        found = np.empty(len(first), object)  # a verdict, or its grid's ArithmeticError
-        found[np.argsort(first)] = gate_of(fn, b, hypotheses, GATE_GRID_N)
-        failed = np.array([isinstance(v, ArithmeticError) for v in found], bool)
-        worst = np.array([getattr(v, "worst_violation", None) for v in found], object)
-        holds = np.array([getattr(v, "holds", False) for v in found], bool)
-        inverse, gated = inverse.ravel(), open_.copy()
-        c["verdict"][gated], c["gate_violation"][gated] = found[inverse], worst[inverse]
-        error[gated] = np.where(failed[inverse], found[inverse], None)
-        open_[gated] = holds[inverse]
-        status[gated & ~open_ & np.equal(error, None)] = "gate_skipped"
+        found = np.empty(len(cells.hypotheses), object)  # a verdict, or its grid's error
+        found[:] = gate_of(fn, b, cells.hypotheses, GATE_GRID_N)
+        of = cells.hypothesis[open_]
+        failed, holds, worst = (np.array(x)[of] for x in zip(*(
+            (isinstance(v, ArithmeticError), getattr(v, "holds", False),
+             getattr(v, "worst_violation", np.nan)) for v in found)))
+        verdict[open_], error[open_] = found[of], np.where(failed, found[of], None)
+        gated = np.flatnonzero(open_)
+        cols.put(gated[~failed], "gate_violation", worst[~failed])
+        cols.status[gated[~holds & ~failed]] = GATE_SKIPPED
+        open_[open_] = holds
 
     if open_.any():
         try:
             mean, err = integral_mean(fn, iv)
         except (ParamError, DomainError, ArithmeticError) as exc:
             error[open_], open_[:] = exc.with_traceback(None), False
-    names = {}
-    for j, (tid, thm, rhs_of) in enumerate(thms):
+    for j, tid in enumerate(cells.theorem_ids):
         if not len(rows := np.flatnonzero(open_[:, j])):
             continue
-        value, branches = rhs_of(fn, iv, cells := Params(*P[rows].T))
-        weights = (P[rows, 2], P[rows, 3]) if thm.lhs == "weighted" else (1.0, 1.0)
+        # looked up per group so that a replaced ``<id>_rhs`` is the one used
+        thm, rhs_of = THEOREMS[tid], globals()[f"{tid}_rhs"]
+        value, branches = rhs_of(fn, iv, p := cells.params.take(rows))
+        weights = (p.lam, p.mu) if thm.lhs == "weighted" else (1.0, 1.0)
         lhs = mean if thm.lhs == "mean" else abs(_weighted_endpoint(fn, iv, *weights) - mean)
         r = make_report(tid, lhs, value, err)
         pair = sorted(k for k in branches if k != "loose")
-        names[tid] = (*pair[:2], "loose") if len(pair) >= 2 else (None, None, "loose")
-        for col, v in (("lhs", lhs), ("rhs", value), ("slack", r.slack), ("holds", r.holds),
-                       ("quad_error", err), *zip(("branch1", "branch2", "rhs_loose"),
-                                                 map(branches.get, names[tid]))):
-            if v is not None:  # numpy scalars as Python ones, shared by the cells
-                c[col][rows, j] = v.item() if isinstance(v, np.generic) else v
-        ok = np.broadcast_to(r.holds, rows.shape)
-        status[rows[ok], j], status[rows[~ok], j] = "ok", "violation"
-        for i, exc in cells.errors.items():  # a cell the RHS failed: its error and no values
-            status[rows[i], j], error[rows[i], j] = "input_error", exc
-            for col in ROW_COLUMNS[1:-1]:
-                c[col][rows[i], j] = None
-    return Columns(*(column.ravel().tolist() for column in c.values()), names)
+        names = cols.branch_names[tid] = (*pair[:2], "loose") if len(pair) >= 2 else (
+            None, None, "loose")
+        at = rows * t + j
+        for name, v in (("lhs", lhs), ("rhs", value), ("slack", r.slack), ("quad_error", err),
+                        *zip(("branch1", "branch2", "rhs_loose"), map(branches.get, names))):
+            if v is not None:
+                cols.put(at, name, v)
+        cols.holds[at], cols.status[at] = r.holds, np.where(r.holds, OK, VIOLATION)
+        if p.errors:  # a cell the RHS failed: its error and no values but its gate's
+            bad = at[list(p.errors)]
+            cols.status[bad], cols.holds[bad] = INPUT_ERROR, HOLDS.index(None)
+            cols.error[bad], cols.present[:-1, bad] = list(p.errors.values()), False
+    return cols
 
 
 def verify(fn: TestFunction, iv: Interval, p: Params, theorem_id: str,
@@ -361,16 +445,16 @@ def verify(fn: TestFunction, iv: Interval, p: Params, theorem_id: str,
     GateError (with the sampled witness) when the hypothesis fails; a gate
     failure is never a theorem violation.
     """
-    cols = assess_group(fn, iv.a, iv.b, [(p.alpha, p.m, p.lam, p.mu, p.q)], [theorem_id],
+    cols = assess_group(fn, iv.a, iv.b, admit([(p.alpha, p.m, p.lam, p.mu, p.q)], [theorem_id]),
                         gate_of=check_hypotheses if gate else None)
-    cell = Columns(*(column[0] for column in cols[:-1]), cols.branch_names)
-    if cell.status == "gate_skipped":
-        v = cell.verdict
+    if cols.status[0] == GATE_SKIPPED:
+        v = cols.verdict[0]
         raise GateError(f"convexity hypothesis of {theorem_id} fails for {fn.id} "
                         f"(violation {v.worst_violation:.3e} at {v.witness})",
                         witness=v.witness, worst_violation=v.worst_violation)
-    if cell.error is not None:
-        raise cell.error
-    branches = zip(cell.branch_names[theorem_id], (cell.branch1, cell.branch2, cell.rhs_loose))
-    return BoundReport(theorem_id, cell.lhs, cell.rhs, cell.slack, cell.holds,
-                       cell.quad_error, {k: v for k, v in branches if v is not None})
+    if cols.error[0] is not None:
+        raise cols.error[0]
+    row = PlainColumns(*(column[0] for column in cols.plain()))
+    branches = zip(cols.branch_names[theorem_id], (row.branch1, row.branch2, row.rhs_loose))
+    return BoundReport(theorem_id, row.lhs, row.rhs, row.slack, row.holds,
+                       row.quad_error, {k: v for k, v in branches if v is not None})

@@ -1,16 +1,19 @@
 """Batch verification harness: single checks, sweeps, tightness tables, means.
 
-Subcommands: verify | sweep | tightness | means.  Every (function, interval,
-params, theorem) cell goes through ``group_rows``: the ``bounds.ROW_COLUMNS``
-that ``bounds.assess_group`` (the path behind the library's ``verify``)
-computes for one (function, interval) group, all that a ``--jobs`` worker sends
-back.  ``run_sweep`` yields one ``Table`` per tie class of groups, in row order:
-the groups' heads (schema, fn, a, b), the sweep's one list of cells (alpha, m,
-lambda, mu, q, theorem), the row order and the computed columns in that order,
-all plain values (str, int, float, bool or None).  The writers format the cells
-once per sweep, a head once per group and a computed column once per distinct
-value, floats in shortest round-trip form, and join the texts row by row, so
-identical inputs give identical files.
+Subcommands: verify | sweep | tightness | means.  A sweep admits its
+(params, theorem) cells once (``bounds.admit``), and every (function, interval)
+group of them goes through ``group_rows``: the typed ``bounds.Columns`` that
+``bounds.assess_group`` (the path behind the library's ``verify``) computes,
+status and holds codes and float64 values with presence masks, and its warning
+text, all that a ``--jobs`` worker sends back.  ``run_sweep`` yields one
+``Table`` per tie class of groups, in row order: the groups' heads (schema, fn,
+a, b), the sweep's one list of cells (alpha, m, lambda, mu, q, theorem), the row
+order and the typed columns in that order.  The writers format the cells once
+per sweep, a head once per group, a code once per writer and a float column once
+per distinct 64-bit value, floats in shortest round-trip form, and join the
+texts row by row, so identical inputs give identical files.  ``verify``,
+``tightness``, ``eval_row`` and ``--format text`` read the columns as plain
+values through ``Columns.plain``.
 The LHS quadrature tolerance (``bounds.DEFAULT_LHS_TOL``) and the slack a row
 may miss by (``core.HOLDS_SLACK``) are constants: no flag or spec key sets them.
 
@@ -26,8 +29,7 @@ import itertools
 import json
 import math
 import sys
-from collections import Counter, namedtuple
-from concurrent.futures import ProcessPoolExecutor
+from collections import namedtuple
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
@@ -43,7 +45,7 @@ SCHEMA_VERSION = 1
 
 INPUT_COLUMNS = ("schema", "fn", "a", "b", "alpha", "m", "lambda", "mu", "q", "theorem")
 COLUMNS = [*INPUT_COLUMNS, *bounds.ROW_COLUMNS]
-_STATUS, _SLACK = map(bounds.ROW_COLUMNS.index, ("status", "slack"))
+_SLACK = bounds.FLOAT_COLUMNS.index("slack")
 Table = namedtuple("Table", ("heads", "cells", "order", "columns"))
 
 
@@ -54,48 +56,54 @@ def _fmt(v) -> str:
 # ---------------------------------------------------------------------------
 # Rows.
 
-def _assess(fn_id: str, a: float, b: float, params, theorems) -> tuple[list, list]:
-    """One (function, interval) group's ``bounds.ROW_COLUMNS`` as lists in ``assess_group``'s
-    order, and each distinct error (by identity) of its input_error cells, in cell order."""
+def _assess(fn_id: str, a: float, b: float, cells: bounds.Cells) -> bounds.Columns:
+    """``bounds.assess_group`` of one (function, interval) group's ``cells``; an unknown
+    function makes each cell an input_error."""
     fn = corpus_by_id().get(fn_id)
     if fn is None:
-        n = len(params) * len(theorems)
-        return ([["input_error"] * n] + [[None] * n for _ in bounds.ROW_COLUMNS[1:]],
-                [ParamError(f"unknown function {fn_id!r}")])
-    cols = bounds.assess_group(fn, a, b, params, theorems)
-    return list(cols[:len(bounds.ROW_COLUMNS)]), list(dict.fromkeys(
-        e for e, s in zip(cols.error, cols.status) if s == "input_error"))
+        cols = bounds.Columns.empty(cells.status.size)
+        cols.error[:] = ParamError(f"unknown function {fn_id!r}")
+        return cols
+    return bounds.assess_group(fn, a, b, cells)
 
 
-def group_rows(fn_id: str, a: float, b: float, params, theorems) -> tuple[list, str | None]:
-    """``_assess``' columns, and the text of the group's first out-of-float-range error
-    (its last argument: an OverflowError's without the errno) or None; all that a
-    ``--jobs`` worker sends back."""
-    columns, errors = _assess(fn_id, a, b, params, theorems)
-    return columns, next((str(*e.args[-1:]) for e in errors if isinstance(e, ArithmeticError)),
-                         None)
+def group_rows(fn_id: str, a: float, b: float, cells: bounds.Cells) -> tuple:
+    """``_assess``' typed columns without the errors and verdicts, and the text of the
+    group's first out-of-float-range error (its last argument: an OverflowError's
+    without the errno) or None; all that a ``--jobs`` worker sends back."""
+    cols = _assess(fn_id, a, b, cells)
+    overflow = next((e for e in dict.fromkeys(cols.error.tolist())
+                     if isinstance(e, ArithmeticError)), None)
+    return bounds.Columns(*cols[:4]), None if overflow is None else str(*overflow.args[-1:])
 
 
-def _rows(table: Table, heads: list, cells: list):
+def _take(parts, order) -> bounds.Columns:
+    """The typed columns of ``parts`` one after another, taken in ``order``."""
+    return bounds.Columns(*(np.concatenate(arrays, axis=-1)[..., order]
+                            for arrays in zip(*(part[:4] for part in parts))))
+
+
+def _rows(table: Table, heads: list, cells: list, columns):
     """Each row i of ``table`` as (``heads[order[i] // len(table.cells)]``, ``cells[order[i]
-    % len(table.cells)]``, *its computed values): the table's own heads and cells, or texts."""
-    n = len(table.cells)
-    return zip([heads[i // n] for i in table.order], [cells[i % n] for i in table.order],
-               *table.columns)
+    % len(table.cells)]``, *its values of ``columns``): the table's own heads, cells and
+    plain columns, or texts."""
+    group, cell = np.divmod(table.order, max(len(table.cells), 1))
+    return zip(map(heads.__getitem__, group.tolist()), map(cells.__getitem__, cell.tolist()),
+               *columns)
 
 
 def _point_table(args, theorems) -> Table:
     """The one-group table of the point flags' ``args`` under each of ``theorems``, rows in
     cell order; each distinct input error is named on stderr, an overflow as a sweep does."""
     point = (args.alpha, args.m, args.lam, args.mu, args.q)
-    columns, errors = _assess(args.fn, args.a, args.b, [point], theorems)
+    cols = _assess(args.fn, args.a, args.b, bounds.admit([point], theorems))
     warning = f"warning: {args.fn} [{args.a}, {args.b}]:"  # a value out of float range
+    errors = dict.fromkeys(cols.error[cols.status == bounds.INPUT_ERROR].tolist())
     for line in dict.fromkeys(f"{warning if isinstance(e, ArithmeticError) else 'error:'} "
                               f"{str(*e.args[-1:])}" for e in errors):
         print(line, file=sys.stderr)
     cells = [(*point, t) for t in theorems]
-    return Table([(SCHEMA_VERSION, args.fn, args.a, args.b)], cells, list(range(len(cells))),
-                 columns)
+    return Table([(SCHEMA_VERSION, args.fn, args.a, args.b)], cells, np.arange(len(cells)), cols)
 
 
 def eval_row(fn_id: str, a: float, b: float, alpha: float, m: float,
@@ -103,7 +111,7 @@ def eval_row(fn_id: str, a: float, b: float, alpha: float, m: float,
     """The report row of one (config, theorem) cell, keyed by ``COLUMNS``."""
     args = SimpleNamespace(fn=fn_id, a=a, b=b, alpha=alpha, m=m, lam=lam, mu=mu, q=q)
     table = _point_table(args, [theorem])
-    ((head, cell, *values),) = _rows(table, table.heads, table.cells)
+    ((head, cell, *values),) = _rows(table, table.heads, table.cells, table.columns.plain())
     return dict(zip(COLUMNS, (*head, *cell, *values)))
 
 
@@ -186,42 +194,48 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, summary: dict | None = None):
     ties in spec order, as one ``Table`` per tie class: the (function, interval)
     groups whose keys compare equal (a repeated interval, -0.0 beside 0.0), run in
     sorted order on at most ``min(jobs, groups)`` processes and stable-sorted before
-    the next class runs; every table holds the one list of cells.  Once all have gone
-    by, ``summary`` (if given) holds the count of every status and the least slack."""
+    the next class runs; every table holds the one list of cells, admitted once for
+    all the groups.  Once all have gone by, ``summary`` (if given) holds the count of
+    every status and the least slack."""
     params = list(itertools.product(spec.alpha, spec.m, spec.lam, spec.mu, spec.q))
     cells = [(*p, t) for p, t in itertools.product(params, spec.theorems)]
     # every group has these cells: rank places each among the distinct keys (-0.0 == 0.0)
     place = {key: i for i, key in enumerate(sorted(set(cells)))}
     rank = np.array([place[cell] for cell in cells], dtype=int)
-    by_rank = np.argsort(rank, kind="stable").tolist()  # the order of a one-group class
+    by_rank = np.argsort(rank, kind="stable")  # the order of a one-group class
     groups = sorted((f, a, b) for f, (a, b) in itertools.product(spec.functions, spec.intervals))
-    counts, tightest = Counter(), []  # each table's (min slack, its inputs after schema)
+    admitted = bounds.admit(params, spec.theorems)
+    counts = np.zeros(len(bounds.STATUSES), int)  # of each status code
+    tightest = []  # each table's (min slack, its inputs after schema)
     workers = min(jobs, len(groups))
+    if workers > 1:  # imported only here: it loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        tasks = [(*g, params, spec.theorems) for g in groups]
+        tasks = [(*g, admitted) for g in groups]
         results = (pool.map(group_rows, *zip(*tasks)) if pool
                    else itertools.starmap(group_rows, tasks))
         for _, tied in itertools.groupby(groups):
-            tied = list(tied)
-            columns = [[] for _ in bounds.ROW_COLUMNS]
+            tied, parts = list(tied), []
             for (fn_id, a, b), (computed, overflow) in zip(tied, results):  # stops at tied's end
                 if overflow:  # the group left the float range
                     print(f"warning: {fn_id} [{a}, {b}]: {overflow}", file=sys.stderr)
-                for column, values in zip(columns, computed):
-                    column += values
+                parts.append(computed)
             order = by_rank if len(tied) == 1 else np.argsort(
-                np.tile(rank, len(tied)), kind="stable").tolist()
-            if len(order) > 1:  # itemgetter of one index returns the bare value
-                columns = [list(column) for column in map(itemgetter(*order), columns)]
-            counts.update(columns[_STATUS])
-            slack, ok = columns[_SLACK], [i for i, s in enumerate(columns[_STATUS]) if s == "ok"]
-            if ok:  # min keeps the first of equal slacks, so ties go to the earliest row
-                i = min(ok, key=slack.__getitem__)
-                g, c = divmod(order[i], len(cells))
-                tightest.append((slack[i], (*tied[g], *cells[c])))
+                np.tile(rank, len(tied)), kind="stable")
+            columns = _take(parts, order)
+            counts += np.bincount(columns.status, minlength=len(counts))
+            if len(ok := np.flatnonzero(columns.status == bounds.OK)):
+                # min's rule: the first of equal slacks, where no slack is below a NaN
+                # one and a NaN one is below none
+                slack = columns.values[_SLACK, ok]
+                i = ok[0 if np.isnan(slack[0]) else np.argmin(np.where(np.isnan(slack), np.inf,
+                                                                       slack))]
+                g, c = divmod(int(order[i]), len(cells))
+                tightest.append((columns.values[_SLACK, i].item(), (*tied[g], *cells[c])))
             yield Table([(SCHEMA_VERSION, *group) for group in tied], cells, order, columns)
     if summary is not None:
         min_slack, config = min(tightest, key=itemgetter(0), default=(None, None))
+        counts = dict(zip(bounds.STATUSES, counts.tolist()))
         summary.update(total=sum(counts.values()), holds=counts["ok"],
                        violations=counts["violation"],
                        **{s: counts[s] for s in ("gate_skipped", "not_applicable", "input_error")},
@@ -231,29 +245,36 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, summary: dict | None = None):
 # ---------------------------------------------------------------------------
 # Output helpers: each writes an iterable of tables to a text file.
 
-def _texts(column, fmt):
-    """``fmt`` of each value of ``column``, once per distinct value in a column of one plain
-    type, None aside (1 == 1.0 == True), and one sign of zero (0.0 == -0.0)."""
-    kinds = set(map(type, column)) - {type(None)}
-    zero_signs = {math.copysign(1.0, v) for v in column if v == 0} if (
-        kinds == {float} and 0.0 in column) else ()
-    if len(kinds) <= 1 and kinds <= {float, int, bool, str} and len(zero_signs) < 2:
-        fmt = {v: fmt(v) for v in set(column)}.__getitem__
-    return map(fmt, column)
+def _float_texts(values, present, fmt) -> list:
+    """``fmt`` of each value of a float64 column, once per distinct 64-bit pattern (so
+    -0.0 stays apart from 0.0), and ``fmt(None)`` where ``present`` is False."""
+    keys, inverse = np.unique(values[present].view(np.uint64), return_inverse=True)
+    index = np.full(len(values), len(keys))  # the text of None where absent
+    index[present] = inverse
+    texts = [*map(fmt, keys.view(np.float64).tolist()), fmt(None)]
+    return np.array(texts, object)[index].tolist()
 
 
 def _row_texts(tables, formats, sep: str):
     """Yield each row of the tables as its texts, value i by ``formats[i]`` (``COLUMNS``: 4
     of the head, 6 of the cell, then the computed ones), joined by ``sep``; the cells are
-    formatted once per cell list (a sweep has one), the heads once per table."""
+    formatted once per cell list (a sweep has one), the heads once per table, a status or
+    holds code once, and a float column once per distinct value of a table."""
+    fmt = dict(zip(bounds.ROW_COLUMNS, formats[10:]))
+    code_texts = [np.array(list(map(fmt[c], codes)), object)
+                  for c, codes in (("status", bounds.STATUSES), ("holds", bounds.HOLDS))]
     cells, cell_texts = None, []
     for table in tables:
         if table.cells is not cells:
             cells = table.cells
-            cell_texts = list(map(sep.join, zip(*map(_texts, zip(*cells), formats[4:10]))))
+            cell_texts = [sep.join(f(v) for f, v in zip(formats[4:10], cell)) for cell in cells]
         heads = [sep.join(f(v) for f, v in zip(formats, head)) for head in table.heads]
-        columns = map(_texts, table.columns, formats[10:])
-        yield from map(sep.join, _rows(table._replace(columns=columns), heads, cell_texts))
+        status, holds, values, present = table.columns[:4]
+        texts = dict(zip(bounds.FLOAT_COLUMNS, map(_float_texts, values, present,
+                                                   map(fmt.get, bounds.FLOAT_COLUMNS))),
+                     status=code_texts[0][status].tolist(), holds=code_texts[1][holds].tolist())
+        yield from map(sep.join, _rows(table, heads, cell_texts,
+                                       map(texts.get, bounds.ROW_COLUMNS)))
 
 
 def write_csv(tables, out) -> None:
@@ -292,7 +313,8 @@ def _emit(tables, fmt: str, out) -> None:
         write_json(tables, out)
     else:
         for table in tables:
-            for head, cell, *values in _rows(table, table.heads, table.cells):
+            for head, cell, *values in _rows(table, table.heads, table.cells,
+                                             table.columns.plain()):
                 pairs = (f"{c}={_fmt(v)}" for c, v in zip(COLUMNS, (*head, *cell, *values))
                          if v is not None)
                 out.write("  ".join(pairs) + "\n")
@@ -304,7 +326,7 @@ def _emit(tables, fmt: str, out) -> None:
 def cmd_verify(args) -> int:
     table = _point_table(args, [args.theorem])
     _emit([table], args.format, sys.stdout)
-    (status,) = table.columns[_STATUS]
+    (status,) = table.columns.plain().status
     if args.crosscheck and status in ("ok", "violation"):
         residual = crosscheck_coefficients(args.alpha, args.lam, args.mu)
         print(f"crosscheck: max gamma deviation from quadrature oracle = {residual:.3e}")
@@ -351,25 +373,28 @@ def cmd_tightness(args) -> int:
         return 3
     table = _point_table(args, theorems)
     # Baseline: the classical endpoint-average upper bound on the integral mean.
+    baseline = bounds.Columns.empty(1)
     try:
         fn = corpus_by_id()[args.fn]
         iv = Interval(args.a, args.b)
         lower, upper = bounds.bound_hh(fn, iv)
         mean, err = bounds.integral_mean(fn, iv)
         r = make_report("hh_upper", mean, upper, err)
-        baseline = dict(status="ok", lhs=r.lhs, rhs=r.rhs, slack=r.slack,
-                        holds=r.holds, quad_error=r.quad_error, branch1=lower)
+        baseline.status[0], baseline.holds[0] = bounds.OK, r.holds
+        for name, v in (("lhs", r.lhs), ("rhs", r.rhs), ("slack", r.slack),
+                        ("quad_error", r.quad_error), ("branch1", lower)):
+            baseline.put(0, name, v)
     except (KeyError, ParamError, DomainError):
         baseline = None  # group_rows has already marked these rows input_error or not_applicable
     except ArithmeticError:  # a value out of float range: the baseline is an input error
-        baseline = dict(status="input_error")
-    if baseline:  # one more row: the point's inputs, then the baseline's columns or None
-        table.order.append(len(table.cells))
-        table.cells.append((*table.cells[0][:-1], "hh_upper"))
-        for column, name in zip(table.columns, bounds.ROW_COLUMNS):
-            column.append(baseline.get(name))
+        pass
+    if baseline is not None:  # one more row: the point's inputs, then the baseline's columns
+        cells = [*table.cells, (*table.cells[0][:-1], "hh_upper")]
+        order = np.arange(len(cells))
+        table = Table(table.heads, cells, order, _take([table.columns, baseline], order))
 
-    status, slack = table.columns[_STATUS], table.columns[_SLACK]
+    plain = table.columns.plain()
+    status, slack = plain.status, plain.slack
     ranked = sorted((i for i, s in enumerate(status) if s in ("ok", "violation")),
                     key=slack.__getitem__)
     _emit([table], args.format, sys.stdout)

@@ -5,6 +5,7 @@ All types are immutable value objects; every other module builds on them.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 import sys
@@ -113,6 +114,14 @@ class Params:
                 fail(errors, ~np.asarray(holds), lambda *cell: ParamError(
                     message.format(**dict(zip(fields, cell)))), *fields.values())
         object.__setattr__(self, "errors", errors)
+
+    def take(self, cells) -> Params:
+        """These columns at the index array ``cells``, cells that pass every rule, with
+        an empty ``errors`` for a bound's operations to fill: no rule runs again."""
+        taken = copy.copy(self)
+        for name, value in vars(self).items():
+            object.__setattr__(taken, name, {} if name == "errors" else value[cells])
+        return taken
 
     def checked(self) -> Params:
         """These Params once no cell fails a rule; else the first error met raises."""

@@ -260,24 +260,23 @@ class TestVerify:
 
     def test_q_rule_outcome_is_shared_within_a_group(self):
         cells = [(1.0, 1.0, 1.0, 1.0, 1.0), (0.5, 1.0, 2.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0, 2.0)]
-        cols = bounds.assess_group(POW2, 1.0, 2.0, cells, ["thm22", "da"])
-        assert cols.status == ["not_applicable", "ok"] * 2 + ["ok", "ok"]
+        cols = bounds.assess_group(POW2, 1.0, 2.0, bounds.admit(cells, ["thm22", "da"]))
+        assert cols.plain().status == ["not_applicable", "ok"] * 2 + ["ok", "ok"]
         assert cols.error[0] is cols.error[2]
         assert isinstance(cols.error[0], ParamError)
         assert str(cols.error[0]) == "thm22 needs q > 1"
 
     def test_a_group_admits_its_parameters_as_columns(self, monkeypatch):
         # Params runs once on the columns, each cell keeping its first failing
-        # rule, then once per RHS call: not once per tuple, nor again on the
-        # cells a failed rule leaves
+        # rule: not once per tuple, nor again on the cells an RHS call takes
         sizes, check = [], Params.__post_init__
         monkeypatch.setattr(Params, "__post_init__",
                             lambda p: sizes.append(np.size(p.q)) or check(p))
         cells = [(alpha, 1.0, lam, mu, 2.0) for alpha in (0.5, 1.0, 2.0) for lam in (0.0, 1.0)
                  for mu in (0.0, 1.0)]
-        cols = bounds.assess_group(POW2, 1.0, 2.0, cells, ["da"], gate_of=None)
-        assert sizes == [12, 6]
-        assert [str(e) if e else s for e, s in zip(cols.error, cols.status)] == [
+        cols = bounds.assess_group(POW2, 1.0, 2.0, bounds.admit(cells, ["da"]), gate_of=None)
+        assert sizes == [12]
+        assert [str(e) if e else s for e, s in zip(cols.error, cols.plain().status)] == [
             "weights must satisfy lam + mu > 0", "ok", "ok", "ok"] * 2 + [
             "alpha must lie in (0, 1], got 2.0"] * 4
 
@@ -291,9 +290,10 @@ class TestVerify:
         monkeypatch.setattr(bounds, "thm11_rhs", counting)
         cells = [(1.0, 1.0, lam, 1.0, q) for lam in (0.0, 1.0, 2.0) for q in (1.0, 2.0)]
         cells.append((1.0, 1.0, 0.0, 0.0, 2.0))  # lam + mu = 0: input error, no RHS
-        cols = bounds.assess_group(POW2, 1.0, 2.0, cells, ["thm11", "da"], gate_of=None)
+        cols = bounds.assess_group(POW2, 1.0, 2.0, bounds.admit(cells, ["thm11", "da"]),
+                                   gate_of=None)
         assert seen == [6]
-        assert cols.status == ["ok"] * 12 + ["input_error"] * 2
+        assert cols.plain().status == ["ok"] * 12 + ["input_error"] * 2
         # lambda = 1e308 overflows in thm11 and thm22 beside ordinary cells: still
         # one call per (group, theorem), 14 on the two groups
         calls = Counter()
@@ -313,9 +313,11 @@ class TestVerify:
         fn, iv = corpus_by_id()["pown2"], Interval(1.0, 1e200)
         cells = [(1e-100, 1.0, lam, mu, 2.0) for lam, mu in ((5.0, 1.0), (1.0, 1.0),
                                                              (1e308, 1.0), (1e-200, 0.0))]
-        cols = bounds.assess_group(fn, iv.a, iv.b, cells, ["thm11", "thm22"], gate_of=None)
+        cols = bounds.assess_group(fn, iv.a, iv.b, bounds.admit(cells, ["thm11", "thm22"]),
+                                   gate_of=None)
+        row = cols.plain()
         for (cell, tid), status, error, rhs in zip(itertools.product(cells, ["thm11", "thm22"]),
-                                                   cols.status, cols.error, cols.rhs):
+                                                   row.status, cols.error, row.rhs):
             try:
                 value, _ = getattr(bounds, f"{tid}_rhs")(fn, iv, Params(*cell))
             except (ParamError, DomainError, ArithmeticError) as exc:
@@ -337,7 +339,8 @@ class TestVerify:
 
         cells = [(alpha, 1.0, lam, 1.0, 2.0) for alpha in (0.5, 1.0) for lam in (1.0, 2.0)]
         theorems = ["thm11", "bop_am", "da", "sso"]
-        cols = bounds.assess_group(POW2, 1.0, 2.0, cells, theorems, gate_of=gate_of)
+        cols = bounds.assess_group(POW2, 1.0, 2.0, bounds.admit(cells, theorems),
+                                   gate_of=gate_of)
         assert seen == [(2.0, [("df", 0.5, 1.0, 2.0), ("df", 1.0, 1.0, 1.0), ("f", 0.5, 1.0, 1.0),
                                ("df", 1.0, 1.0, 2.0), ("f", 1.0, 1.0, 1.0)])]
         for (cell, theorem), verdict in zip(itertools.product(cells, theorems), cols.verdict):
@@ -349,10 +352,11 @@ class TestVerify:
         # |f'|^3 = e^900 overflows to inf on [1, 300]; at q = 2 it does not
         cells = [(1.0, 1.0, 1.0, 1.0, 2.0), (1.0, 1.0, 1.0, 1.0, 3.0)]
         with np.errstate(over="ignore"), pytest.raises(ParamError) as err:
-            cols = bounds.assess_group(EXP, 1.0, 300.0, cells, ["bop_m"], gate_of=None)
+            cols = bounds.assess_group(EXP, 1.0, 300.0, bounds.admit(cells, ["bop_m"]),
+                                       gate_of=None)
             verify(EXP, Interval(1.0, 300.0), Params(q=3.0), "bop_m", gate=False)
-        assert cols.status == ["ok", "input_error"]
-        assert cols.rhs[1] is None and cols.error[0] is None
+        assert cols.plain().status == ["ok", "input_error"]
+        assert cols.plain().rhs[1] is None and cols.error[0] is None
         assert str(err.value) == str(cols.error[1]) == "coefficient mu2 is not finite: inf"
 
     @pytest.mark.parametrize("theorem, error", [("thm11", ZeroDivisionError),
@@ -362,11 +366,12 @@ class TestVerify:
         # error that names no cells) and thm22's kernel underflows to 0; the
         # lambda = 1 cell keeps the bits of its one-cell call
         cells = [(1.0, 1.0, 1e-200, 0.0, 2.0), (1.0, 1.0, 1.0, 0.0, 2.0)]
-        cols = bounds.assess_group(POW2, 1.0, 2.0, cells, [theorem])
-        assert cols.status == ["input_error", "ok"]
+        cols = bounds.assess_group(POW2, 1.0, 2.0, bounds.admit(cells, [theorem]))
+        row = cols.plain()
+        assert row.status == ["input_error", "ok"]
         assert type(cols.error[0]) is error and cols.error[1] is None
         report = verify(POW2, Interval(1.0, 2.0), Params(lam=1.0, mu=0.0, q=2.0), theorem)
-        assert (cols.rhs[1], cols.slack[1], cols.branch1[1], cols.branch2[1]) == (
+        assert (row.rhs[1], row.slack[1], row.branch1[1], row.branch2[1]) == (
             report.rhs, report.slack, *report.branches.values())
         with pytest.raises(error):
             verify(POW2, Interval(1.0, 2.0), Params(lam=1e-200, mu=0.0, q=2.0), theorem)
@@ -404,11 +409,12 @@ class TestVerify:
             seen.append(args[-1])
             return check_hypotheses(*args)
 
-        cols = bounds.assess_group(POW2, 1.0, 2.0, [(1.0, 1.0, 1.0, 1.0, 2.0)], ["thm11"],
+        cols = bounds.assess_group(POW2, 1.0, 2.0,
+                                   bounds.admit([(1.0, 1.0, 1.0, 1.0, 2.0)], ["thm11"]),
                                    gate_of=gate_of)
-        assert cols.status == ["ok"]
-        assert cols.verdict == list(check_alpha_m_convex(derivative_power(POW2, 2.0), 2.0, [1.0],
-                                                         1.0, 16))
+        assert cols.plain().status == ["ok"]
+        assert cols.verdict.tolist() == list(check_alpha_m_convex(
+            derivative_power(POW2, 2.0), 2.0, [1.0], 1.0, 16))
         assert seen == [bounds.GATE_GRID_N] == [16]
 
     def test_swap_symmetry_sample(self):

@@ -1,11 +1,15 @@
+import concurrent.futures
 import csv
 import hashlib
 import io
 import itertools
 import json
 import math
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -36,6 +40,8 @@ TRAP_SPEC = pathlib.Path(__file__).parent / "data" / "trap.spec"
 GATE_SPEC = pathlib.Path(__file__).parent / "data" / "gate.spec"
 DENSE_SPEC = pathlib.Path(__file__).parent / "data" / "dense.spec"
 OVERFLOW_SPEC = pathlib.Path(__file__).parent / "data" / "overflow.spec"
+OVERFLOW_DIGESTS = [("csv", "ae31958a75e9cfd70554e12473e163d63184fc5557d0cfbadc39a8b4bc47c787"),
+                    ("json", "bddcc4dde2af05fef8d5a67a33e21e97c7492bac86d96a168acf352d77b5c0d3")]
 
 
 def run_cli(capsys, *argv):
@@ -80,16 +86,29 @@ def assert_same_text(got: str, want: str, what: str) -> None:
 def table_rows(tables):
     """The rows of ``tables``, each a ``cli.Table``, as tuples of the ``COLUMNS``: row i
     of a table is its head ``order[i] // len(cells)``, its cell ``order[i] % len(cells)``
-    and the i-th value of each of its ``bounds.ROW_COLUMNS``."""
+    and the i-th value of each of its ``bounds.ROW_COLUMNS``, read as plain values
+    through ``Columns.plain``."""
     rows = []
     for heads, cells, order, columns in tables:
         assert sorted(order) == list(range(len(heads) * len(cells)))
-        assert len(columns) == len(bounds.ROW_COLUMNS)
-        assert all(len(column) == len(order) for column in columns)
+        plain = columns.plain()
+        assert all(len(column) == len(order) for column in plain)
         n = len(cells)
         rows += [(*heads[i // n], *cells[i % n], *values)
-                 for i, *values in zip(order, *columns)]
+                 for i, *values in zip(order, *plain)]
     return rows
+
+
+def typed(columns):
+    """The ``bounds.Columns`` of the ``bounds.ROW_COLUMNS`` given as lists of plain values:
+    a status, a holds value (True, False or None) and a float or None per cell."""
+    named = dict(zip(bounds.ROW_COLUMNS, columns))
+    floats = [named[c] for c in bounds.FLOAT_COLUMNS]
+    return bounds.Columns(
+        np.array([bounds.STATUSES.index(s) for s in named["status"]], np.int8),
+        np.array([bounds.HOLDS.index(h) for h in named["holds"]], np.int8),
+        np.array([[math.nan if v is None else v for v in column] for column in floats], float),
+        np.array([[v is not None for v in column] for column in floats], bool))
 
 
 def streamed_bytes(tables):
@@ -519,7 +538,7 @@ class TestSweep:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         three = cli.SweepSpec(functions=["pow2"], intervals=[(1.0, 2.0), (0.5, 3.0), (2.0, 5.0)],
                               q=[1.0, 2.0], theorems=["da", "thm11"])
         rows = table_rows(cli.run_sweep(three, jobs=100))
@@ -563,12 +582,20 @@ class TestSweep:
         assert row["lhs"] is None and row["gate_violation"] is not None
         values = list(row.values())
         one_row = cli.Table([tuple(values[:4])], [tuple(values[4:10])], [0],
-                            [[v] for v in values[10:]])
+                            typed([[v] for v in values[10:]]))
         for case in (tables, [one_row], []):
             text = io.StringIO()
             cli.write_json(case, text)
             dicts = [dict(zip(cli.COLUMNS, r)) for r in table_rows(case)]
             assert text.getvalue() == json.dumps(dicts, indent=2) + "\n"
+
+    def test_importing_the_cli_leaves_the_pool_out(self):
+        # the process pool's modules load in a sweep that starts one, not at start-up
+        src = str(pathlib.Path(cli.__file__).parent.parent)
+        code = "import sys, hhverify.cli; print('multiprocessing' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert result.stdout == "False\n"
 
     def test_jobs_defaults_to_one(self, monkeypatch):
         monkeypatch.setenv("HH_VERIFY_JOBS", "2")
@@ -636,16 +663,13 @@ class TestSweep:
             "min_slack=2.220446049250313e-16 at "
             "('pow2', 0.5, 1.5, 1.0, 0.25, 0.0, 1.0, 1.0, 'thm11')\n")
 
-    @pytest.mark.parametrize("fmt, digest", [
-        ("csv", "ae31958a75e9cfd70554e12473e163d63184fc5557d0cfbadc39a8b4bc47c787"),
-        ("json", "bddcc4dde2af05fef8d5a67a33e21e97c7492bac86d96a168acf352d77b5c0d3"),
-    ], ids=["csv", "json"])
-    def test_overflow_spec_bytes_are_pinned(self, tmp_path, capsys, fmt, digest):
+    @pytest.mark.parametrize("fmt, digest", OVERFLOW_DIGESTS, ids=["csv", "json"])
+    def test_overflow_spec_bytes_are_pinned(self, tmp_path, capsys, fmt, digest, jobs="1"):
         # lambda = 1e308 beside an ordinary grid: only the cells it reaches are
         # input_error, and each group's first out-of-range text is its warning
         out_file = tmp_path / f"overflow.{fmt}"
         code, out, err = run_cli(capsys, "sweep", str(OVERFLOW_SPEC), "--format", fmt,
-                                 "-o", str(out_file))
+                                 "--jobs", jobs, "-o", str(out_file))
         assert code == 0
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
         assert out == (
@@ -658,13 +682,19 @@ class TestSweep:
         assert err == ("warning: exp [1.0, 2.0]: Numerical result out of range\n"
                        "warning: pow2 [1.0, 2.0]: Numerical result out of range\n")
 
+    @pytest.mark.parametrize("fmt, digest", OVERFLOW_DIGESTS, ids=["csv", "json"])
+    def test_overflow_spec_crosses_the_pool(self, tmp_path, capsys, fmt, digest):
+        # each --jobs 2 worker sends back its group's typed columns and warning text
+        self.test_overflow_spec_bytes_are_pinned(tmp_path, capsys, fmt, digest, jobs="2")
+
     def test_default_sweep_gates_once_per_group(self, monkeypatch):
         # one gate call per group that has a cell open after the interval, parameter,
         # domain and q > 1 checks (pown2, recip and xlogx on [0, 1] have none): 29
-        # calls, against 232 with a call per sample grid (g, m, q), and 289 Params
-        # builds: one per group, RHS call, gate call, gamma_coeffs and nu_coeffs, against
-        # 321 when the cells a failed rule left were admitted again and 698 when each
-        # grid's call admitted alpha, m and q again
+        # calls, against 232 with a call per sample grid (g, m, q), and 80 Params
+        # builds: the sweep's one of its 300 parameter tuples, then one per gate call,
+        # gamma_coeffs and nu_coeffs, against 289 with one of the tuples per group and
+        # one per RHS call, 321 when the cells a failed rule left were admitted again
+        # and 698 when each grid's call admitted alpha, m and q again
         calls, builds, check = [], [], Params.__post_init__
         monkeypatch.setattr(Params, "__post_init__", lambda p: builds.append(p) or check(p))
         assess = bounds.assess_group
@@ -675,7 +705,8 @@ class TestSweep:
         assert len(table_rows(cli.run_sweep(spec))) == 67200
         assert calls == [(fn_id, a, b) for fn_id, (a, b) in sorted(itertools.product(
             spec.functions, spec.intervals)) if a > 0 or fn_id not in ("pown2", "recip", "xlogx")]
-        assert len(builds) == 289
+        assert len(builds) == 80
+        assert [np.size(p.q) for p in builds].count(300) == 1
 
     @pytest.mark.parametrize("fmt, digest", [
         ("csv", "7e40f2ed00d4967afab8a81fa9e1800e341537ccd615b64060b0999664d53530"),
@@ -715,12 +746,12 @@ class TestSweep:
         # global stable sort of the spec-order rows gives, serial and pooled
         spec = cli.parse_sweep_file(str(TRAP_SPEC))
         params = list(itertools.product(spec.alpha, spec.m, spec.lam, spec.mu, spec.q))
-        rows = []
+        rows, cells = [], bounds.admit(params, spec.theorems)
         for fn_id, (a, b) in itertools.product(spec.functions, spec.intervals):
-            columns, _ = cli.group_rows(fn_id, a, b, params, spec.theorems)
+            columns, _ = cli.group_rows(fn_id, a, b, cells)
             rows += [dict(zip(cli.COLUMNS, (1, fn_id, a, b, *p, t, *computed)))
                      for (p, t), computed in zip(itertools.product(params, spec.theorems),
-                                                 zip(*columns))]
+                                                 zip(*columns.plain()))]
         expected = global_sort_bytes(rows)[fmt == "json"]
         for jobs in ("1", "2"):
             out_file = tmp_path / f"trap{jobs}.{fmt}"
@@ -793,33 +824,47 @@ def test_grouped_sweep_equals_one_cell_rows(spec):
         assert_same_text(got, want, fmt)
 
 
-# Tables whose 20 columns are drawn from per-column pools of plain values: the
-# first 4 pools give a table's heads (one per group, ``sizes`` of them), the
+# Tables whose 10 input columns are drawn from per-column pools of plain values:
+# the first 4 pools give a table's heads (one per group, ``sizes`` of them), the
 # next 6 the cells of one of two cell lists (each table takes one, so a list is
-# shared by several tables as in a sweep, or changes between them), the last 10
-# the computed columns, and the order is a random permutation.  A column of a
-# table or a cell list is sometimes of one type (formatted through a memo) and
-# sometimes mixed, and a one-row table's columns are each of one type, so the
-# same column can be one type in one table and mixed in the next.  The writers
-# must write the bytes of csv.writer and json.dumps over the concatenated rows.
+# shared by several tables as in a sweep, or changes between them).  The 10
+# computed columns are typed, each drawn from a pool of its own: status and holds
+# codes, and floats or None from ``_FLOATS``, so that a float column can hold -0.0
+# beside 0.0, NaNs of other payloads, the infinities and a subnormal beside absent
+# cells.  The order is a random permutation.  The writers must write the bytes of
+# csv.writer and json.dumps over the concatenated rows.
 _CELLS = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300, 0.1, math.nan, math.inf, -math.inf,
           0, 1, True, False, None, "", 'say "hi"', "a,b", "two\nlines", "cr\r", "é", "∑"]
-_MIXED = ([[0.0, -0.0, None], [0, 1], [True, False, None], [1, 1.0, True], [0.0, -0.0, 0, False],
-           [math.nan, math.inf, None], ["a,b", 'say "hi"', "cr\r", None], ["é", ""]] * 3)[:20]
-# every cell input mixes 0, 0.0, -0.0 and True, so a cell list's columns fall
-# back to one format call per value wherever a table's column did
-_MIXED_CELLS = [*_MIXED[:4], *[[0, 0.0, -0.0, True]] * 6, *_MIXED[10:]]
+_MIXED = [[0.0, -0.0, None], [0, 1], [True, False, None], [1, 1.0, True], [0.0, -0.0, 0, False],
+          [math.nan, math.inf, None], ["a,b", 'say "hi"', "cr\r", None], ["é", ""],
+          [0.0, -0.0, None], [0, 1]]
+# every cell input mixes 0, 0.0, -0.0 and True
+_MIXED_CELLS = [*_MIXED[:4], *[[0, 0.0, -0.0, True]] * 6]
+_PAYLOAD_NAN = np.array([0x7FF8_0000_0000_0001, 0xFFF8_0000_0000_0000], np.uint64).view(
+    float).tolist()
+_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300, 0.1, 2.0, math.nan, *_PAYLOAD_NAN,
+           math.inf, -math.inf, None]
+_COMPUTED_POOLS = {"status": bounds.STATUSES, "holds": bounds.HOLDS}
+# every status and holds code, and every value of _FLOATS in some float column, in
+# the order of bounds.ROW_COLUMNS
+_EVERY_VALUE = [list(bounds.STATUSES), _FLOATS[::2], _FLOATS[1::2], [0.0, -0.0, None],
+                list(bounds.HOLDS), [math.nan, *_PAYLOAD_NAN], [math.inf, -math.inf, 5e-324],
+                [-0.0, 0.0], [0.1, None, 2.0], [None, 1e300, -1e-300]]
+
+
+def _pools(values):
+    return _st.lists(_st.sampled_from(values), min_size=1, max_size=3)
 
 
 @hypothesis.given(
-    pools=_st.lists(_st.lists(_st.sampled_from(_CELLS), min_size=1, max_size=3),
-                    min_size=len(cli.COLUMNS), max_size=len(cli.COLUMNS)),
+    pools=_st.lists(_pools(_CELLS), min_size=10, max_size=10),
+    computed=_st.tuples(*(_pools(_COMPUTED_POOLS.get(c, _FLOATS)) for c in bounds.ROW_COLUMNS)),
     sizes=_st.lists(_st.integers(0, 4), max_size=4), seed=_st.integers(0, 2**32))
-@hypothesis.example(pools=_MIXED, sizes=[1, 300, 1, 0], seed=0)
-@hypothesis.example(pools=_MIXED, sizes=[300, 1], seed=1)
-@hypothesis.example(pools=_MIXED_CELLS, sizes=[1, 3, 1, 2], seed=0)
+@hypothesis.example(pools=_MIXED, computed=_EVERY_VALUE, sizes=[1, 300, 1, 0], seed=0)
+@hypothesis.example(pools=_MIXED, computed=_EVERY_VALUE, sizes=[300, 1], seed=1)
+@hypothesis.example(pools=_MIXED_CELLS, computed=_EVERY_VALUE, sizes=[1, 3, 1, 2], seed=0)
 @hypothesis.settings(max_examples=60, deadline=None, database=None)
-def test_writers_equal_csv_and_json(pools, sizes, seed):
+def test_writers_equal_csv_and_json(pools, computed, sizes, seed):
     rng = random.Random(seed)
 
     def draw(column_pools):
@@ -830,7 +875,7 @@ def test_writers_equal_csv_and_json(pools, sizes, seed):
         cells = rng.choice(cell_lists)
         order = rng.sample(range(k * len(cells)), k * len(cells))
         tables.append(cli.Table([draw(pools[:4]) for _ in range(k)], cells, order,
-                                [[rng.choice(pool) for _ in order] for pool in pools[10:]]))
+                                typed([[rng.choice(pool) for _ in order] for pool in computed])))
     rows = table_rows(tables)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -97,23 +97,23 @@ def test_columns_follow_the_rules_of_a_point(cells):
     else:
         assert p.checked() is p
     # a group's rejected cell gets the error its point raises
-    cols = bounds.assess_group(corpus_by_id()["pow2"], 1.0, 2.0, cells, ["da", "thm11"],
-                               gate_of=None)
+    cols = bounds.assess_group(corpus_by_id()["pow2"], 1.0, 2.0,
+                               bounds.admit(cells, ["da", "thm11"]), gate_of=None)
     for point, error, status in zip([p for p in points for _ in range(2)], cols.error,
-                                    cols.status):
+                                    cols.plain().status):
         if point is not None:
             assert (status, str(error)) == ("input_error", point)
 
 
 class TestValidateParams:
-    """A cell's input checks as ``bounds.assess_group`` runs them: Params, then
-    the function's domain at a (``TestFunction.require``)."""
+    """A cell's input checks as ``bounds.admit`` and ``bounds.assess_group`` run them:
+    Params, then the function's domain at a (``TestFunction.require``)."""
 
     @staticmethod
     def cell(fn_id, a, b, alpha=1.0, m=1.0, lam=1.0, mu=1.0, q=1.0):
-        cols = bounds.assess_group(corpus_by_id()[fn_id], a, b, [(alpha, m, lam, mu, q)],
-                                   ["da"], gate_of=None)
-        return cols.status[0], cols.error[0]
+        cols = bounds.assess_group(corpus_by_id()[fn_id], a, b,
+                                   bounds.admit([(alpha, m, lam, mu, q)], ["da"]), gate_of=None)
+        return cols.plain().status[0], cols.error[0]
 
     def test_interior_config_accepted(self):
         for x in (1.0, 2.0):
