@@ -15,15 +15,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .convexity import check_hypotheses
 from .coefficients import gamma_coeffs, nu_coeffs
-from .core import (BoundReport, CoefficientSet, DomainError, GateError, Interval, ParamError,
-                   Params, TestFunction, _per_cell, fail, make_report, py_div, py_min, py_pow)
+from .core import (BoundReport, CoefficientSet, DomainError, GateError, Interval, NonFiniteError,
+                   ParamError, Params, TestFunction, fail, make_report, power, py_min)
 from .quadrature import integrate
 
 DEFAULT_LHS_TOL = 1e-9
@@ -96,39 +95,47 @@ def bound_hh(fn: TestFunction, iv: Interval) -> tuple[float, float]:
 # needs q > 1 reads ``p.p``, which raises ParamError at q = 1.  With a >= 0
 # and m <= 1 every sample point (a, b, a/m, b/m, the midpoint, z and their
 # m-stretches) lies at or above a, so on a domain [domain_min, inf)
-# requiring a alone covers them all.  Each operation keeps the order of the
-# scalar expression, so every cell gets the bits of a scalar call, and over cells
-# a failing one gets NaN and, in ``p.errors``, the error its point call raises.
-
-def _each(g, x, q, errors):
-    """g(x, q) at each cell, called on Python floats once per distinct (x, q)."""
-    return _per_cell(lru_cache(maxsize=None)(g))(x, q, errors)
-
+# requiring a alone covers them all.  Each expression runs once, on Python
+# floats at a point and on whole columns over cells (``core.power``).  A value
+# out of float range raises at a point, as Python does; over cells it is inf or
+# NaN, and the rules (a factor's ``CoefficientSet``, the thm22 kernel, then
+# ``_finite`` on the branches and the rhs) give its cell the first error, in
+# ``p.errors``, that a one-cell call names too.
 
 def _dq(fn: TestFunction, x, p):
     """|f'(x)|^q at each cell."""
-    return _each(lambda x, q: abs(fn.df(x)) ** q, x, p.q, p.errors)
+    return power(abs(fn.df(x)), p.q)
+
+
+def _finite(tid: str, p, rhs, branches: dict) -> tuple:
+    """(rhs, branches) of the bound ``tid``, where a cell whose branch or rhs is not a
+    finite real number (inf, NaN, or complex at a point: a negative base under a
+    fractional power) gets a NonFiniteError that names the value."""
+    cells = np.ones(np.shape(p.q), bool)
+    for name, v in (*branches.items(), ("rhs", rhs)):
+        fail(p.errors, cells & (isinstance(v, complex) or ~np.isfinite(v)),
+             lambda x: NonFiniteError(f"{tid} {name} is not finite: {x}"), v)
+    return rhs, branches
 
 
 def da_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     fn.require(iv.a)
-    return iv.width / 8.0 * (abs(fn.df(iv.a)) + abs(fn.df(iv.b))), {}
+    return _finite("da", p, iv.width / 8.0 * (abs(fn.df(iv.a)) + abs(fn.df(iv.b))), {})
 
 
 def sso_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     a, b, alpha, m = iv.a, iv.b, p.alpha, p.m
     fn.require(a)
-    f_at = lambda x, _: fn.f(x)  # noqa: E731
-    branch1 = (fn.f(a) + alpha * m * _each(f_at, b / m, 0.0, p.errors)) / (alpha + 1.0)
-    branch2 = (fn.f(b) + alpha * m * _each(f_at, a / m, 0.0, p.errors)) / (alpha + 1.0)
-    return py_min(branch1, branch2), {"branch1": branch1, "branch2": branch2}
+    branch1 = (fn.f(a) + alpha * m * fn.f(b / m)) / (alpha + 1.0)
+    branch2 = (fn.f(b) + alpha * m * fn.f(a / m)) / (alpha + 1.0)
+    return _finite("sso", p, py_min(branch1, branch2), {"branch1": branch1, "branch2": branch2})
 
 
 def bop_m_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     """m-convex midpoint bound; mu1/mu2 are min-of-averages factors of
     |f'|^q over the two half-intervals."""
     p.p  # raises ParamError at q = 1
-    a, b, m, q, e = iv.a, iv.b, p.m, p.q, p.errors
+    a, b, m, q = iv.a, iv.b, p.m, p.q
     mid = 0.5 * (a + b)
     fn.require(a)
     da_, db_, dmid = (_dq(fn, x, p) for x in (a, b, mid))
@@ -136,48 +143,48 @@ def bop_m_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     coeffs = CoefficientSet({
         "mu1": py_min((da_ + m * dmidm) / 2.0, (dmid + m * dam) / 2.0),
         "mu2": py_min((db_ + m * dmidm) / 2.0, (dmid + m * dbm) / 2.0),
-    }, errors=e)
-    spread = py_pow(coeffs["mu1"], 1.0 / q, e) + py_pow(coeffs["mu2"], 1.0 / q, e)
+    }, errors=p.errors)
+    spread = power(coeffs["mu1"], 1.0 / q) + power(coeffs["mu2"], 1.0 / q)
     loose = iv.width / 4.0 * spread
-    tight = loose * py_pow((q - 1.0) / (2.0 * q - 1.0), (q - 1.0) / q, e)
-    return tight, {"loose": loose, **coeffs.values}
+    tight = loose * power((q - 1.0) / (2.0 * q - 1.0), (q - 1.0) / q)
+    return _finite("bop_m", p, tight, {"loose": loose, **coeffs.values})
 
 
 def bop_am_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
-    a, b, m, q, e = iv.a, iv.b, p.m, p.q, p.errors
+    a, b, m, q = iv.a, iv.b, p.m, p.q
     fn.require(a)
     coeffs = nu_coeffs(p.alpha)
     nu1, nu2 = coeffs["nu1"], coeffs["nu2"]
     da_, db_, dam, dbm = (_dq(fn, x, p) for x in (a, b, a / m, b / m))
-    branch1 = py_pow(nu1 * da_ + m * nu2 * dbm, 1.0 / q, e)
-    branch2 = py_pow(nu1 * db_ + m * nu2 * dam, 1.0 / q, e)
-    rhs = iv.width / 2.0 * py_pow(0.5, 1.0 - 1.0 / q, e) * py_min(branch1, branch2)
-    return rhs, {"branch1": branch1, "branch2": branch2}
+    branch1 = power(nu1 * da_ + m * nu2 * dbm, 1.0 / q)
+    branch2 = power(nu1 * db_ + m * nu2 * dam, 1.0 / q)
+    rhs = iv.width / 2.0 * power(0.5, 1.0 - 1.0 / q) * py_min(branch1, branch2)
+    return _finite("bop_am", p, rhs, {"branch1": branch1, "branch2": branch2})
 
 
 def thm11_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     a, b = iv.a, iv.b
-    m, q, lam, mu, e = p.m, p.q, p.lam, p.mu, p.errors
+    m, q, lam, mu = p.m, p.q, p.lam, p.mu
     fn.require(a)
     g = gamma_coeffs(p.alpha, lam, mu)
     for i, error in (g.errors or {}).items():  # the cells gamma failed
-        e.setdefault(i, error)
+        p.errors.setdefault(i, error)
     da_, db_, dam, dbm = (_dq(fn, x, p) for x in (a, b, a / m, b / m))
     branch1 = g["gamma1"] * db_ + m * g["gamma2"] * dam
     branch2 = g["gamma3"] * da_ + m * g["gamma4"] * dbm
     total = lam + mu
     # at q = 1 the powers are exact (x ** 0.0 = 1, x ** 1.0 = x): the linear form
-    half_weight = (py_pow(lam, 2, e) + py_pow(mu, 2, e)) / (2.0 * total)
-    rhs = (iv.width / total * py_pow(half_weight, (q - 1.0) / q, e)
-           * py_pow(py_min(branch1, branch2), 1.0 / q, e))
-    return rhs, {"branch1": branch1, "branch2": branch2}
+    half_weight = (power(lam, 2) + power(mu, 2)) / (2.0 * total)
+    rhs = (iv.width / total * power(half_weight, (q - 1.0) / q)
+           * power(py_min(branch1, branch2), 1.0 / q))
+    return _finite("thm11", p, rhs, {"branch1": branch1, "branch2": branch2})
 
 
 def thm211_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     """Hoelder split bound; M1/M2 are per-segment factors of |f'|^q around
     the interior node z = (lam*b + mu*a)/(lam + mu)."""
     conj = p.p  # raises ParamError at q = 1
-    a, b, alpha, m, lam, mu, q, e = iv.a, iv.b, p.alpha, p.m, p.lam, p.mu, p.q, p.errors
+    a, b, alpha, m, lam, mu, q = iv.a, iv.b, p.alpha, p.m, p.lam, p.mu, p.q
     z = (lam * b + mu * a) / (lam + mu)
     fn.require(a)
     da_, db_, dz = (_dq(fn, x, p) for x in (a, b, z))
@@ -186,33 +193,32 @@ def thm211_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     coeffs = CoefficientSet({
         "M1": py_min((da_ + alpha * m * dzm) / denom, (dz + alpha * m * dam) / denom),
         "M2": py_min((db_ + alpha * m * dzm) / denom, (dz + alpha * m * dbm) / denom),
-    }, errors=e)
+    }, errors=p.errors)
     total = lam + mu
-    rhs = (py_div(iv.width, py_pow(total, 2, e), e) * py_pow(1.0 / (conj + 1.0), 1.0 / conj, e)
-           * (py_pow(lam, 2, e) * py_pow(coeffs["M1"], 1.0 / q, e)
-              + py_pow(mu, 2, e) * py_pow(coeffs["M2"], 1.0 / q, e)))
-    return rhs, coeffs.values
+    rhs = (iv.width / power(total, 2) * power(1.0 / (conj + 1.0), 1.0 / conj)
+           * (power(lam, 2) * power(coeffs["M1"], 1.0 / q)
+              + power(mu, 2) * power(coeffs["M2"], 1.0 / q)))
+    return _finite("thm211", p, rhs, coeffs.values)
 
 
 def thm22_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     """Global Hoelder bound; K1/K2 are endpoint factors of |f'|^q."""
     conj = p.p  # raises ParamError at q = 1
-    a, b, alpha, m, q, e = iv.a, iv.b, p.alpha, p.m, p.q, p.errors
+    a, b, alpha, m, q = iv.a, iv.b, p.alpha, p.m, p.q
     fn.require(a)
     coeffs = CoefficientSet({
         "K1": _dq(fn, b, p) + m * alpha * _dq(fn, a / m, p),
         "K2": _dq(fn, a, p) + m * alpha * _dq(fn, b / m, p),
-    }, errors=e)
+    }, errors=p.errors)
     total = p.lam + p.mu
-    kernel = py_pow((py_pow(p.lam, conj + 1.0, e) + py_pow(p.mu, conj + 1.0, e))
-                    / ((conj + 1.0) * total), 1.0 / conj, e)
-    underflow = kernel == 0.0  # the exact kernel is positive when lam + mu > 0
-    fail(e, underflow, lambda lam, mu: ParamError(
+    kernel = power((power(p.lam, conj + 1.0) + power(p.mu, conj + 1.0))
+                   / ((conj + 1.0) * total), 1.0 / conj)
+    # the exact kernel is positive when lam + mu > 0
+    fail(p.errors, kernel == 0.0, lambda lam, mu: ParamError(
         f"thm22 kernel underflows to 0 at lambda = {lam}, mu = {mu}"), p.lam, p.mu)
-    kernel = kernel if e is None else np.where(underflow, np.nan, kernel)
-    rhs = (iv.width / total * kernel * py_pow(1.0 / (alpha + 1.0), 1.0 / q, e)
-           * py_pow(py_min(coeffs["K1"], coeffs["K2"]), 1.0 / q, e))
-    return rhs, coeffs.values
+    rhs = (iv.width / total * kernel * power(1.0 / (alpha + 1.0), 1.0 / q)
+           * power(py_min(coeffs["K1"], coeffs["K2"]), 1.0 / q))
+    return _finite("thm22", p, rhs, coeffs.values)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +371,7 @@ def admit(params, theorem_ids) -> Cells:
     return Cells(p, tuple(theorem_ids), errors, status, error, hypotheses, hypothesis)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # out of range: an error of its cell, or inf
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # an error of its cell, or inf
 def assess_group(fn: TestFunction, a: float, b: float, cells: Cells,
                  gate_of=check_hypotheses) -> Columns:
     """Evaluate one (function, interval) group's ``cells`` (``admit``) as ``Columns``.

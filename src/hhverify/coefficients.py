@@ -8,7 +8,7 @@ of the bound they serve.  ``Params`` checks the parameters: scalars or arrays ov
 
 from __future__ import annotations
 
-from .core import CoefficientSet, Params, py_div, py_min, py_pow
+from .core import CoefficientSet, Params, power, py_min
 
 
 def gamma_coeffs(alpha: float, lam: float, mu: float) -> CoefficientSet:
@@ -24,10 +24,10 @@ def gamma_coeffs(alpha: float, lam: float, mu: float) -> CoefficientSet:
     e = Params(alpha=alpha, lam=lam, mu=mu).checked().errors
     total = lam + mu
     denom = (alpha + 1.0) * (alpha + 2.0)
-    half_weight = (py_pow(lam, 2, e) + py_pow(mu, 2, e)) / (2.0 * total)
-    spread = py_pow(total, alpha + 1.0, e)
-    g1 = (py_div(2.0 * py_pow(lam, alpha + 2.0, e), spread, e) + (alpha + 1.0) * mu - lam) / denom
-    g3 = (py_div(2.0 * py_pow(mu, alpha + 2.0, e), spread, e) + (alpha + 1.0) * lam - mu) / denom
+    half_weight = (power(lam, 2) + power(mu, 2)) / (2.0 * total)
+    spread = power(total, alpha + 1.0)
+    g1 = (2.0 * power(lam, alpha + 2.0) / spread + (alpha + 1.0) * mu - lam) / denom
+    g3 = (2.0 * power(mu, alpha + 2.0) / spread + (alpha + 1.0) * lam - mu) / denom
     # Each pair sums to half_weight, so a gamma below -1e-12 of it is not a
     # rounded 0 but an underflowed lam^2 or lam^(alpha+2) (a tiny weight);
     # above half_weight = 1 the absolute -1e-12 still holds.
@@ -43,7 +43,7 @@ def nu_coeffs(alpha: float) -> CoefficientSet:
     """Kernel moments of the equal-weights bound; nu1 + nu2 = 1/2 always."""
     Params(alpha=alpha).checked()
     denom = (alpha + 1.0) * (alpha + 2.0)
-    half_pow = py_pow(0.5, alpha)
+    half_pow = power(0.5, alpha)
     nu1 = (alpha + half_pow) / denom
-    nu2 = ((py_pow(alpha, 2) + alpha + 2.0) / 2.0 - half_pow) / denom
+    nu2 = ((power(alpha, 2) + alpha + 2.0) / 2.0 - half_pow) / denom
     return CoefficientSet({"nu1": nu1, "nu2": nu2})

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import copy
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -195,9 +194,10 @@ def make_report(theorem_id: str, lhs: float, rhs: float, quad_error: float) -> B
 class CoefficientSet:
     """Named closed-form constants belonging to one bound family.
 
-    Each value must be finite and at least -tol, the rounding allowed around
-    a true 0; tol may be an array over cells.  A point raises; over cells, a
-    failing cell gets its error in ``errors`` (``fail``) and NaN in every value.
+    Each value must be finite (else a NonFiniteError) and at least -tol, the
+    rounding allowed around a true 0 (else a ParamError); tol may be an array over
+    cells.  A point raises; over cells, a failing cell gets its error in ``errors``
+    (``fail``).
     """
 
     values: dict
@@ -205,58 +205,30 @@ class CoefficientSet:
     errors: dict | None = None
 
     def __post_init__(self):
-        failing = False
         for name, v in self.values.items():
             if not isinstance(v, np.ndarray) and math.isfinite(v) and v >= -self.tol:
                 continue  # a valid scalar, checked without numpy's per-call cost
             v = np.asarray(v)
-            for bad, what in ((~np.isfinite(v), "is not finite:"),
-                              (v < -self.tol, "must be nonnegative, got")):
-                if bad.any():
-                    fail(self.errors, bad, lambda x: ParamError(
-                        f"coefficient {name} {what} {x}"), v)
-                    failing = failing | bad
-        if np.any(failing):
-            self.values.update({k: np.where(failing, np.nan, v) for k, v in self.values.items()})
+            for bad, what, error in ((~np.isfinite(v), "is not finite:", NonFiniteError),
+                                     (v < -self.tol, "must be nonnegative, got", ParamError)):
+                fail(self.errors, bad, lambda x: error(f"coefficient {name} {what} {x}"), v)
 
     def __getitem__(self, name: str) -> float:
         return self.values[name]
 
 
-# Per-cell arithmetic with the bits of the scalar expression.  numpy's +, -,
-# *, / and abs round as Python's do; its array power can differ from libm's
-# pow in the last bit, and Python's ** and / raise where numpy returns inf.
-# Scalar arguments (a call with Params) get the scalar expression itself.  Over
-# cells, a cell that raises gets NaN and, as with ``fail``, its error in ``errors``.
+# The bounds' arithmetic runs on Python floats at a point and on float64 columns
+# over cells, the same expressions either way: numpy's +, -, *, / and abs round as
+# Python's do, and ``power`` is libm's pow in both (numpy's array power takes a
+# SIMD path on some CPUs that can differ in the last bit).  Out of float range a
+# point raises as Python does, and a column holds inf or NaN, which a bound's rule
+# for non-finite values makes its cell's error.
 
-def _per_cell(op):
-    ufunc = np.frompyfunc(op, 2, 1)  # calls op on each cell's Python floats
-
-    def real(x, y):  # op at one cell, where Python's x ** y is complex for x < 0
-        if type(z := op(x, y)) is complex:
-            raise DomainError(f"{op.__name__}({x}, {y}) is not a real number")
-        return z
-
-    def per_cell(x, y, errors=None):
-        if not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray)):
-            return real(x, y)
-        try:  # the whole column in one call
-            return np.asarray(ufunc(x, y), dtype=float)
-        except (ArithmeticError, DomainError, TypeError):  # a cell raised, or is complex
-            if errors is None:
-                raise
-        values = []
-        for i, cell in enumerate(zip(*(v.tolist() for v in np.broadcast_arrays(x, y)))):
-            try:
-                values.append(real(*cell))
-            except (ArithmeticError, DomainError) as exc:
-                values.append(math.nan)
-                errors.setdefault(i, exc.with_traceback(None))
-        return np.array(values, dtype=float)
-    return per_cell
-
-
-py_pow, py_div = _per_cell(operator.pow), _per_cell(operator.truediv)
+def power(x, y):
+    """x ** y: Python's at a point, np.float_power's (libm's pow) over cells."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return np.float_power(x, y)
+    return x ** y
 
 
 def py_min(x, y):

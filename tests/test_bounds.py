@@ -8,10 +8,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hhverify import (DomainError, GateError, Interval, ParamError, Params, TestFunction,
-                      bound_hh, check_alpha_m_convex, check_hypotheses, corpus_by_id,
-                      derivative_power, deviation, kernel_moment, lemma21_residual, reflect,
-                      verify)
+from hhverify import (DomainError, GateError, Interval, NonFiniteError, ParamError, Params,
+                      TestFunction, bound_hh, check_alpha_m_convex, check_hypotheses,
+                      corpus_by_id, derivative_power, deviation, kernel_moment,
+                      lemma21_residual, reflect, verify)
 from hhverify import bounds, cli
 from hhverify.bounds import thm11_rhs
 
@@ -306,10 +306,11 @@ class TestVerify:
         assert calls == {tid: 2 for tid in bounds.THEOREM_IDS}
 
     def test_a_cell_keeps_the_error_of_its_point_call(self):
-        # pown2 on [1, 1e200] at alpha = 1e-100: at lambda = 5 gamma2 = -4.4e-16
-        # passes as a rounded 0 and |f'(b)|^2 underflows, so thm11's smaller branch
-        # is negative and its power 1/q not real; lambda = 1e308 overflows; lambda =
-        # 1e-200 underflows thm22's kernel; lambda = 1 fails nothing
+        # each cell's error is the one its one-cell verify names.  pown2 on [1, 1e200]
+        # at alpha = 1e-100: at lambda = 5 gamma2 = -4.4e-16 passes as a rounded 0 and
+        # |f'(b)|^2 underflows, so thm11's smaller branch is negative and its power
+        # 1/q NaN; lambda = 1e308 overflows; lambda = 1e-200 underflows thm22's
+        # kernel; lambda = 1 fails nothing
         fn, iv = corpus_by_id()["pown2"], Interval(1.0, 1e200)
         cells = [(1e-100, 1.0, lam, mu, 2.0) for lam, mu in ((5.0, 1.0), (1.0, 1.0),
                                                              (1e308, 1.0), (1e-200, 0.0))]
@@ -319,14 +320,17 @@ class TestVerify:
         for (cell, tid), status, error, rhs in zip(itertools.product(cells, ["thm11", "thm22"]),
                                                    row.status, cols.error, row.rhs):
             try:
-                value, _ = getattr(bounds, f"{tid}_rhs")(fn, iv, Params(*cell))
+                report = verify(fn, iv, Params(*cell), tid, gate=False)
             except (ParamError, DomainError, ArithmeticError) as exc:
                 assert (status, type(error), str(error)) == ("input_error", type(exc), str(exc))
                 assert rhs is None
             else:
-                assert error is None and rhs == value
-        assert [type(e).__name__ for e in cols.error[::2]] == [
-            "DomainError", "NoneType", "OverflowError", "ParamError"]
+                assert error is None and rhs == report.rhs
+        assert [str(e) for e in cols.error] == [
+            "thm11 rhs is not finite: nan", "None", "None", "None",
+            "coefficient gamma1 is not finite: inf", "thm22 rhs is not finite: nan",
+            "coefficient gamma1 must be nonnegative, got -5e-201",
+            "thm22 kernel underflows to 0 at lambda = 1e-200, mu = 0.0"]
 
     def test_gate_runs_once_per_group(self):
         # the group's distinct hypotheses (g, alpha, m, q) share one call, in cell
@@ -351,7 +355,7 @@ class TestVerify:
     def test_a_failing_factor_fails_only_its_cell(self):
         # |f'|^3 = e^900 overflows to inf on [1, 300]; at q = 2 it does not
         cells = [(1.0, 1.0, 1.0, 1.0, 2.0), (1.0, 1.0, 1.0, 1.0, 3.0)]
-        with np.errstate(over="ignore"), pytest.raises(ParamError) as err:
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as err:
             cols = bounds.assess_group(EXP, 1.0, 300.0, bounds.admit(cells, ["bop_m"]),
                                        gate_of=None)
             verify(EXP, Interval(1.0, 300.0), Params(q=3.0), "bop_m", gate=False)
@@ -359,12 +363,12 @@ class TestVerify:
         assert cols.plain().rhs[1] is None and cols.error[0] is None
         assert str(err.value) == str(cols.error[1]) == "coefficient mu2 is not finite: inf"
 
-    @pytest.mark.parametrize("theorem, error", [("thm11", ZeroDivisionError),
+    @pytest.mark.parametrize("theorem, error", [("thm11", NonFiniteError),
                                                 ("thm22", ParamError)])
     def test_an_underflowed_weight_fails_only_its_cell(self, theorem, error):
-        # at lambda = 1e-200, mu = 0 thm11 divides by an underflowed power (an
-        # error that names no cells) and thm22's kernel underflows to 0; the
-        # lambda = 1 cell keeps the bits of its one-cell call
+        # at lambda = 1e-200, mu = 0 thm11 divides 0 by an underflowed power (gamma1
+        # is NaN) and thm22's kernel underflows to 0; the lambda = 1 cell keeps the
+        # bits of its one-cell call
         cells = [(1.0, 1.0, 1e-200, 0.0, 2.0), (1.0, 1.0, 1.0, 0.0, 2.0)]
         cols = bounds.assess_group(POW2, 1.0, 2.0, bounds.admit(cells, [theorem]))
         row = cols.plain()

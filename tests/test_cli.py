@@ -40,8 +40,11 @@ TRAP_SPEC = pathlib.Path(__file__).parent / "data" / "trap.spec"
 GATE_SPEC = pathlib.Path(__file__).parent / "data" / "gate.spec"
 DENSE_SPEC = pathlib.Path(__file__).parent / "data" / "dense.spec"
 OVERFLOW_SPEC = pathlib.Path(__file__).parent / "data" / "overflow.spec"
-OVERFLOW_DIGESTS = [("csv", "ae31958a75e9cfd70554e12473e163d63184fc5557d0cfbadc39a8b4bc47c787"),
-                    ("json", "bddcc4dde2af05fef8d5a67a33e21e97c7492bac86d96a168acf352d77b5c0d3")]
+# the pinned sha256 digest of each sweep file, by name (serial.csv is the default
+# sweep's CSV), in the format ``sha256sum -c`` checks
+PINNED = {name: digest for digest, name in (
+    line.split() for line in (pathlib.Path(__file__).parent / "data" / "SHA256SUMS")
+    .read_text().splitlines())}
 
 
 def run_cli(capsys, *argv):
@@ -179,20 +182,44 @@ class TestVerifyCommand:
         assert err == ("error: coefficient gamma1 must be nonnegative, "
                        "got -2.6666666666666665e-201\n")
 
-    @pytest.mark.parametrize("argv, reason", [
+    @pytest.mark.parametrize("argv, line", [
         # gamma2 = -4.4e-16 passes as a rounded 0 and |f'(b)|^2 underflows, so thm11's
-        # smaller branch is negative and its power 1/q is not real
+        # smaller branch is negative and its power 1/q NaN: a value out of float range,
+        # named as a sweep names its group's
         (["--fn", "pown2", "--a", "1", "--b", "1e200", "--alpha", "1e-100", "--lambda", "5",
           "--mu", "1", "--q", "2", "--theorem", "thm11"],
-         "pow(-1.7763568394002505e-15, 0.5) is not a real number"),
+         "warning: pown2 [1.0, 1e+200]: thm11 rhs is not finite: nan"),
         # the one cell's reason is the text its point call raises
         (["--fn", "pow2", "--a", "1", "--b", "2", "--lambda", "1e-200", "--mu", "0", "--q", "2",
-          "--theorem", "thm22"], "thm22 kernel underflows to 0 at lambda = 1e-200, mu = 0.0"),
+          "--theorem", "thm22"],
+         "error: thm22 kernel underflows to 0 at lambda = 1e-200, mu = 0.0"),
     ], ids=["non_real_power", "underflowed_thm22_kernel"])
-    def test_a_failed_cell_names_its_reason(self, capsys, argv, reason):
+    def test_a_failed_cell_names_its_reason(self, capsys, argv, line):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 3 and "status=input_error" in out
-        assert err == f"error: {reason}\n"
+        assert err == f"{line}\n"
+
+    @pytest.mark.parametrize("argv, spec", [
+        # a negative base under 1/q (as above), beside a da cell
+        ("--fn pown2 --a 1 --b 1e200 --alpha 1e-100 --lambda 5 --mu 1 --q 2 --theorem thm11",
+         "functions = pown2\nintervals = 1:1e200\nalpha = 1e-100\nlambda = 5\nq = 2\n"
+         "theorems = thm11, da\n"),
+        # lambda^(p+1) overflows the thm22 kernel, beside lambda = 1
+        ("--fn pow2 --a 1 --b 2 --lambda 1e308 --q 2 --theorem thm22",
+         "functions = pow2\nintervals = 1:2\nlambda = 1e308, 1\nq = 2\ntheorems = thm22\n"),
+        # lambda^(alpha+2) overflows the factor gamma1, beside lambda = 1
+        ("--fn pow2 --a 1 --b 2 --lambda 1e308 --q 2 --theorem thm11",
+         "functions = pow2\nintervals = 1:2\nlambda = 1e308, 1\nq = 2\ntheorems = thm11\n"),
+    ], ids=["non_real_power", "overflowed_kernel", "overflowed_factor"])
+    def test_verify_and_the_sweep_name_the_same_non_finite_reason(self, tmp_path, capsys,
+                                                                  argv, spec):
+        code, _, line = run_cli(capsys, "verify", *argv.split())
+        assert code == 3 and line.startswith("warning: ") and " is not finite: " in line
+        path = tmp_path / "cell.spec"
+        path.write_text(spec)
+        code, out, err = run_cli(capsys, "sweep", str(path), "-o", str(tmp_path / "cell.csv"))
+        assert code == 0 and "holds=1 " in out and "input_error=1" in out
+        assert err == line
 
     def test_input_error_exit_three(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--fn", "nope", "--a", "0",
@@ -407,10 +434,10 @@ class TestSweep:
          ["ok", "input_error"], ["pown2 [0.001, 1.0]: g is not finite at sample x="]),
         ("functions = pow2\nintervals = 1:2\nlambda = 1e-200\nmu = 0\nq = 2\n"
          "theorems = thm11, da\n", ["ok", "input_error"],
-         ["pow2 [1.0, 2.0]: float division by zero"]),
+         ["pow2 [1.0, 2.0]: coefficient gamma1 is not finite: nan"]),
         ("functions = pow2\nintervals = 1:2\nlambda = 1e-200, 1\nmu = 0\nq = 2\n"
          "theorems = thm11\n", ["input_error", "ok"],
-         ["pow2 [1.0, 2.0]: float division by zero"]),
+         ["pow2 [1.0, 2.0]: coefficient gamma1 is not finite: nan"]),
         ("functions = pow2\nintervals = 1:2\nlambda = 1e-200, 1\nmu = 0\nq = 2\n"
          "theorems = thm22\n", ["input_error", "ok"], []),
         ("functions = pow2, exp\nintervals = 1:2\nm = 1e-320, 1\ntheorems = bop_am, da\n",
@@ -418,11 +445,13 @@ class TestSweep:
          ["exp [1.0, 2.0]: gate grid end b / m is not finite: 2.0 / 1e-320",
           "pow2 [1.0, 2.0]: gate grid end b / m is not finite: 2.0 / 1e-320"]),
         ("functions = pow2\nintervals = 1:2\nlambda = 1e308\nmu = 1e308\nq = 2\n",
-         ["ok"] * 4 + ["input_error"] * 3, ["pow2 [1.0, 2.0]: Numerical result out of range"]),
+         ["ok"] * 4 + ["input_error"] * 3,
+         ["pow2 [1.0, 2.0]: coefficient gamma1 is not finite: nan"]),
         # gamma2 = -4.4e-16 passes as a rounded 0 and |f'(b)|^2 underflows: thm11's
-        # smaller branch is negative and its power 1/q is not real
+        # smaller branch is negative and its power 1/q NaN
         ("functions = pown2\nintervals = 1:1e200\nalpha = 1e-100\nlambda = 5\nmu = 1\nq = 2\n"
-         "theorems = thm11, da\n", ["ok", "input_error"], []),
+         "theorems = thm11, da\n", ["ok", "input_error"],
+         ["pown2 [1.0, 1e+200]: thm11 rhs is not finite: nan"]),
     ], ids=["non_finite_integral", "non_finite_gate", "division_by_underflow",
             "division_by_underflow_spares_its_group", "underflowed_thm22_kernel",
             "overflowed_gate_grid_end", "huge_weights", "non_real_power"])
@@ -601,16 +630,13 @@ class TestSweep:
         monkeypatch.setenv("HH_VERIFY_JOBS", "2")
         assert cli.build_parser().parse_args(["sweep", "default"]).jobs == 1
 
-    @pytest.mark.parametrize("fmt, digest", [
-        ("csv", "47982126e57c8f33f2ac7df45b809e657f9d2444841714477f9ce17350322109"),
-        ("json", "1e393bbbf038a9a076645c3fde6744a6f5e650d04def6734b463e814f0cf564e"),
-    ], ids=["csv", "json"])
-    def test_default_sweep_bytes_are_pinned(self, tmp_path, capsys, fmt, digest):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_default_sweep_bytes_are_pinned(self, tmp_path, capsys, fmt):
         # the digests and summary lines of the sweep written with one global sort
         out_file = tmp_path / f"default.{fmt}"
         code, out, err = run_cli(capsys, "sweep", "default", "--format", fmt, "-o", str(out_file))
         assert code == 0 and err == ""
-        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == PINNED[f"serial.{fmt}"]
         assert out == (
             "sweep: 67200 rows (8 functions x 4 intervals x 2x2 (alpha,m) x 5x5 weights x "
             "3 q x 7 theorems)\n"
@@ -619,18 +645,15 @@ class TestSweep:
             "min_slack=-1.7763568394002505e-15 at "
             "('pow2', 2.0, 5.0, 1.0, 0.5, 0.0, 5.0, 1.0, 'thm11')\n")
 
-    @pytest.mark.parametrize("fmt, digest", [
-        ("csv", "96938bd2203526c149d4539c547634e73e451d03a4aff6f5983573cc2831e27f"),
-        ("json", "a72f590453713ce79bb83c63a541f3bf0b9118570641d265dee3088625e37ac8"),
-    ], ids=["csv", "json"])
-    def test_gate_spec_bytes_are_pinned(self, tmp_path, capsys, fmt, digest):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_gate_spec_bytes_are_pinned(self, tmp_path, capsys, fmt):
         # four alphas per sample grid, clipped grids, the f-hypothesis of sso,
         # and four groups whose gate leaves the float range at q = 40
         out_file = tmp_path / f"gate.{fmt}"
         code, out, err = run_cli(capsys, "sweep", str(GATE_SPEC), "--format", fmt,
                                  "-o", str(out_file))
         assert code == 0
-        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == PINNED[f"gate.{fmt}"]
         assert out == (
             "sweep: 1792 rows (7 functions x 2 intervals x 4x2 (alpha,m) x 1x1 weights x "
             "4 q x 4 theorems)\n"
@@ -644,17 +667,14 @@ class TestSweep:
             "warning: recip [0.5, 1.5]: g is not finite at sample x=6.000000000000001e-08\n"
             "warning: recip [1.0, 3.0]: g is not finite at sample x=1.2000000000000002e-07\n")
 
-    @pytest.mark.parametrize("fmt, digest", [
-        ("csv", "896f3a49544a5d6992cfdbb0d6c975f387d5182d2b29532db2eeb00611f7fa01"),
-        ("json", "5c76474a4c8b61bc9b6f46e84660225103914962966d261b79867a4a412ddc67"),
-    ], ids=["csv", "json"])
-    def test_dense_spec_bytes_are_pinned(self, tmp_path, capsys, fmt, digest):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_dense_spec_bytes_are_pinned(self, tmp_path, capsys, fmt):
         # each group's one gate call scores 4 m x 4 q x 4 alpha hypotheses of |f'|^q
         out_file = tmp_path / f"dense.{fmt}"
         code, out, err = run_cli(capsys, "sweep", str(DENSE_SPEC), "--format", fmt,
                                  "-o", str(out_file))
         assert code == 0 and err == ""
-        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == PINNED[f"dense.{fmt}"]
         assert out == (
             "sweep: 28672 rows (8 functions x 4 intervals x 4x4 (alpha,m) x 2x1 weights x "
             "4 q x 7 theorems)\n"
@@ -663,15 +683,15 @@ class TestSweep:
             "min_slack=2.220446049250313e-16 at "
             "('pow2', 0.5, 1.5, 1.0, 0.25, 0.0, 1.0, 1.0, 'thm11')\n")
 
-    @pytest.mark.parametrize("fmt, digest", OVERFLOW_DIGESTS, ids=["csv", "json"])
-    def test_overflow_spec_bytes_are_pinned(self, tmp_path, capsys, fmt, digest, jobs="1"):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflow_spec_bytes_are_pinned(self, tmp_path, capsys, fmt, jobs="1"):
         # lambda = 1e308 beside an ordinary grid: only the cells it reaches are
         # input_error, and each group's first out-of-range text is its warning
         out_file = tmp_path / f"overflow.{fmt}"
         code, out, err = run_cli(capsys, "sweep", str(OVERFLOW_SPEC), "--format", fmt,
                                  "--jobs", jobs, "-o", str(out_file))
         assert code == 0
-        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == PINNED[f"overflow.{fmt}"]
         assert out == (
             "sweep: 70560 rows (2 functions x 1 intervals x 2x2 (alpha,m) x 21x20 weights x "
             "3 q x 7 theorems)\n"
@@ -679,13 +699,13 @@ class TestSweep:
             "input_error=684\n"
             "min_slack=-8.881784197001252e-16 at "
             "('pow2', 1.0, 2.0, 1.0, 0.5, 1.75, 0.0, 1.0, 'thm11')\n")
-        assert err == ("warning: exp [1.0, 2.0]: Numerical result out of range\n"
-                       "warning: pow2 [1.0, 2.0]: Numerical result out of range\n")
+        assert err == ("warning: exp [1.0, 2.0]: coefficient gamma1 is not finite: nan\n"
+                       "warning: pow2 [1.0, 2.0]: coefficient gamma1 is not finite: nan\n")
 
-    @pytest.mark.parametrize("fmt, digest", OVERFLOW_DIGESTS, ids=["csv", "json"])
-    def test_overflow_spec_crosses_the_pool(self, tmp_path, capsys, fmt, digest):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflow_spec_crosses_the_pool(self, tmp_path, capsys, fmt):
         # each --jobs 2 worker sends back its group's typed columns and warning text
-        self.test_overflow_spec_bytes_are_pinned(tmp_path, capsys, fmt, digest, jobs="2")
+        self.test_overflow_spec_bytes_are_pinned(tmp_path, capsys, fmt, jobs="2")
 
     def test_default_sweep_gates_once_per_group(self, monkeypatch):
         # one gate call per group that has a cell open after the interval, parameter,
@@ -708,17 +728,14 @@ class TestSweep:
         assert len(builds) == 80
         assert [np.size(p.q) for p in builds].count(300) == 1
 
-    @pytest.mark.parametrize("fmt, digest", [
-        ("csv", "7e40f2ed00d4967afab8a81fa9e1800e341537ccd615b64060b0999664d53530"),
-        ("json", "4c2fbdbae944497c6392390015b21d20cc0f668847757ad893b59cbfc4a80613"),
-    ], ids=["csv", "json"])
-    def test_trap_spec_bytes_are_pinned(self, tmp_path, capsys, fmt, digest):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_trap_spec_bytes_are_pinned(self, tmp_path, capsys, fmt):
         # tie classes of several groups: a repeated interval and function, -0.0 beside 0
         out_file = tmp_path / f"trap.{fmt}"
         code, out, err = run_cli(capsys, "sweep", str(TRAP_SPEC), "--format", fmt,
                                  "-o", str(out_file))
         assert code == 0 and err == ""
-        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == PINNED[f"trap.{fmt}"]
         assert out == (
             "sweep: 11520 rows (4 functions x 5 intervals x 3x4 (alpha,m) x 4x1 weights x "
             "3 q x 4 theorems)\n"

@@ -1,8 +1,13 @@
+import io
+import json
 import math
+import pathlib
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
+from hhverify import cli
 from hhverify import (DomainError, Interval, MeanKind, NonFiniteError, ParamError,
                       Params, integrate, mean, proposition_check)
 from hhverify.means import power_log_mean_pow
@@ -168,3 +173,67 @@ class TestPropositions:
         res = proposition_check(k, 0.5, 2.0, p, n=n)
         assert res.residual <= 1e-12 * max(1.0, res.corollary_rhs)
         assert res.holds
+
+
+# The point path, pinned: each proposition_check of a small grid (its values' reprs
+# and Python types, or its error) and each ``hh-verify means`` command that the
+# tests and CI run (its exit code, stdout and stderr), as they were before the
+# bounds' right sides became numpy columns.
+POINT_PINS = pathlib.Path(__file__).parent / "data" / "means_pins.json"
+PIN_GRID = [(k, a, b, lam, mu, q, n)
+            for k in range(1, 7)
+            for a, b in ((1.0, 2.0), (0.5, 3.0), (1e-200, 1.0))
+            for lam, mu in ((1.0, 1.0), (2.0, 0.5), (1e-200, 0.0))
+            for q in (1.0, 2.0, 3.5)
+            for n in ((2, -3) if k <= 3 else (None,))]
+PIN_COMMANDS = [
+    ["--prop", "1", "--a", "1", "--b", "2", "--n", "2"],
+    ["--prop", "1", "--a", "1", "--b", "2", "--n", "2", "--format", "json"],
+    ["--prop", "1", "--a", "1", "--b", "2", "--n", "2", "--format", "text"],
+    ["--prop", "6", "--a", "1", "--b", "2", "--q", "2", "--format", "json"],
+    ["--prop", "2", "--a", "1", "--b", "2", "--n", "2", "--q", "1"],
+    *(["--prop", k, "--a", "1", "--b", "2", "--n", "2", "--q", "1"] for k in "356"),
+    ["--prop", "1", "--a", "1", "--b", "2", "--n", "1"],
+    ["--prop", "1", "--a", "1", "--b", "1e200", "--n", "3"],
+    ["--prop", "1", "--a", "1", "--b", "2", "--n", "2", "--q", "1e308"],
+    ["--prop", "4", "--a", "1e-200", "--b", "1"],
+    ["--prop", "1", "--a", "1e-200", "--b", "1", "--n", "-3"],
+    ["--prop", "5", "--a", "1e-200", "--b", "1", "--q", "2"],
+    ["--prop", "6", "--a", "1e-200", "--b", "1", "--q", "2"],
+    ["--prop", "1", "--a", "1", "--b", "2", "--n", "2", "--lambda", "1e-160", "--mu", "0",
+     "--q", "2"],
+    *(["--prop", k, "--a", "1", "--b", "2", "--n", "2", "--lambda", "1e-200", "--mu", "0",
+       "--q", "2"] for k in "36"),
+    *(["--prop", str(k), "--a", "0.5", "--b", "3", "--n", "-3", "--lambda", "2", "--mu",
+       "0.5", "--q", "3.5", "--format", "json"] for k in range(1, 7)),
+]
+
+
+def pin_proposition(k, a, b, lam, mu, q, n):
+    """[type, repr] of each field of proposition_check's result, or of its error."""
+    try:
+        result = proposition_check(k, a, b, Params(lam=lam, mu=mu, q=q), n=n)
+    except (ParamError, DomainError, ArithmeticError) as exc:
+        return {"error": [type(exc).__name__, str(exc)]}
+    return {key: [type(v).__name__, repr(v)] for key, v in vars(result).items()}
+
+
+def pin_command(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["means", *argv])
+    return {"code": code, "out": out.getvalue(), "err": err.getvalue()}
+
+
+def test_proposition_check_is_pinned():
+    pins = json.loads(POINT_PINS.read_text())["propositions"]
+    assert [pin["args"] for pin in pins] == [list(args) for args in PIN_GRID]
+    for pin in pins:
+        assert pin_proposition(*pin["args"]) == pin["result"], pin["args"]
+
+
+def test_means_commands_are_pinned():
+    pins = json.loads(POINT_PINS.read_text())["commands"]
+    assert [pin["argv"] for pin in pins] == PIN_COMMANDS
+    for pin in pins:
+        assert pin_command(pin["argv"]) == {k: pin[k] for k in ("code", "out", "err")}
