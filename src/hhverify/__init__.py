@@ -2,7 +2,7 @@
 derivative powers are (alpha, m)-convex, plus the special-means corollaries."""
 
 from .core import (BoundReport, CoefficientSet, DomainError, GateError, Interval,
-                   NonFiniteError, ParamError, Params, TestFunction,
+                   NonFiniteError, ParamError, Params, TestFunction, UnconvergedError,
                    corpus_by_id, power_function, reflect)
 from .quadrature import QuadResult, integrate, kernel_moment
 from .convexity import ConvexityVerdict, check_alpha_m_convex, check_hypotheses, derivative_power

@@ -7,8 +7,8 @@ means module compares against it) or of columns over cells.
 ``admit`` checks a sweep's (params, theorem) cells once: parameters, the q > 1
 rule and the distinct gate hypotheses.  ``assess_group`` evaluates them for one
 (function, interval) group as typed ``Columns``: domain, gate, LHS and RHS.  The
-library's ``verify`` is its one-cell call; the CLI's rows come from
-``cli.group_rows``.
+library's ``verify`` is its one-cell call; the CLI's rows come from it one group
+at a time (``cli._assess``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import numpy as np
 from .convexity import check_hypotheses
 from .coefficients import gamma_coeffs, nu_coeffs
 from .core import (BoundReport, CoefficientSet, DomainError, GateError, Interval, NonFiniteError,
-                   ParamError, Params, TestFunction, fail, make_report, power, py_min)
+                   ParamError, Params, TestFunction, UnconvergedError, fail, make_report, power,
+                   py_min)
 from .quadrature import integrate
 
 DEFAULT_LHS_TOL = 1e-9
@@ -39,8 +40,13 @@ class Deviation:
     quad_error: float
 
 
-def integral_mean(fn: TestFunction, iv: Interval, tol: float = DEFAULT_LHS_TOL):
-    res = integrate(fn.f, iv, tol=tol)
+def integral_mean(fn: TestFunction, iv: Interval):
+    """The mean of f over ``iv`` and its error estimate; an integral that did not
+    converge raises, since a row adds that estimate to the rhs it is checked against."""
+    res = integrate(fn.f, iv, tol=DEFAULT_LHS_TOL)
+    if not res.converged:
+        raise UnconvergedError(f"LHS integral did not converge: error estimate "
+                               f"{res.error_estimate} after {res.evaluations} evaluations")
     return res.value / iv.width, res.error_estimate / iv.width
 
 
@@ -53,9 +59,10 @@ def deviation(fn: TestFunction, iv: Interval, lam: float, mu: float,
     Params(lam=lam, mu=mu)
     fn.require(iv.a)
     endpoint = _weighted_endpoint(fn, iv, lam, mu)
-    mean, err = integral_mean(fn, iv, tol)
+    res = integrate(fn.f, iv, tol=tol)
+    mean = res.value / iv.width
     return Deviation(weighted_endpoint_value=endpoint, integral_mean=mean,
-                     lhs_abs=abs(endpoint - mean), quad_error=err)
+                     lhs_abs=abs(endpoint - mean), quad_error=res.error_estimate / iv.width)
 
 
 def lemma21_residual(fn: TestFunction, iv: Interval, lam: float, mu: float,

@@ -1,19 +1,18 @@
 """Batch verification harness: single checks, sweeps, tightness tables, means.
 
 Subcommands: verify | sweep | tightness | means.  A sweep admits its
-(params, theorem) cells once (``bounds.admit``), and every (function, interval)
-group of them goes through ``group_rows``: the typed ``bounds.Columns`` that
-``bounds.assess_group`` (the path behind the library's ``verify``) computes,
-status and holds codes and float64 values with presence masks, and its warning
-text, all that a ``--jobs`` worker sends back.  ``run_sweep`` yields one
-``Table`` per tie class of groups, in row order: the groups' heads (schema, fn,
-a, b), the sweep's one list of cells (alpha, m, lambda, mu, q, theorem), the row
-order and the typed columns in that order.  The writers format the cells once
-per sweep, a head once per group, a code once per writer and a float column once
-per distinct 64-bit value, floats in shortest round-trip form, and join the
-texts row by row, so identical inputs give identical files.  ``verify``,
-``tightness``, ``eval_row`` and ``--format text`` read the columns as plain
-values through ``Columns.plain``.
+(params, theorem) cells once (``bounds.admit``) and runs in one process: every
+(function, interval) group of them goes through ``_assess``, the typed
+``bounds.Columns`` that ``bounds.assess_group`` (the path behind the library's
+``verify``) computes, status and holds codes and float64 values with presence
+masks.  ``run_sweep`` yields one ``Table`` per tie class of groups, in row
+order: the groups' heads (schema, fn, a, b), the sweep's one list of cells
+(alpha, m, lambda, mu, q, theorem), the row order and the typed columns in that
+order.  The writers format the cells once per sweep, a head once per group, a
+code once per writer and a float column once per distinct 64-bit value, floats
+in shortest round-trip form, and join the texts row by row, so identical inputs
+give identical files.  ``verify``, ``tightness``, ``eval_row`` and ``--format
+text`` read the columns as plain values through ``Columns.plain``.
 The LHS quadrature tolerance (``bounds.DEFAULT_LHS_TOL``) and the slack a row
 may miss by (``core.HOLDS_SLACK``) are constants: no flag or spec key sets them.
 
@@ -65,16 +64,6 @@ def _assess(fn_id: str, a: float, b: float, cells: bounds.Cells) -> bounds.Colum
         cols.error[:] = ParamError(f"unknown function {fn_id!r}")
         return cols
     return bounds.assess_group(fn, a, b, cells)
-
-
-def group_rows(fn_id: str, a: float, b: float, cells: bounds.Cells) -> tuple:
-    """``_assess``' typed columns without the errors and verdicts, and the text of the
-    group's first out-of-float-range error (its last argument: an OverflowError's
-    without the errno) or None; all that a ``--jobs`` worker sends back."""
-    cols = _assess(fn_id, a, b, cells)
-    overflow = next((e for e in dict.fromkeys(cols.error.tolist())
-                     if isinstance(e, ArithmeticError)), None)
-    return bounds.Columns(*cols[:4]), None if overflow is None else str(*overflow.args[-1:])
 
 
 def _take(parts, order) -> bounds.Columns:
@@ -189,14 +178,15 @@ def parse_sweep_file(path: str) -> SweepSpec:
     return spec
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1, summary: dict | None = None):
+def run_sweep(spec: SweepSpec, summary: dict | None = None):
     """Yield the cross product's rows, in the order of the inputs after schema and
     ties in spec order, as one ``Table`` per tie class: the (function, interval)
     groups whose keys compare equal (a repeated interval, -0.0 beside 0.0), run in
-    sorted order on at most ``min(jobs, groups)`` processes and stable-sorted before
-    the next class runs; every table holds the one list of cells, admitted once for
-    all the groups.  Once all have gone by, ``summary`` (if given) holds the count of
-    every status and the least slack."""
+    sorted order and stable-sorted before the next class runs; every table holds the
+    one list of cells, admitted once for all the groups.  A group's first
+    ``ArithmeticError`` (a value out of float range, or an integral that did not
+    converge) is its one ``warning:`` line on stderr.  Once all have gone by,
+    ``summary`` (if given) holds the count of every status and the least slack."""
     params = list(itertools.product(spec.alpha, spec.m, spec.lam, spec.mu, spec.q))
     cells = [(*p, t) for p, t in itertools.product(params, spec.theorems)]
     # every group has these cells: rank places each among the distinct keys (-0.0 == 0.0)
@@ -207,32 +197,28 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, summary: dict | None = None):
     admitted = bounds.admit(params, spec.theorems)
     counts = np.zeros(len(bounds.STATUSES), int)  # of each status code
     tightest = []  # each table's (min slack, its inputs after schema)
-    workers = min(jobs, len(groups))
-    if workers > 1:  # imported only here: it loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        tasks = [(*g, admitted) for g in groups]
-        results = (pool.map(group_rows, *zip(*tasks)) if pool
-                   else itertools.starmap(group_rows, tasks))
-        for _, tied in itertools.groupby(groups):
-            tied, parts = list(tied), []
-            for (fn_id, a, b), (computed, overflow) in zip(tied, results):  # stops at tied's end
-                if overflow:  # the group left the float range
-                    print(f"warning: {fn_id} [{a}, {b}]: {overflow}", file=sys.stderr)
-                parts.append(computed)
-            order = by_rank if len(tied) == 1 else np.argsort(
-                np.tile(rank, len(tied)), kind="stable")
-            columns = _take(parts, order)
-            counts += np.bincount(columns.status, minlength=len(counts))
-            if len(ok := np.flatnonzero(columns.status == bounds.OK)):
-                # min's rule: the first of equal slacks, where no slack is below a NaN
-                # one and a NaN one is below none
-                slack = columns.values[_SLACK, ok]
-                i = ok[0 if np.isnan(slack[0]) else np.argmin(np.where(np.isnan(slack), np.inf,
-                                                                       slack))]
-                g, c = divmod(int(order[i]), len(cells))
-                tightest.append((columns.values[_SLACK, i].item(), (*tied[g], *cells[c])))
-            yield Table([(SCHEMA_VERSION, *group) for group in tied], cells, order, columns)
+    for _, tied in itertools.groupby(groups):
+        tied, parts = list(tied), []
+        for fn_id, a, b in tied:
+            computed = _assess(fn_id, a, b, admitted)
+            warning = next((e for e in dict.fromkeys(computed.error.tolist())
+                            if isinstance(e, ArithmeticError)), None)
+            if warning is not None:  # an OverflowError's text without the errno
+                print(f"warning: {fn_id} [{a}, {b}]: {str(*warning.args[-1:])}", file=sys.stderr)
+            parts.append(computed)
+        order = by_rank if len(tied) == 1 else np.argsort(
+            np.tile(rank, len(tied)), kind="stable")
+        columns = _take(parts, order)
+        counts += np.bincount(columns.status, minlength=len(counts))
+        if len(ok := np.flatnonzero(columns.status == bounds.OK)):
+            # min's rule: the first of equal slacks, where no slack is below a NaN
+            # one and a NaN one is below none
+            slack = columns.values[_SLACK, ok]
+            i = ok[0 if np.isnan(slack[0]) else np.argmin(np.where(np.isnan(slack), np.inf,
+                                                                   slack))]
+            g, c = divmod(int(order[i]), len(cells))
+            tightest.append((columns.values[_SLACK, i].item(), (*tied[g], *cells[c])))
+        yield Table([(SCHEMA_VERSION, *group) for group in tied], cells, order, columns)
     if summary is not None:
         min_slack, config = min(tightest, key=itemgetter(0), default=(None, None))
         counts = dict(zip(bounds.STATUSES, counts.tolist()))
@@ -357,7 +343,7 @@ def cmd_sweep(args) -> int:
               f"{len(spec.lam)}x{len(spec.mu)} weights x {len(spec.q)} q x {len(spec.theorems)} "
               "theorems)")
         summary = {}
-        _emit(run_sweep(spec, args.jobs, summary), args.format, out)
+        _emit(run_sweep(spec, summary), args.format, out)
 
     print(" ".join(f"{key}={summary[key]}" for key in ("total", "holds", "violations",
                    "gate_skipped", "not_applicable", "input_error")))
@@ -385,8 +371,8 @@ def cmd_tightness(args) -> int:
                         ("quad_error", r.quad_error), ("branch1", lower)):
             baseline.put(0, name, v)
     except (KeyError, ParamError, DomainError):
-        baseline = None  # group_rows has already marked these rows input_error or not_applicable
-    except ArithmeticError:  # a value out of float range: the baseline is an input error
+        baseline = None  # _point_table has already marked these rows input_error or not_applicable
+    except ArithmeticError:  # out of float range, or not converged: an input error
         pass
     if baseline is not None:  # one more row: the point's inputs, then the baseline's columns
         cells = [*table.cells, (*table.cells[0][:-1], "hh_upper")]
@@ -447,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("spec", help="spec file path, or 'default' for the acceptance sweep")
     p_sweep.add_argument("--output", "-o", help="write CSV/JSON here instead of stdout")
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=1, help="ignored: a sweep runs in one "
+                         "process (kept until the benchmark's default_jobs2 workload goes)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_tight = subs.add_parser("tightness", help="rank several bounds on one configuration")

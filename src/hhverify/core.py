@@ -40,6 +40,10 @@ class NonFiniteError(ArithmeticError):
     """An integrand or sampled function returned NaN or infinity."""
 
 
+class UnconvergedError(ArithmeticError):
+    """An integral did not reach its tolerance within the evaluation budget."""
+
+
 # Tolerance added on top of the quadrature error estimate when deciding
 # whether an inequality holds; absorbs double rounding, never masks a
 # genuine violation (those exceed it by orders of magnitude).

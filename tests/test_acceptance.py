@@ -76,7 +76,7 @@ def test_criterion_2_coefficient_oracle():
 
 def test_criterion_3_soundness_sweep():
     summary = {}
-    list(cli.run_sweep(cli.default_sweep_spec(), jobs=1, summary=summary))
+    list(cli.run_sweep(cli.default_sweep_spec(), summary=summary))
     passed = summary["violations"] == 0 and summary["holds"] > 0
     report(3, passed,
            f"default sweep {summary['total']} rows, holds={summary['holds']}, "

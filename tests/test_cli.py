@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import hashlib
 import io
@@ -220,6 +219,23 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "sweep", str(path), "-o", str(tmp_path / "cell.csv"))
         assert code == 0 and "holds=1 " in out and "input_error=1" in out
         assert err == line
+
+    @pytest.mark.parametrize("fn_id, b", [("exp", "700"), ("sinh", "100")])
+    def test_an_unconverged_integral_is_an_input_error(self, tmp_path, capsys, fn_id, b):
+        # the integral's error estimate is added to the rhs, so a failed integral
+        # (quad_error 2.9e+276 for exp) made the row hold: status=ok and exit 0
+        code, out, line = run_cli(capsys, "verify", "--fn", fn_id, "--a", "0", "--b", b,
+                                  "--theorem", "da")
+        assert code == 3 and "status=input_error" in out and "lhs=" not in out
+        assert line.startswith(f"warning: {fn_id} [0.0, {float(b)}]: LHS integral did not "
+                               "converge: error estimate ") and line.count("\n") == 1
+        path = tmp_path / "cell.spec"
+        path.write_text(f"functions = {fn_id}\nintervals = 0:{b}\ntheorems = da, sso\n")
+        code, out, err = run_cli(capsys, "sweep", str(path), "-o", str(tmp_path / "cell.csv"))
+        assert code == 0 and "input_error=2" in out and err == line
+        code, out, err = run_cli(capsys, "tightness", "--fn", fn_id, "--a", "0", "--b", b,
+                                 "--theorems", "da,sso")
+        assert code == 3 and out.count("status=input_error") == 3 and err == line
 
     def test_input_error_exit_three(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--fn", "nope", "--a", "0",
@@ -501,8 +517,8 @@ class TestSweep:
         assert err == f"error: --jobs must be at least 1, got {jobs}\n" and out == ""
 
     def test_jobs_output_matches_serial(self, tmp_path, capsys, monkeypatch):
-        # a slack of -0.5 turns rows whose slack is below 0.5 into violations;
-        # the --jobs 2 workers see it only as forked copies of this process
+        # --jobs is kept for compatibility only: it writes the serial bytes; a slack of
+        # -0.5 turns rows whose slack is below 0.5 into violations
         monkeypatch.setattr(hhverify.core, "HOLDS_SLACK", -0.5)
         spec = tmp_path / "all.spec"
         spec.write_text(ALL_STATUS_SPEC)
@@ -551,32 +567,6 @@ class TestSweep:
             assert min_slack.startswith("min_slack=")
             assert "".join(body) == out_file.read_text()
 
-    def test_pool_is_bounded_by_the_groups(self, monkeypatch):
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        three = cli.SweepSpec(functions=["pow2"], intervals=[(1.0, 2.0), (0.5, 3.0), (2.0, 5.0)],
-                              q=[1.0, 2.0], theorems=["da", "thm11"])
-        rows = table_rows(cli.run_sweep(three, jobs=100))
-        assert started == [3]
-        assert rows == table_rows(cli.run_sweep(three))
-        one = cli.SweepSpec(functions=["pow2"], intervals=[(1.0, 2.0)], theorems=["da"])
-        assert len(table_rows(cli.run_sweep(one, jobs=100))) == 1
-        assert started == [3]  # a single group runs in this process
-
     @pytest.mark.parametrize("case", ["all_statuses", "precedence"])
     def test_grouped_sweep_equals_per_cell_rows(self, tmp_path, monkeypatch, case):
         if case == "all_statuses":
@@ -618,17 +608,18 @@ class TestSweep:
             dicts = [dict(zip(cli.COLUMNS, r)) for r in table_rows(case)]
             assert text.getvalue() == json.dumps(dicts, indent=2) + "\n"
 
-    def test_importing_the_cli_leaves_the_pool_out(self):
-        # the process pool's modules load in a sweep that starts one, not at start-up
+    def test_importing_the_cli_leaves_the_pool_out(self, tmp_path):
+        # a sweep runs in one process, --jobs 2 over two groups included
+        spec, out = tmp_path / "two.spec", tmp_path / "two.csv"
+        spec.write_text("functions = pow2, exp\nintervals = 1:2\ntheorems = da\n")
         src = str(pathlib.Path(cli.__file__).parent.parent)
-        code = "import sys, hhverify.cli; print('multiprocessing' in sys.modules)"
+        code = ("import sys, hhverify.cli; "
+                f"code = hhverify.cli.main(['sweep', {str(spec)!r}, '--jobs', '2', '-o', "
+                f"{str(out)!r}]); print(code, 'multiprocessing' in sys.modules)")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                 env=dict(os.environ, PYTHONPATH=src), check=True)
-        assert result.stdout == "False\n"
-
-    def test_jobs_defaults_to_one(self, monkeypatch):
-        monkeypatch.setenv("HH_VERIFY_JOBS", "2")
-        assert cli.build_parser().parse_args(["sweep", "default"]).jobs == 1
+        assert result.stdout.splitlines()[-1] == "0 False"
+        assert len(out.read_text().splitlines()) == 3
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_default_sweep_bytes_are_pinned(self, tmp_path, capsys, fmt):
@@ -684,12 +675,12 @@ class TestSweep:
             "('pow2', 0.5, 1.5, 1.0, 0.25, 0.0, 1.0, 1.0, 'thm11')\n")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_overflow_spec_bytes_are_pinned(self, tmp_path, capsys, fmt, jobs="1"):
+    def test_overflow_spec_bytes_are_pinned(self, tmp_path, capsys, fmt):
         # lambda = 1e308 beside an ordinary grid: only the cells it reaches are
         # input_error, and each group's first out-of-range text is its warning
         out_file = tmp_path / f"overflow.{fmt}"
         code, out, err = run_cli(capsys, "sweep", str(OVERFLOW_SPEC), "--format", fmt,
-                                 "--jobs", jobs, "-o", str(out_file))
+                                 "-o", str(out_file))
         assert code == 0
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == PINNED[f"overflow.{fmt}"]
         assert out == (
@@ -701,11 +692,6 @@ class TestSweep:
             "('pow2', 1.0, 2.0, 1.0, 0.5, 1.75, 0.0, 1.0, 'thm11')\n")
         assert err == ("warning: exp [1.0, 2.0]: coefficient gamma1 is not finite: nan\n"
                        "warning: pow2 [1.0, 2.0]: coefficient gamma1 is not finite: nan\n")
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_overflow_spec_crosses_the_pool(self, tmp_path, capsys, fmt):
-        # each --jobs 2 worker sends back its group's typed columns and warning text
-        self.test_overflow_spec_bytes_are_pinned(tmp_path, capsys, fmt, jobs="2")
 
     def test_default_sweep_gates_once_per_group(self, monkeypatch):
         # one gate call per group that has a cell open after the interval, parameter,
@@ -760,26 +746,24 @@ class TestSweep:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_trap_spec_matches_the_global_sort(self, tmp_path, capsys, fmt):
         # tied keys (repeats, -0.0 beside 0) must come out in the order one
-        # global stable sort of the spec-order rows gives, serial and pooled
+        # global stable sort of the spec-order rows gives
         spec = cli.parse_sweep_file(str(TRAP_SPEC))
         params = list(itertools.product(spec.alpha, spec.m, spec.lam, spec.mu, spec.q))
         rows, cells = [], bounds.admit(params, spec.theorems)
         for fn_id, (a, b) in itertools.product(spec.functions, spec.intervals):
-            columns, _ = cli.group_rows(fn_id, a, b, cells)
+            columns = cli._assess(fn_id, a, b, cells)
             rows += [dict(zip(cli.COLUMNS, (1, fn_id, a, b, *p, t, *computed)))
                      for (p, t), computed in zip(itertools.product(params, spec.theorems),
                                                  zip(*columns.plain()))]
-        expected = global_sort_bytes(rows)[fmt == "json"]
-        for jobs in ("1", "2"):
-            out_file = tmp_path / f"trap{jobs}.{fmt}"
-            assert run_cli(capsys, "sweep", str(TRAP_SPEC), "--format", fmt, "--jobs", jobs,
-                           "-o", str(out_file))[0] == 0
-            assert_same_text(out_file.read_text(), expected, f"--jobs {jobs}")
+        out_file = tmp_path / f"trap.{fmt}"
+        assert run_cli(capsys, "sweep", str(TRAP_SPEC), "--format", fmt,
+                       "-o", str(out_file))[0] == 0
+        assert_same_text(out_file.read_text(), global_sort_bytes(rows)[fmt == "json"], "trap")
 
     def test_rows_stream_one_tie_class_at_a_time(self, monkeypatch):
         calls = []
-        original = cli.group_rows
-        monkeypatch.setattr(cli, "group_rows",
+        original = cli._assess
+        monkeypatch.setattr(cli, "_assess",
                             lambda *args: calls.append(args[:3]) or original(*args))
         spec = cli.SweepSpec(functions=["pow2"], intervals=[(1.0, 2.0), (0.0, 1.0), (-0.0, 1.0)],
                              q=[1.0, 2.0], theorems=["da", "thm11"])
