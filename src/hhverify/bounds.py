@@ -22,8 +22,7 @@ import numpy as np
 from .convexity import check_hypotheses
 from .coefficients import gamma_coeffs, nu_coeffs
 from .core import (BoundReport, CoefficientSet, DomainError, GateError, Interval, NonFiniteError,
-                   ParamError, Params, TestFunction, UnconvergedError, fail, make_report, power,
-                   py_min)
+                   ParamError, Params, TestFunction, UnconvergedError, fail, judge, power, py_min)
 from .quadrature import integrate
 
 DEFAULT_LHS_TOL = 1e-9
@@ -41,13 +40,13 @@ class Deviation:
 
 
 def integral_mean(fn: TestFunction, iv: Interval):
-    """The mean of f over ``iv`` and its error estimate; an integral that did not
-    converge raises, since a row adds that estimate to the rhs it is checked against."""
+    """The mean of f over ``iv``, its error estimate and, if the integral did not converge,
+    the UnconvergedError of a row whose verdict the estimate could turn (else None)."""
     res = integrate(fn.f, iv, tol=DEFAULT_LHS_TOL)
-    if not res.converged:
-        raise UnconvergedError(f"LHS integral did not converge: error estimate "
-                               f"{res.error_estimate} after {res.evaluations} evaluations")
-    return res.value / iv.width, res.error_estimate / iv.width
+    unconverged = None if res.converged else UnconvergedError(
+        f"LHS integral did not converge: error estimate {res.error_estimate} after "
+        f"{res.evaluations} evaluations")
+    return res.value / iv.width, res.error_estimate / iv.width, unconverged
 
 
 def _weighted_endpoint(fn: TestFunction, iv: Interval, lam: float, mu: float) -> float:
@@ -388,7 +387,7 @@ def assess_group(fn: TestFunction, a: float, b: float, cells: Cells,
     that reach it (``cells.params.take``: no rule runs again).  The RHS does not raise
     over cells: a cell it fails (a value out of float range, b / m among them) keeps
     the error its own call raises, in the ``error`` column, and is input_error.  A row
-    holds by ``core.make_report``'s rule.
+    holds by ``core.judge``'s rule.
     """
     n, t = cells.status.shape
     cols = Columns.empty(n * t)
@@ -421,7 +420,7 @@ def assess_group(fn: TestFunction, a: float, b: float, cells: Cells,
 
     if open_.any():
         try:
-            mean, err = integral_mean(fn, iv)
+            mean, err, unconverged = integral_mean(fn, iv)
         except (ParamError, DomainError, ArithmeticError) as exc:
             error[open_], open_[:] = exc.with_traceback(None), False
     for j, tid in enumerate(cells.theorem_ids):
@@ -432,17 +431,19 @@ def assess_group(fn: TestFunction, a: float, b: float, cells: Cells,
         value, branches = rhs_of(fn, iv, p := cells.params.take(rows))
         weights = (p.lam, p.mu) if thm.lhs == "weighted" else (1.0, 1.0)
         lhs = mean if thm.lhs == "mean" else abs(_weighted_endpoint(fn, iv, *weights) - mean)
-        r = make_report(tid, lhs, value, err)
+        holds, unsettled = judge(lhs, value, err)
         pair = sorted(k for k in branches if k != "loose")
         names = cols.branch_names[tid] = (*pair[:2], "loose") if len(pair) >= 2 else (
             None, None, "loose")
         at = rows * t + j
-        for name, v in (("lhs", lhs), ("rhs", value), ("slack", r.slack), ("quad_error", err),
+        for name, v in (("lhs", lhs), ("rhs", value), ("slack", value - lhs), ("quad_error", err),
                         *zip(("branch1", "branch2", "rhs_loose"), map(branches.get, names))):
             if v is not None:
                 cols.put(at, name, v)
-        cols.holds[at], cols.status[at] = r.holds, np.where(r.holds, OK, VIOLATION)
-        if p.errors:  # a cell the RHS failed: its error and no values but its gate's
+        cols.holds[at], cols.status[at] = holds, np.where(holds, OK, VIOLATION)
+        if unconverged is not None:  # no verdict rests on an estimate that did not converge
+            fail(p.errors, unsettled, lambda q: unconverged, p.q)
+        if p.errors:  # a cell the RHS or the LHS failed: its error and no values but its gate's
             bad = at[list(p.errors)]
             cols.status[bad], cols.holds[bad] = INPUT_ERROR, HOLDS.index(None)
             cols.error[bad], cols.present[:-1, bad] = list(p.errors.values()), False

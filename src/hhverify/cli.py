@@ -37,7 +37,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import bounds, coefficients, quadrature
-from .core import DomainError, Interval, ParamError, Params, corpus_by_id, make_report
+from .core import DomainError, Interval, ParamError, Params, corpus_by_id, judge
 from .means import BOUND_OF, proposition_check
 
 SCHEMA_VERSION = 1
@@ -364,15 +364,17 @@ def cmd_tightness(args) -> int:
         fn = corpus_by_id()[args.fn]
         iv = Interval(args.a, args.b)
         lower, upper = bounds.bound_hh(fn, iv)
-        mean, err = bounds.integral_mean(fn, iv)
-        r = make_report("hh_upper", mean, upper, err)
-        baseline.status[0], baseline.holds[0] = bounds.OK, r.holds
-        for name, v in (("lhs", r.lhs), ("rhs", r.rhs), ("slack", r.slack),
-                        ("quad_error", r.quad_error), ("branch1", lower)):
+        mean, err, unconverged = bounds.integral_mean(fn, iv)
+        holds, unsettled = judge(mean, upper, err)
+        if unconverged is not None and unsettled:
+            raise unconverged
+        baseline.status[0], baseline.holds[0] = bounds.OK, holds
+        for name, v in (("lhs", mean), ("rhs", upper), ("slack", upper - mean),
+                        ("quad_error", err), ("branch1", lower)):
             baseline.put(0, name, v)
     except (KeyError, ParamError, DomainError):
         baseline = None  # _point_table has already marked these rows input_error or not_applicable
-    except ArithmeticError:  # out of float range, or not converged: an input error
+    except ArithmeticError:  # out of float range, or unsettled: an input error
         pass
     if baseline is not None:  # one more row: the point's inputs, then the baseline's columns
         cells = [*table.cells, (*table.cells[0][:-1], "hh_upper")]

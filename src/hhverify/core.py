@@ -186,12 +186,10 @@ class BoundReport:
     branches: dict = field(default_factory=dict)
 
 
-def make_report(theorem_id: str, lhs: float, rhs: float, quad_error: float) -> BoundReport:
-    """The bound holds when lhs <= rhs + quad_error + HOLDS_SLACK."""
-    slack = rhs - lhs
-    holds = lhs <= rhs + quad_error + HOLDS_SLACK
-    return BoundReport(theorem_id=theorem_id, lhs=lhs, rhs=rhs, slack=slack,
-                       holds=holds, quad_error=quad_error)
+def judge(lhs, rhs, quad_error):
+    """(holds, unsettled): the bound holds when lhs <= rhs + quad_error + HOLDS_SLACK, and the
+    error estimate could turn that where lhs lies within it of rhs + HOLDS_SLACK."""
+    return lhs <= rhs + quad_error + HOLDS_SLACK, abs(lhs - rhs - HOLDS_SLACK) <= quad_error
 
 
 @dataclass(frozen=True)

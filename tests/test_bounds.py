@@ -353,13 +353,12 @@ class TestVerify:
             assert verdict == check_alpha_m_convex(func, 2.0, [alpha], m, 16)[0]
 
     def test_a_failing_factor_fails_only_its_cell(self):
-        # at m = 0.005, |f'(x / m)|^3 overflows to inf at the midpoint and at b (e^900,
-        # e^1200), so both sides of mu2 are inf; at q = 2 each factor keeps a finite side
-        cells = [(1.0, 0.005, 1.0, 1.0, 2.0), (1.0, 0.005, 1.0, 1.0, 3.0)]
+        # |f'|^3 = e^900 overflows to inf on [1, 300]; at q = 2 it does not
+        cells = [(1.0, 1.0, 1.0, 1.0, 2.0), (1.0, 1.0, 1.0, 1.0, 3.0)]
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as err:
-            cols = bounds.assess_group(EXP, 1.0, 2.0, bounds.admit(cells, ["bop_m"]),
+            cols = bounds.assess_group(EXP, 1.0, 300.0, bounds.admit(cells, ["bop_m"]),
                                        gate_of=None)
-            verify(EXP, Interval(1.0, 2.0), Params(m=0.005, q=3.0), "bop_m", gate=False)
+            verify(EXP, Interval(1.0, 300.0), Params(q=3.0), "bop_m", gate=False)
         assert cols.plain().status == ["ok", "input_error"]
         assert cols.plain().rhs[1] is None and cols.error[0] is None
         assert str(err.value) == str(cols.error[1]) == "coefficient mu2 is not finite: inf"
