@@ -22,7 +22,7 @@ import numpy as np
 from .convexity import check_hypotheses
 from .coefficients import gamma_coeffs, nu_coeffs
 from .core import (BoundReport, CoefficientSet, DomainError, GateError, Interval, NonFiniteError,
-                   ParamError, Params, TestFunction, UnconvergedError, fail, judge, power, py_min)
+                   ParamError, Params, TestFunction, UnconvergedError, fail, judge, py_min)
 from .quadrature import integrate
 
 DEFAULT_LHS_TOL = 1e-9
@@ -89,9 +89,9 @@ def bound_hh(fn: TestFunction, iv: Interval) -> tuple[float, float]:
     """The classical two-sided bracket for convex f: midpoint value and
     endpoint average; the integral mean lies between them."""
     fn.require(iv.a)
-    mid = 0.5 * (iv.a + iv.b)
+    a, b = _float64(iv.a, iv.b)
     with np.errstate(over="ignore", invalid="ignore"):  # inf; integral_mean raises for it
-        return float(fn.f(mid)), 0.5 * (float(fn.f(iv.a)) + float(fn.f(iv.b)))
+        return float(fn.f(0.5 * (a + b))), 0.5 * (float(fn.f(a)) + float(fn.f(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -101,129 +101,138 @@ def bound_hh(fn: TestFunction, iv: Interval) -> tuple[float, float]:
 # needs q > 1 reads ``p.p``, which raises ParamError at q = 1.  With a >= 0
 # and m <= 1 every sample point (a, b, a/m, b/m, the midpoint, z and their
 # m-stretches) lies at or above a, so on a domain [domain_min, inf)
-# requiring a alone covers them all.  Each expression runs once, on Python
-# floats at a point and on whole columns over cells (``core.power``).  A value
-# out of float range raises at a point, as Python does; over cells it is inf or
-# NaN, and the rules (a factor's ``CoefficientSet``, the thm22 kernel, then
-# ``_finite`` on the branches and the rhs) give its cell the first error, in
-# ``p.errors``, that a one-cell call names too.
+# requiring a alone covers them all.  Each bound computes in float64, a point as
+# numpy scalars (``_float64``): out of float range a value is inf or NaN, and the
+# rules (a factor's ``CoefficientSet``, the thm22 kernel, then ``_finite`` on the
+# branches and the rhs) give its cell the first error, which a point raises.
 
-def _dq(fn: TestFunction, x, p):
+def _float64(*values):
+    """Each of ``values`` as float64: a scalar as a numpy scalar, an array as is."""
+    return map(np.float64, values)
+
+
+def _dq(fn: TestFunction, x, q):
     """|f'(x)|^q at each cell."""
-    return power(abs(fn.df(x)), p.q)
+    return np.float_power(abs(fn.df(x)), q)
 
 
 def _finite(tid: str, p, rhs, branches: dict) -> tuple:
-    """(rhs, branches) of the bound ``tid``, where a cell whose branch or rhs is not a
-    finite real number (inf, NaN, or complex at a point: a negative base under a
-    fractional power) gets a NonFiniteError that names the value."""
-    cells = np.ones(np.shape(p.q), bool)
-    for name, v in (*branches.items(), ("rhs", rhs)):
-        fail(p.errors, cells & (isinstance(v, complex) or ~np.isfinite(v)),
-             lambda x: NonFiniteError(f"{tid} {name} is not finite: {x}"), v)
+    """(rhs, branches) of the bound ``tid``, where a cell whose branch or rhs is not
+    finite (inf, or NaN: a negative base under a fractional power among them) gets a
+    NonFiniteError that names the value."""
+    if not np.isfinite(sum(branches.values(), rhs)).all():  # an inf or NaN makes the sum one
+        cells = np.ones(np.shape(p.q), bool)
+        for name, v in (*branches.items(), ("rhs", rhs)):
+            fail(p.errors, cells & ~np.isfinite(v),
+                 lambda x: NonFiniteError(f"{tid} {name} is not finite: {x}"), v)
     return rhs, branches
 
 
+@np.errstate(all="ignore")
 def da_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     fn.require(iv.a)
-    return _finite("da", p, iv.width / 8.0 * (abs(fn.df(iv.a)) + abs(fn.df(iv.b))), {})
+    a, b = _float64(iv.a, iv.b)
+    return _finite("da", p, (b - a) / 8.0 * (abs(fn.df(a)) + abs(fn.df(b))), {})
 
 
+@np.errstate(all="ignore")
 def sso_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
-    a, b, alpha, m = iv.a, iv.b, p.alpha, p.m
-    fn.require(a)
+    fn.require(iv.a)
+    a, b, alpha, m = _float64(iv.a, iv.b, p.alpha, p.m)
     branch1 = (fn.f(a) + alpha * m * fn.f(b / m)) / (alpha + 1.0)
     branch2 = (fn.f(b) + alpha * m * fn.f(a / m)) / (alpha + 1.0)
     return _finite("sso", p, py_min(branch1, branch2), {"branch1": branch1, "branch2": branch2})
 
 
+@np.errstate(all="ignore")
 def bop_m_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     """m-convex midpoint bound; mu1/mu2 are min-of-averages factors of
     |f'|^q over the two half-intervals."""
     p.p  # raises ParamError at q = 1
-    a, b, m, q = iv.a, iv.b, p.m, p.q
+    fn.require(iv.a)
+    a, b, m, q = _float64(iv.a, iv.b, p.m, p.q)
     mid = 0.5 * (a + b)
-    fn.require(a)
-    da_, db_, dmid = (_dq(fn, x, p) for x in (a, b, mid))
-    dam, dbm, dmidm = (_dq(fn, x / m, p) for x in (a, b, mid))
+    da_, db_, dmid = (_dq(fn, x, q) for x in (a, b, mid))
+    dam, dbm, dmidm = (_dq(fn, x / m, q) for x in (a, b, mid))
     coeffs = CoefficientSet({
         "mu1": py_min((da_ + m * dmidm) / 2.0, (dmid + m * dam) / 2.0),
         "mu2": py_min((db_ + m * dmidm) / 2.0, (dmid + m * dbm) / 2.0),
     }, errors=p.errors)
-    spread = power(coeffs["mu1"], 1.0 / q) + power(coeffs["mu2"], 1.0 / q)
-    loose = iv.width / 4.0 * spread
-    tight = loose * power((q - 1.0) / (2.0 * q - 1.0), (q - 1.0) / q)
+    spread = np.float_power(coeffs["mu1"], 1.0 / q) + np.float_power(coeffs["mu2"], 1.0 / q)
+    loose = (b - a) / 4.0 * spread
+    tight = loose * np.float_power((q - 1.0) / (2.0 * q - 1.0), (q - 1.0) / q)
     return _finite("bop_m", p, tight, {"loose": loose, **coeffs.values})
 
 
+@np.errstate(all="ignore")
 def bop_am_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
-    a, b, m, q = iv.a, iv.b, p.m, p.q
-    fn.require(a)
+    fn.require(iv.a)
+    a, b, m, q = _float64(iv.a, iv.b, p.m, p.q)
     coeffs = nu_coeffs(p.alpha)
     nu1, nu2 = coeffs["nu1"], coeffs["nu2"]
-    da_, db_, dam, dbm = (_dq(fn, x, p) for x in (a, b, a / m, b / m))
-    branch1 = power(nu1 * da_ + m * nu2 * dbm, 1.0 / q)
-    branch2 = power(nu1 * db_ + m * nu2 * dam, 1.0 / q)
-    rhs = iv.width / 2.0 * power(0.5, 1.0 - 1.0 / q) * py_min(branch1, branch2)
+    da_, db_, dam, dbm = (_dq(fn, x, q) for x in (a, b, a / m, b / m))
+    branch1 = np.float_power(nu1 * da_ + m * nu2 * dbm, 1.0 / q)
+    branch2 = np.float_power(nu1 * db_ + m * nu2 * dam, 1.0 / q)
+    rhs = (b - a) / 2.0 * np.float_power(0.5, 1.0 - 1.0 / q) * py_min(branch1, branch2)
     return _finite("bop_am", p, rhs, {"branch1": branch1, "branch2": branch2})
 
 
+@np.errstate(all="ignore")
 def thm11_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
-    a, b = iv.a, iv.b
-    m, q, lam, mu = p.m, p.q, p.lam, p.mu
-    fn.require(a)
-    g = gamma_coeffs(p.alpha, lam, mu)
+    fn.require(iv.a)
+    a, b, m, q, lam, mu = _float64(iv.a, iv.b, p.m, p.q, p.lam, p.mu)
+    g = gamma_coeffs(p.alpha, p.lam, p.mu)
     for i, error in (g.errors or {}).items():  # the cells gamma failed
         p.errors.setdefault(i, error)
-    da_, db_, dam, dbm = (_dq(fn, x, p) for x in (a, b, a / m, b / m))
+    da_, db_, dam, dbm = (_dq(fn, x, q) for x in (a, b, a / m, b / m))
     branch1 = g["gamma1"] * db_ + m * g["gamma2"] * dam
     branch2 = g["gamma3"] * da_ + m * g["gamma4"] * dbm
     total = lam + mu
     # at q = 1 the powers are exact (x ** 0.0 = 1, x ** 1.0 = x): the linear form
-    half_weight = (power(lam, 2) + power(mu, 2)) / (2.0 * total)
-    rhs = (iv.width / total * power(half_weight, (q - 1.0) / q)
-           * power(py_min(branch1, branch2), 1.0 / q))
+    half_weight = (np.float_power(lam, 2) + np.float_power(mu, 2)) / (2.0 * total)
+    rhs = ((b - a) / total * np.float_power(half_weight, (q - 1.0) / q)
+           * np.float_power(py_min(branch1, branch2), 1.0 / q))
     return _finite("thm11", p, rhs, {"branch1": branch1, "branch2": branch2})
 
 
+@np.errstate(all="ignore")
 def thm211_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     """Hoelder split bound; M1/M2 are per-segment factors of |f'|^q around
     the interior node z = (lam*b + mu*a)/(lam + mu)."""
-    conj = p.p  # raises ParamError at q = 1
-    a, b, alpha, m, lam, mu, q = iv.a, iv.b, p.alpha, p.m, p.lam, p.mu, p.q
+    a, b, alpha, m, lam, mu, q, conj = _float64(iv.a, iv.b, p.alpha, p.m, p.lam, p.mu, p.q, p.p)
     z = (lam * b + mu * a) / (lam + mu)
-    fn.require(a)
-    da_, db_, dz = (_dq(fn, x, p) for x in (a, b, z))
-    dam, dbm, dzm = (_dq(fn, x / m, p) for x in (a, b, z))
+    fn.require(iv.a)
+    da_, db_, dz = (_dq(fn, x, q) for x in (a, b, z))
+    dam, dbm, dzm = (_dq(fn, x / m, q) for x in (a, b, z))
     denom = alpha + 1.0
     coeffs = CoefficientSet({
         "M1": py_min((da_ + alpha * m * dzm) / denom, (dz + alpha * m * dam) / denom),
         "M2": py_min((db_ + alpha * m * dzm) / denom, (dz + alpha * m * dbm) / denom),
     }, errors=p.errors)
     total = lam + mu
-    rhs = (iv.width / power(total, 2) * power(1.0 / (conj + 1.0), 1.0 / conj)
-           * (power(lam, 2) * power(coeffs["M1"], 1.0 / q)
-              + power(mu, 2) * power(coeffs["M2"], 1.0 / q)))
+    rhs = ((b - a) / np.float_power(total, 2) * np.float_power(1.0 / (conj + 1.0), 1.0 / conj)
+           * (np.float_power(lam, 2) * np.float_power(coeffs["M1"], 1.0 / q)
+              + np.float_power(mu, 2) * np.float_power(coeffs["M2"], 1.0 / q)))
     return _finite("thm211", p, rhs, coeffs.values)
 
 
+@np.errstate(all="ignore")
 def thm22_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     """Global Hoelder bound; K1/K2 are endpoint factors of |f'|^q."""
-    conj = p.p  # raises ParamError at q = 1
-    a, b, alpha, m, q = iv.a, iv.b, p.alpha, p.m, p.q
-    fn.require(a)
+    a, b, alpha, m, lam, mu, q, conj = _float64(iv.a, iv.b, p.alpha, p.m, p.lam, p.mu, p.q, p.p)
+    fn.require(iv.a)
     coeffs = CoefficientSet({
-        "K1": _dq(fn, b, p) + m * alpha * _dq(fn, a / m, p),
-        "K2": _dq(fn, a, p) + m * alpha * _dq(fn, b / m, p),
+        "K1": _dq(fn, b, q) + m * alpha * _dq(fn, a / m, q),
+        "K2": _dq(fn, a, q) + m * alpha * _dq(fn, b / m, q),
     }, errors=p.errors)
-    total = p.lam + p.mu
-    kernel = power((power(p.lam, conj + 1.0) + power(p.mu, conj + 1.0))
-                   / ((conj + 1.0) * total), 1.0 / conj)
+    total = lam + mu
+    kernel = np.float_power((np.float_power(lam, conj + 1.0) + np.float_power(mu, conj + 1.0))
+                            / ((conj + 1.0) * total), 1.0 / conj)
     # the exact kernel is positive when lam + mu > 0
     fail(p.errors, kernel == 0.0, lambda lam, mu: ParamError(
         f"thm22 kernel underflows to 0 at lambda = {lam}, mu = {mu}"), p.lam, p.mu)
-    rhs = (iv.width / total * kernel * power(1.0 / (alpha + 1.0), 1.0 / q)
-           * power(py_min(coeffs["K1"], coeffs["K2"]), 1.0 / q))
+    rhs = ((b - a) / total * kernel * np.float_power(1.0 / (alpha + 1.0), 1.0 / q)
+           * np.float_power(py_min(coeffs["K1"], coeffs["K2"]), 1.0 / q))
     return _finite("thm22", p, rhs, coeffs.values)
 
 

@@ -81,13 +81,13 @@ def _rows(table: Table, heads: list, cells: list, columns):
                *columns)
 
 
-def _point_table(args, theorems) -> Table:
+def _point_table(args, theorems, named=()) -> Table:
     """The one-group table of the point flags' ``args`` under each of ``theorems``, rows in
-    cell order; each distinct input error is named on stderr, an overflow as a sweep does."""
+    cell order; each distinct input error of its rows, then of ``named``, goes to stderr."""
     point = (args.alpha, args.m, args.lam, args.mu, args.q)
     cols = _assess(args.fn, args.a, args.b, bounds.admit([point], theorems))
     warning = f"warning: {args.fn} [{args.a}, {args.b}]:"  # a value out of float range
-    errors = dict.fromkeys(cols.error[cols.status == bounds.INPUT_ERROR].tolist())
+    errors = dict.fromkeys([*cols.error[cols.status == bounds.INPUT_ERROR].tolist(), *named])
     for line in dict.fromkeys(f"{warning if isinstance(e, ArithmeticError) else 'error:'} "
                               f"{str(*e.args[-1:])}" for e in errors):
         print(line, file=sys.stderr)
@@ -357,9 +357,8 @@ def cmd_tightness(args) -> int:
     if len(theorems) < 2:
         print("error: tightness needs at least two theorems", file=sys.stderr)
         return 3
-    table = _point_table(args, theorems)
     # Baseline: the classical endpoint-average upper bound on the integral mean.
-    baseline = bounds.Columns.empty(1)
+    baseline, named = bounds.Columns.empty(1), ()
     try:
         fn = corpus_by_id()[args.fn]
         iv = Interval(args.a, args.b)
@@ -373,9 +372,10 @@ def cmd_tightness(args) -> int:
                         ("quad_error", err), ("branch1", lower)):
             baseline.put(0, name, v)
     except (KeyError, ParamError, DomainError):
-        baseline = None  # _point_table has already marked these rows input_error or not_applicable
-    except ArithmeticError:  # out of float range, or unsettled: an input error
-        pass
+        baseline = None  # _point_table marks these rows input_error or not_applicable
+    except ArithmeticError as exc:  # out of float range, or unsettled: an input error
+        named = (exc,)
+    table = _point_table(args, theorems, named)
     if baseline is not None:  # one more row: the point's inputs, then the baseline's columns
         cells = [*table.cells, (*table.cells[0][:-1], "hh_upper")]
         order = np.arange(len(cells))

@@ -4,13 +4,17 @@ Each family is an exact antiderivative of a kinked kernel moment;
 ``quadrature.kernel_moment`` is the independent oracle the tests check them
 against.  The factors that sample |f'|^q (mu, M, K) live in the ``*_rhs``
 of the bound they serve.  ``Params`` checks the parameters: scalars or arrays over cells.
+Both compute in float64, as the bounds do: inf or NaN is the ``CoefficientSet``'s error.
 """
 
 from __future__ import annotations
 
-from .core import CoefficientSet, Params, power, py_min
+import numpy as np
+
+from .core import CoefficientSet, Params, py_min
 
 
+@np.errstate(all="ignore")
 def gamma_coeffs(alpha: float, lam: float, mu: float) -> CoefficientSet:
     """The four kernel moments of the weighted power-mean bound.
 
@@ -22,12 +26,13 @@ def gamma_coeffs(alpha: float, lam: float, mu: float) -> CoefficientSet:
     (``Params.checked``), and a cell whose gamma fails is marked in ``errors``.
     """
     e = Params(alpha=alpha, lam=lam, mu=mu).checked().errors
+    alpha, lam, mu = map(np.float64, (alpha, lam, mu))
     total = lam + mu
     denom = (alpha + 1.0) * (alpha + 2.0)
-    half_weight = (power(lam, 2) + power(mu, 2)) / (2.0 * total)
-    spread = power(total, alpha + 1.0)
-    g1 = (2.0 * power(lam, alpha + 2.0) / spread + (alpha + 1.0) * mu - lam) / denom
-    g3 = (2.0 * power(mu, alpha + 2.0) / spread + (alpha + 1.0) * lam - mu) / denom
+    half_weight = (np.float_power(lam, 2) + np.float_power(mu, 2)) / (2.0 * total)
+    spread = np.float_power(total, alpha + 1.0)
+    g1 = (2.0 * np.float_power(lam, alpha + 2.0) / spread + (alpha + 1.0) * mu - lam) / denom
+    g3 = (2.0 * np.float_power(mu, alpha + 2.0) / spread + (alpha + 1.0) * lam - mu) / denom
     # Each pair sums to half_weight, so a gamma below -1e-12 of it is not a
     # rounded 0 but an underflowed lam^2 or lam^(alpha+2) (a tiny weight);
     # above half_weight = 1 the absolute -1e-12 still holds.
@@ -39,11 +44,13 @@ def gamma_coeffs(alpha: float, lam: float, mu: float) -> CoefficientSet:
     }, tol=1e-12 * py_min(1.0, half_weight), errors=e)
 
 
+@np.errstate(all="ignore")
 def nu_coeffs(alpha: float) -> CoefficientSet:
     """Kernel moments of the equal-weights bound; nu1 + nu2 = 1/2 always."""
     Params(alpha=alpha).checked()
+    alpha = np.float64(alpha)
     denom = (alpha + 1.0) * (alpha + 2.0)
-    half_pow = power(0.5, alpha)
+    half_pow = np.float_power(0.5, alpha)
     nu1 = (alpha + half_pow) / denom
-    nu2 = ((power(alpha, 2) + alpha + 2.0) / 2.0 - half_pow) / denom
+    nu2 = ((np.float_power(alpha, 2) + alpha + 2.0) / 2.0 - half_pow) / denom
     return CoefficientSet({"nu1": nu1, "nu2": nu2})

@@ -207,37 +207,20 @@ class CoefficientSet:
     errors: dict | None = None
 
     def __post_init__(self):
-        for name, v in self.values.items():
-            if not isinstance(v, np.ndarray) and math.isfinite(v) and v >= -self.tol:
-                continue  # a valid scalar, checked without numpy's per-call cost
-            v = np.asarray(v)
-            for bad, what, error in ((~np.isfinite(v), "is not finite:", NonFiniteError),
-                                     (v < -self.tol, "must be nonnegative, got", ParamError)):
-                fail(self.errors, bad, lambda x: error(f"coefficient {name} {what} {x}"), v)
+        v = np.array(list(self.values.values()))  # the values share one shape
+        if not (np.isfinite(v) & (v >= -self.tol)).all():  # one check; the loop words errors
+            for name, v in self.values.items():
+                for bad, what, error in ((~np.isfinite(v), "is not finite:", NonFiniteError),
+                                         (v < -self.tol, "must be nonnegative, got", ParamError)):
+                    fail(self.errors, bad, lambda x: error(f"coefficient {name} {what} {x}"), v)
 
     def __getitem__(self, name: str) -> float:
         return self.values[name]
 
 
-# The bounds' arithmetic runs on Python floats at a point and on float64 columns
-# over cells, the same expressions either way: numpy's +, -, *, / and abs round as
-# Python's do, and ``power`` is libm's pow in both (numpy's array power takes a
-# SIMD path on some CPUs that can differ in the last bit).  Out of float range a
-# point raises as Python does, and a column holds inf or NaN, which a bound's rule
-# for non-finite values makes its cell's error.
-
-def power(x, y):
-    """x ** y: Python's at a point, np.float_power's (libm's pow) over cells."""
-    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-        return np.float_power(x, y)
-    return x ** y
-
-
 def py_min(x, y):
     """Python's min(x, y) per cell: y where y < x, else x."""
-    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-        return np.where(y < x, y, x)
-    return min(x, y)
+    return np.where(y < x, y, x)
 
 
 # Positive lower bound for corpus members that blow up at the origin.

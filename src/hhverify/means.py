@@ -141,9 +141,9 @@ def _mean_forms(k: int, a: float, b: float, p: Params, n: int | None):
         an = a ** ((n - 1) * q)
         bn = b ** ((n - 1) * q)
         if k == 1:
-            g = gamma_coeffs(1.0, lam, mu)
-            branch1 = g["gamma1"] * bn + g["gamma2"] * an
-            branch2 = g["gamma3"] * an + g["gamma4"] * bn
+            g1, g2, g3, g4 = map(float, gamma_coeffs(1.0, lam, mu).values.values())
+            branch1 = g1 * bn + g2 * an
+            branch2 = g3 * an + g4 * bn
             core = min(branch1 ** (1.0 / q), branch2 ** (1.0 / q))
             half_weight = (lam ** 2 + mu ** 2) / (2.0 * total)
             mean_rhs = (iv.width / total * half_weight ** ((q - 1.0) / q)
@@ -169,9 +169,9 @@ def _mean_forms(k: int, a: float, b: float, p: Params, n: int | None):
         mean_lhs = abs(endpoint - 1.0 / log_mean)
         a2q, b2q = _power_in_range(a, 2 * q), _power_in_range(b, 2 * q)
         if k == 4:
-            g = gamma_coeffs(1.0, lam, mu)
-            branch1 = g["gamma1"] / b2q + g["gamma2"] / a2q
-            branch2 = g["gamma3"] / a2q + g["gamma4"] / b2q
+            g1, g2, g3, g4 = map(float, gamma_coeffs(1.0, lam, mu).values.values())
+            branch1 = g1 / b2q + g2 / a2q
+            branch2 = g3 / a2q + g4 / b2q
             core = min(branch1 ** (1.0 / q), branch2 ** (1.0 / q))
             half_weight = (lam ** 2 + mu ** 2) / (2.0 * total)
             mean_rhs = iv.width / total * half_weight ** ((q - 1.0) / q) * core
@@ -194,4 +194,4 @@ def _mean_forms(k: int, a: float, b: float, p: Params, n: int | None):
                     "relative to the bound it substitutes into")
     # looked up per call so that a replaced ``bounds.<id>_rhs`` is the one used
     corollary_rhs, _ = getattr(bounds, f"{BOUND_OF[k]}_rhs")(fn, iv, generic)
-    return mean_lhs, mean_rhs, corollary_rhs, note
+    return mean_lhs, mean_rhs, float(corollary_rhs), note  # numpy scalar to Python float

@@ -5,6 +5,7 @@ import math
 import pathlib
 from collections import Counter
 
+import hypothesis
 import numpy as np
 import pytest
 
@@ -428,3 +429,28 @@ class TestVerify:
         rhs_orig, _ = thm11_rhs(POW2, iv, p)
         rhs_reflected, _ = thm11_rhs(reflect(POW2, iv), iv, swapped)
         assert math.isclose(rhs_orig, rhs_reflected, rel_tol=1e-12)
+
+
+_st = hypothesis.strategies
+_UNIT = _st.floats(0.0, 1.0, exclude_min=True)
+_WEIGHTS = _st.one_of(_st.sampled_from([0.0, 1e-200, 1.0, 1e308]), _st.floats(0.0, 1e308))
+
+
+@hypothesis.given(fn_id=_st.sampled_from(sorted(corpus_by_id())), a=_st.floats(0.0, 10.0),
+                  width=_st.floats(-3.0, 300.0).map(lambda e: 10.0 ** e), alpha=_UNIT,
+                  m=_UNIT, lam=_WEIGHTS, mu=_WEIGHTS, q=_st.floats(1.0, 60.0))
+@hypothesis.settings(max_examples=150, deadline=None, database=None)
+@pytest.mark.filterwarnings("error")
+def test_a_point_raises_only_the_rules_of_its_bound(fn_id, a, width, alpha, m, lam, mu, q):
+    # every bound computes in float64, b up to 1e300: out of float range a value is
+    # inf or NaN, which a rule names, never Python's OverflowError or
+    # ZeroDivisionError, a complex number or a numpy warning
+    hypothesis.assume(lam + mu > 0)
+    iv = Interval(a, a + width)
+    p = Params(alpha=alpha, m=m, lam=lam, mu=mu, q=q)
+    for theorem in bounds.THEOREM_IDS:
+        try:
+            rhs, branches = getattr(bounds, f"{theorem}_rhs")(corpus_by_id()[fn_id], iv, p)
+        except (ParamError, DomainError, NonFiniteError):
+            continue
+        assert all(math.isfinite(v) for v in (rhs, *branches.values())), theorem

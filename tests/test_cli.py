@@ -221,6 +221,15 @@ class TestVerifyCommand:
         assert code == 0 and "holds=1 " in out and "input_error=1" in out
         assert err == line
 
+    @pytest.mark.parametrize("theorem", ["da", "bop_m", "bop_am", "thm11", "thm211", "thm22"])
+    @pytest.mark.filterwarnings("error")
+    def test_a_far_end_gives_a_row(self, capsys, theorem):
+        # recip's f'(1e300) = -1 / x ** 2 overflows on a Python float; the bounds
+        # evaluate it on a float64, where it is -0.0, and the row is computed
+        code, out, err = run_cli(capsys, "verify", "--fn", "recip", "--a", "1", "--b", "1e300",
+                                 "--q", "2", "--theorem", theorem)
+        assert (code, err) == (0, "") and f"theorem={theorem}  status=ok" in out
+
     @pytest.mark.parametrize("fn_id, b, converged", [("exp", 20.0, True), ("exp", 700.0, False),
                                                      ("sinh", 100.0, False)])
     def test_an_unconverged_integral_keeps_a_settled_verdict(self, tmp_path, capsys, fn_id, b,
@@ -516,6 +525,20 @@ class TestSweep:
         assert len(lines) == len(warned)
         assert all(line.startswith(f"warning: {w}") for line, w in zip(lines, warned))
         assert f"input_error={statuses.count('input_error')}" in out
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_far_end_runs_every_group(self, tmp_path, capsys):
+        # recip's f' at b = 1e300 is -0.0 on a float64, not an OverflowError that
+        # stops the sweep: all 56 rows are written, and only pow2's integral is named
+        spec = tmp_path / "range.spec"
+        spec.write_text("functions = pow2, recip\nintervals = 1:2, 1:1e300\nq = 1, 2\n")
+        out_file = tmp_path / "rows.csv"
+        code, out, err = run_cli(capsys, "sweep", str(spec), "-o", str(out_file))
+        rows = list(csv.DictReader(io.StringIO(out_file.read_text())))
+        assert code == 0 and len(rows) == 56
+        (line,) = err.splitlines()
+        assert line.startswith("warning: pow2 [1.0, 1e+300]: integrand returned a non-finite ")
+        assert {r["status"] for r in rows if r["fn"] == "recip"} == {"ok", "not_applicable"}
 
     @pytest.mark.parametrize("text, message", [
         ("functions = pow2\nintervals = 1:2\nalpha = x\n", ":3: 'x' is not a number"),
@@ -1045,10 +1068,11 @@ class TestTightness:
     ])
     @pytest.mark.filterwarnings("error")
     def test_out_of_range_baseline_keeps_the_rows(self, capsys, fn_id, theorems, statuses):
-        # the hh_upper baseline leaves the float range (so does da's
-        # integral, for pow2); the rows still print, the baseline's as an
-        # input error, and numpy's overflow warnings (which would raise
-        # here) stay silent
+        # the hh_upper baseline's integral leaves the float range (so does da's,
+        # for pow2); the rows still print, the baseline's as an input error
+        # whose reason is one warning: line (da's row has already printed it
+        # for pow2), and numpy's overflow warnings (which would raise here)
+        # stay silent
         code, out, err = run_cli(capsys, "tightness", "--fn", fn_id, "--a", "1",
                                  "--b", "1e300", "--theorems", ",".join(theorems),
                                  "--format", "csv")
@@ -1056,7 +1080,9 @@ class TestTightness:
         assert code == 3
         assert [(r["theorem"], r["status"]) for r in rows] == list(
             zip([*theorems, "hh_upper"], [*statuses, "input_error"]))
-        assert err.count("warning: ") == statuses.count("input_error")
+        (line,) = err.splitlines()
+        assert line.startswith(f"warning: {fn_id} [1.0, 1e+300]: integrand returned a "
+                               "non-finite value at x=")
 
     def test_needs_two_theorems(self, capsys):
         code, _, err = run_cli(capsys, "tightness", "--fn", "pow2", "--a", "1",

@@ -5,10 +5,10 @@ import hypothesis
 import numpy as np
 import pytest
 
-from hhverify import (DomainError, Interval, ParamError, Params, TestFunction,
-                      corpus_by_id)
+from hhverify import (DomainError, Interval, NonFiniteError, ParamError, Params,
+                      TestFunction, corpus_by_id)
 from hhverify import bounds
-from hhverify.core import eval_points, power, py_min
+from hhverify.core import eval_points, py_min
 
 
 class TestInterval:
@@ -208,26 +208,30 @@ def test_validate_params_is_total():
 class TestPerCellArithmetic:
     def test_power_is_pythons_where_np_power_differs(self):
         # numpy's array power can take a SIMD path that differs from libm's pow
-        # in the last bit; power keeps libm's over cells and Python's own at a point
+        # in the last bit; the bounds call np.float_power, libm's pow, which is
+        # Python's ** on every pair, those where np.power differs among them
         rng = np.random.default_rng(7)
         x, q = rng.uniform(0.0, 50.0, 60_000), rng.uniform(0.05, 6.0, 60_000)
         python = np.array([a ** b for a, b in zip(x.tolist(), q.tolist())])
-        assert power(x, q).tolist() == python.tolist()
+        assert np.float_power(x, q).tolist() == python.tolist()
         differ = np.power(x, q) != python
         if not differ.any():
             pytest.skip("np.power agrees with Python's ** on every sampled pair here")
-        got = power(float(x[differ][0]), float(q[differ][0]))
-        assert type(got) is float and got == python[differ][0]
+        got = np.float_power(x[differ][0], q[differ][0])
+        assert got == python[differ][0]
 
-    def test_errors_are_pythons_at_a_point(self):
-        # a point raises as Python does; a column holds inf, or NaN for a complex power
-        with pytest.raises(OverflowError):
-            power(1e200, 2.0)
+    def test_out_of_range_is_non_finite_at_a_point(self):
+        # a point computes in float64 as a column does: out of float range a value
+        # is inf, or NaN for a negative base under a fractional power, never
+        # Python's OverflowError or a complex number, and a point raises its rule
         with np.errstate(over="ignore", invalid="ignore"):
-            assert power(np.array([2.0, 1e200, -1.0]), 0.5 * np.array([4.0, 4.0, 1.0])
-                         ).tolist()[:2] == [4.0, math.inf]
-            assert math.isnan(power(np.array([-1.0]), 0.5)[0])
-        assert type(power(-1.0, 0.5)) is complex
+            assert repr(np.float_power(np.array([2.0, 1e200, -1.0]), [2.0, 2.0, 0.5]).tolist()
+                        ) == "[4.0, inf, nan]"
+        with pytest.raises(NonFiniteError, match="^coefficient K1 is not finite: inf$"):
+            bounds.thm22_rhs(corpus_by_id()["pow2"], Interval(1.0, 1e200), Params(q=2.0))
+        with pytest.raises(NonFiniteError, match="^thm11 rhs is not finite: nan$"):
+            bounds.thm11_rhs(corpus_by_id()["pown2"], Interval(1.0, 1e200),
+                             Params(alpha=1e-100, lam=5.0, mu=1.0, q=2.0))
 
     def test_min_is_pythons(self):
         # min(x, y) keeps x unless y < x: NaN and signed zeros follow suit
@@ -236,4 +240,3 @@ class TestPerCellArithmetic:
         got = py_min(x, y)
         expect = [min(a, b) for a, b in zip(x.tolist(), y.tolist())]
         assert [repr(v) for v in got.tolist()] == [repr(v) for v in expect]
-        assert py_min(3.0, 2.0) == 2.0 and py_min(math.nan, 2.0) != py_min(math.nan, 2.0)
