@@ -1,14 +1,14 @@
 """Exact LHS evaluation and every closed-form RHS, plus the identity check.
 
-``THEOREMS`` declares each bound once: its LHS, its convexity hypothesis
-and whether it needs q > 1.  Its RHS is ``<id>_rhs(fn, iv, p)``, which
-returns (rhs, branches) without integrating, for a Params of a point (the
-means module compares against it) or of columns over cells.
-``admit`` checks a sweep's (params, theorem) cells once: parameters, the q > 1
-rule and the distinct gate hypotheses.  ``assess_group`` evaluates them for one
-(function, interval) group as typed ``Columns``: domain, gate, LHS and RHS.  The
-library's ``verify`` is its one-cell call; the CLI's rows come from it one group
-at a time (``cli._assess``).
+``THEOREMS`` declares each bound once: its LHS, its convexity hypothesis,
+whether it needs q > 1 and its branch columns.  Its RHS is ``<id>_rhs(fn, iv,
+p)``, which returns (rhs, branches) without integrating, for a Params of a point
+(the means module compares against it) or of columns over cells.
+``admit`` decides each of a sweep's (params, theorem) cells once: the q > 1 rule,
+bad parameters, an unknown id, and the open cells' distinct gate hypotheses.
+``assess_group`` evaluates them for one (function, interval) group as typed
+``Columns``: interval, domain, gate, LHS and RHS.  The library's ``verify`` is its
+one-cell call; the CLI's rows come from it one group at a time (``cli._assess``).
 """
 
 from __future__ import annotations
@@ -249,12 +249,14 @@ class Theorem:
     ``hypothesis`` maps a Params to (g, alpha, m, q) of the convexity
     hypothesis, g being "f" or "df" (|f'|^q); q is 1 where the hypothesis
     does not depend on it, so that equal hypotheses share one gate verdict.
-    ``needs_q_gt_1`` makes q = 1 not applicable before the gate.
+    ``needs_q_gt_1`` makes q = 1 not applicable before the gate.  ``branches`` names
+    the RHS's branches that fill the columns branch1, branch2 and rhs_loose, in order.
     """
 
     lhs: str
     hypothesis: Callable[[Params], tuple]
     needs_q_gt_1: bool
+    branches: tuple
 
 
 def _df_q(p: Params):
@@ -262,13 +264,13 @@ def _df_q(p: Params):
 
 
 THEOREMS = {
-    "da": Theorem("equal", lambda p: ("df", 1.0, 1.0, 1.0), False),
-    "sso": Theorem("mean", lambda p: ("f", p.alpha, p.m, 1.0), False),
-    "bop_m": Theorem("equal", lambda p: ("df", 1.0, p.m, p.q), True),
-    "bop_am": Theorem("equal", _df_q, False),
-    "thm11": Theorem("weighted", _df_q, False),
-    "thm211": Theorem("weighted", _df_q, True),
-    "thm22": Theorem("weighted", _df_q, True),
+    "da": Theorem("equal", lambda p: ("df", 1.0, 1.0, 1.0), False, ()),
+    "sso": Theorem("mean", lambda p: ("f", p.alpha, p.m, 1.0), False, ("branch1", "branch2")),
+    "bop_m": Theorem("equal", lambda p: ("df", 1.0, p.m, p.q), True, ("mu1", "mu2", "loose")),
+    "bop_am": Theorem("equal", _df_q, False, ("branch1", "branch2")),
+    "thm11": Theorem("weighted", _df_q, False, ("branch1", "branch2")),
+    "thm211": Theorem("weighted", _df_q, True, ("M1", "M2")),
+    "thm22": Theorem("weighted", _df_q, True, ("K1", "K2")),
 }
 
 THEOREM_IDS = tuple(THEOREMS)
@@ -290,8 +292,8 @@ class Columns(NamedTuple):
     """Cells' ``ROW_COLUMNS`` as typed arrays: the codes ``status`` and ``holds``, the
     ``FLOAT_COLUMNS`` as the rows of ``values``, and ``present`` False where a value is
     None.  ``assess_group`` adds each cell's exception (for ``verify``) and gate
-    verdict, and per theorem id the RHS's names for branch1, branch2 and rhs_loose; a
-    sweep's tables carry the typed arrays alone."""
+    verdict; a sweep's tables carry the typed arrays alone.  Which branch of a bound
+    fills branch1, branch2 and rhs_loose is its ``Theorem.branches``."""
 
     status: np.ndarray
     holds: np.ndarray
@@ -299,7 +301,6 @@ class Columns(NamedTuple):
     present: np.ndarray
     error: np.ndarray | None = None
     verdict: np.ndarray | None = None
-    branch_names: dict | None = None
 
     @classmethod
     def empty(cls, n: int) -> Columns:
@@ -307,7 +308,7 @@ class Columns(NamedTuple):
         shape = (len(FLOAT_COLUMNS), n)
         return cls(np.full(n, INPUT_ERROR, np.int8), np.full(n, HOLDS.index(None), np.int8),
                    np.full(shape, np.nan), np.zeros(shape, bool), np.full(n, None, object),
-                   np.full(n, None, object), {})
+                   np.full(n, None, object))
 
     def put(self, at, name: str, value) -> None:
         """The float column ``name`` holds ``value`` at the cells ``at``."""
@@ -325,56 +326,42 @@ class Columns(NamedTuple):
 class Cells(NamedTuple):
     """A sweep's (params, theorem) cells, admitted once for all its groups.
 
-    ``params`` holds the params tuples as one Params of columns, and ``errors`` each
-    tuple's error or None.  ``status`` and ``error`` have a row per tuple and a
-    column per theorem id: the outcome of the q > 1 rule, bad input and an unknown id,
-    an open cell having no error.  ``hypotheses`` lists the open cells' distinct gate
-    hypotheses (g, alpha, m, q) in cell order, and ``hypothesis`` holds each cell's
-    index into it (-1 for a closed cell).
+    ``params`` holds the params tuples as one Params of columns.  ``status`` and
+    ``error`` have a row per tuple and a column per theorem id, each cell decided by
+    the first rule it meets: q = 1 on a bound that needs q > 1 (not_applicable), its
+    tuple's Params error, then an unknown id (input_error); an open cell has no error.
+    ``hypotheses`` lists the open cells' distinct gate hypotheses (g, alpha, m, q) in
+    cell order, and ``hypothesis`` holds each cell's index into it (-1 for a closed
+    cell).
     """
 
     params: Params
     theorem_ids: tuple
-    errors: np.ndarray
     status: np.ndarray
     error: np.ndarray
     hypotheses: list
     hypothesis: np.ndarray
 
 
-def _precedence(q, theorem_ids, errs) -> tuple[np.ndarray, np.ndarray]:
-    """Each cell's status code and error before the gate, given each params tuple's q
-    and error ``errs`` (None, or the interval's, its Params' or the domain's);
-    precedence: the q > 1 rule, bad input, an unknown id, the domain."""
-    status = np.full((len(q), len(theorem_ids)), INPUT_ERROR, np.int8)
-    error = np.empty(status.shape, object)
-    error[:] = errs[:, None]
-    domain = np.array([isinstance(e, DomainError) for e in errs], bool)
-    for j, tid in enumerate(theorem_ids):
-        if (thm := THEOREMS.get(tid)) is None:
-            error[np.equal(errs, None) | domain, j] = ParamError(f"unknown theorem id {tid!r}")
-            continue
-        status[domain, j] = NOT_APPLICABLE
-        if thm.needs_q_gt_1:
-            q_rule = q == 1
-            error[q_rule, j] = ParamError(f"{tid} needs q > 1")
-            status[q_rule, j] = NOT_APPLICABLE
-    return status, error
-
-
 def admit(params, theorem_ids) -> Cells:
     """The ``Cells`` of ``params``, (alpha, m, lam, mu, q) tuples, under each of
-    ``theorem_ids``: one ``Params`` of all the tuples (a rejected one gets its own
-    error), and one pass that finds the open cells' distinct hypotheses."""
+    ``theorem_ids``: one ``Params`` of all the tuples, each cell's status and error,
+    and one pass that finds the open cells' distinct hypotheses."""
     p = Params(*np.array(list(params), dtype=float).reshape(-1, 5).T)
-    errors = np.full(len(p.q), None, object)
-    errors[list(p.errors)] = list(p.errors.values())
-    status, error = _precedence(p.q, theorem_ids, errors)
-    open_ = np.equal(error, None)
-    hyp = np.zeros(open_.shape + (4,))
+    status = np.full((len(p.q), len(theorem_ids)), INPUT_ERROR, np.int8)
+    error = np.full(status.shape, None, object)  # a bad tuple's error, on each of its cells
+    error[list(p.errors)] = np.array(list(p.errors.values()), object)[:, None]
+    hyp = np.zeros(status.shape + (4,))
     for j, tid in enumerate(theorem_ids):
-        for k, v in enumerate(THEOREMS[tid].hypothesis(p) if tid in THEOREMS else ()):
+        if (thm := THEOREMS.get(tid)) is None:
+            error[np.equal(error[:, j], None), j] = ParamError(f"unknown theorem id {tid!r}")
+            continue
+        if thm.needs_q_gt_1:  # wins over a bad tuple
+            error[p.q == 1, j] = ParamError(f"{tid} needs q > 1")
+            status[p.q == 1, j] = NOT_APPLICABLE
+        for k, v in enumerate(thm.hypothesis(p)):
             hyp[:, j, k] = v == "df" if k == 0 else v
+    open_ = np.equal(error, None)
     wanted = hyp[open_]
     _, first, inverse = np.unique(wanted.view("V32").ravel(), return_index=True,
                                   return_inverse=True)
@@ -383,36 +370,36 @@ def admit(params, theorem_ids) -> Cells:
     hypothesis = np.full(open_.shape, -1)
     hypothesis[open_] = rank[inverse.ravel()]
     hypotheses = [("df" if df else "f", *amq) for df, *amq in wanted[np.sort(first)].tolist()]
-    return Cells(p, tuple(theorem_ids), errors, status, error, hypotheses, hypothesis)
+    return Cells(p, tuple(theorem_ids), status, error, hypotheses, hypothesis)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # an error of its cell, or inf
 def assess_group(fn: TestFunction, a: float, b: float, cells: Cells,
                  gate_of=check_hypotheses) -> Columns:
-    """Evaluate one (function, interval) group's ``cells`` (``admit``) as ``Columns``.
-    ``Interval(a, b)`` and ``fn.require(a)`` run once (a failure closes every cell),
-    ``integral_mean(fn, iv)`` once, ``gate_of(fn, b, cells.hypotheses, GATE_GRID_N)``
-    once (None skips the gate), and each ``<id>_rhs`` once, on the Params of the cells
-    that reach it (``cells.params.take``: no rule runs again).  The RHS does not raise
-    over cells: a cell it fails (a value out of float range, b / m among them) keeps
-    the error its own call raises, in the ``error`` column, and is input_error.  A row
-    holds by ``core.judge``'s rule.
+    """Evaluate one (function, interval) group's ``cells`` (``admit``) as ``Columns``,
+    from their admitted status and error.  ``Interval(a, b)`` and ``fn.require(a)`` run
+    once: a bad interval makes every cell but the q > 1 rule's input_error, a bad domain
+    the open cells not_applicable, with its error.  ``gate_of(fn, b, cells.hypotheses,
+    GATE_GRID_N)`` runs once (None skips the gate), ``integral_mean(fn, iv)`` once, and
+    each ``<id>_rhs`` once, on the ``cells.params.take`` of the cells that reach it.
+    The RHS does not raise over cells: a cell it fails (a value out of float range,
+    b / m among them) keeps the error its own call raises, in the ``error`` column, and
+    is input_error.  A row holds by ``core.judge``'s rule.
     """
     n, t = cells.status.shape
     cols = Columns.empty(n * t)
     status, error, verdict = (c.reshape(n, t) for c in (cols.status, cols.error, cols.verdict))
-    iv = None
-    try:  # precedence: the interval, the parameters, the domain
-        iv = Interval(a, b)
-        fn.require(a)
-    except (ParamError, DomainError) as exc:
-        errs = np.full(n, exc.with_traceback(None), object)
-        if iv is not None:  # the domain's error, where the parameters have none
-            errs = np.where(np.equal(cells.errors, None), errs, cells.errors)
-        status[:], error[:] = _precedence(cells.params.q, cells.theorem_ids, errs)
-        return cols
     status[:], error[:] = cells.status, cells.error
     open_ = cells.hypothesis >= 0
+    try:
+        iv = Interval(a, b)
+        fn.require(a)
+    except ParamError as exc:  # the interval's, on every cell but the q > 1 rule's
+        error[status == INPUT_ERROR] = exc.with_traceback(None)
+        return cols
+    except DomainError as exc:
+        status[open_], error[open_] = NOT_APPLICABLE, exc.with_traceback(None)
+        return cols
 
     if gate_of is not None and open_.any():
         found = np.empty(len(cells.hypotheses), object)  # a verdict, or its grid's error
@@ -441,14 +428,11 @@ def assess_group(fn: TestFunction, a: float, b: float, cells: Cells,
         weights = (p.lam, p.mu) if thm.lhs == "weighted" else (1.0, 1.0)
         lhs = mean if thm.lhs == "mean" else abs(_weighted_endpoint(fn, iv, *weights) - mean)
         holds, unsettled = judge(lhs, value, err)
-        pair = sorted(k for k in branches if k != "loose")
-        names = cols.branch_names[tid] = (*pair[:2], "loose") if len(pair) >= 2 else (
-            None, None, "loose")
         at = rows * t + j
         for name, v in (("lhs", lhs), ("rhs", value), ("slack", value - lhs), ("quad_error", err),
-                        *zip(("branch1", "branch2", "rhs_loose"), map(branches.get, names))):
-            if v is not None:
-                cols.put(at, name, v)
+                        *zip(("branch1", "branch2", "rhs_loose"),
+                             map(branches.__getitem__, thm.branches))):
+            cols.put(at, name, v)
         cols.holds[at], cols.status[at] = holds, np.where(holds, OK, VIOLATION)
         if unconverged is not None:  # no verdict rests on an estimate that did not converge
             fail(p.errors, unsettled, lambda q: unconverged, p.q)
@@ -478,6 +462,6 @@ def verify(fn: TestFunction, iv: Interval, p: Params, theorem_id: str,
     if cols.error[0] is not None:
         raise cols.error[0]
     row = PlainColumns(*(column[0] for column in cols.plain()))
-    branches = zip(cols.branch_names[theorem_id], (row.branch1, row.branch2, row.rhs_loose))
+    branches = zip(THEOREMS[theorem_id].branches, (row.branch1, row.branch2, row.rhs_loose))
     return BoundReport(theorem_id, row.lhs, row.rhs, row.slack, row.holds,
-                       row.quad_error, {k: v for k, v in branches if v is not None})
+                       row.quad_error, dict(branches))

@@ -211,11 +211,8 @@ def run_sweep(spec: SweepSpec, summary: dict | None = None):
         columns = _take(parts, order)
         counts += np.bincount(columns.status, minlength=len(counts))
         if len(ok := np.flatnonzero(columns.status == bounds.OK)):
-            # min's rule: the first of equal slacks, where no slack is below a NaN
-            # one and a NaN one is below none
-            slack = columns.values[_SLACK, ok]
-            i = ok[0 if np.isnan(slack[0]) else np.argmin(np.where(np.isnan(slack), np.inf,
-                                                                   slack))]
+            # the first least slack: an ok row's is a number (judge's <= fails a NaN)
+            i = ok[np.argmin(columns.values[_SLACK, ok])]
             g, c = divmod(int(order[i]), len(cells))
             tightest.append((columns.values[_SLACK, i].item(), (*tied[g], *cells[c])))
         yield Table([(SCHEMA_VERSION, *group) for group in tied], cells, order, columns)
@@ -367,7 +364,7 @@ def cmd_tightness(args) -> int:
         holds, unsettled = judge(mean, upper, err)
         if unconverged is not None and unsettled:
             raise unconverged
-        baseline.status[0], baseline.holds[0] = bounds.OK, holds
+        baseline.status[0], baseline.holds[0] = np.where(holds, bounds.OK, bounds.VIOLATION), holds
         for name, v in (("lhs", mean), ("rhs", upper), ("slack", upper - mean),
                         ("quad_error", err), ("branch1", lower)):
             baseline.put(0, name, v)

@@ -120,7 +120,9 @@ class Params:
 
     def take(self, cells) -> Params:
         """These columns at the index array ``cells``, cells that pass every rule, with
-        an empty ``errors`` for a bound's operations to fill: no rule runs again."""
+        an empty ``errors`` for a bound's operations to fill.  ``take`` checks nothing
+        again; ``gamma_coeffs``, ``nu_coeffs`` and ``check_hypotheses``, as public entry
+        points, check their own inputs again."""
         taken = copy.copy(self)
         for name, value in vars(self).items():
             object.__setattr__(taken, name, {} if name == "errors" else value[cells])

@@ -40,6 +40,7 @@ TRAP_SPEC = pathlib.Path(__file__).parent / "data" / "trap.spec"
 GATE_SPEC = pathlib.Path(__file__).parent / "data" / "gate.spec"
 DENSE_SPEC = pathlib.Path(__file__).parent / "data" / "dense.spec"
 OVERFLOW_SPEC = pathlib.Path(__file__).parent / "data" / "overflow.spec"
+PRECEDENCE_SPEC = pathlib.Path(__file__).parent / "data" / "precedence.spec"
 # the pinned sha256 digest of each sweep file, by name (serial.csv is the default
 # sweep's CSV), in the format ``sha256sum -c`` checks
 PINNED = {name: digest for digest, name in (
@@ -84,6 +85,14 @@ def assert_same_text(got: str, want: str, what: str) -> None:
     pytest.fail(f"{what}: {len(got_lines)} lines, expected {len(want_lines)}; first difference "
                 f"at line {i + 1}: {got_lines[i:i + 1]!r} != {want_lines[i:i + 1]!r}",
                 pytrace=False)
+
+
+def assert_ok_slacks_finite(path) -> None:
+    """Every ok row of the sweep file ``path`` (CSV or JSON) has a finite slack: the
+    least-slack search of ``run_sweep`` meets no NaN."""
+    with open(path, newline="") as fh:
+        rows = json.load(fh) if path.suffix == ".json" else list(csv.DictReader(fh))
+    assert all(math.isfinite(float(r["slack"])) for r in rows if r["status"] == "ok")
 
 
 def table_rows(tables):
@@ -642,6 +651,44 @@ class TestSweep:
         assert statuses >= {"ok", "gate_skipped", "not_applicable", "input_error"}
         assert case == "precedence" or "violation" in statuses
 
+    def test_precedence_spec_follows_the_rule_table(self):
+        # the rules in order, written out here rather than read from bounds: an unknown
+        # function closes every cell; q = 1 on bop_m is not applicable; a reversed
+        # interval closes every other cell; then a bad alpha, an unknown theorem id and
+        # recip's domain at a = 0, which closes the cells still open
+        def expected(fn_id, a, b, alpha, q, tid):
+            if fn_id == "nope":
+                return "input_error", "ParamError", "unknown function 'nope'"
+            if tid == "bop_m" and q == 1:
+                return "not_applicable", "ParamError", "bop_m needs q > 1"
+            if (a, b) == (2.0, 1.0):
+                return "input_error", "ParamError", "interval requires 0 <= a < b, got [2.0, 1.0]"
+            if alpha == 2:
+                return "input_error", "ParamError", "alpha must lie in (0, 1], got 2.0"
+            if tid == "bogus":
+                return "input_error", "ParamError", "unknown theorem id 'bogus'"
+            if fn_id == "recip" and a == 0:
+                return ("not_applicable", "DomainError",
+                        "recip is not defined at x=0.0 (domain starts at 1e-12)")
+            return "ok", None, None
+
+        spec = cli.parse_sweep_file(str(PRECEDENCE_SPEC))
+        status = {(fn_id, a, b, alpha, q, tid): s for _, fn_id, a, b, alpha, _, _, _, q, tid, s, *_
+                  in table_rows(cli.run_sweep(spec))}
+        params = list(itertools.product(spec.alpha, spec.m, spec.lam, spec.mu, spec.q))
+        cells, got = bounds.admit(params, spec.theorems), {}
+        for fn_id, (a, b) in itertools.product(spec.functions, spec.intervals):
+            errors = cli._assess(fn_id, a, b, cells).error
+            for ((alpha, *_, q), tid), e in zip(itertools.product(params, spec.theorems), errors):
+                key = (fn_id, a, b, alpha, q, tid)
+                got[key] = (status[key], e and type(e).__name__, e and str(e))
+        assert len(got) == len(status) == 108
+        assert got == {key: expected(*key) for key in got}
+        # q = 1 on bop_m is an input_error under an unknown function, and stays
+        # not_applicable under a reversed interval
+        assert got["nope", 1.0, 2.0, 1.0, 1.0, "bop_m"][0] == "input_error"
+        assert got["pow2", 2.0, 1.0, 2.0, 1.0, "bop_m"][0] == "not_applicable"
+
     def test_json_bytes_are_the_indented_dump(self, tmp_path, capsys):
         path = tmp_path / "all.spec"
         path.write_text(ALL_STATUS_SPEC)
@@ -680,6 +727,7 @@ class TestSweep:
         code, out, err = run_cli(capsys, "sweep", "default", "--format", fmt, "-o", str(out_file))
         assert code == 0 and err == ""
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == PINNED[f"serial.{fmt}"]
+        assert_ok_slacks_finite(out_file)
         assert out == (
             "sweep: 67200 rows (8 functions x 4 intervals x 2x2 (alpha,m) x 5x5 weights x "
             "3 q x 7 theorems)\n"
@@ -697,6 +745,7 @@ class TestSweep:
                                  "-o", str(out_file))
         assert code == 0
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == PINNED[f"gate.{fmt}"]
+        assert_ok_slacks_finite(out_file)
         assert out == (
             "sweep: 1792 rows (7 functions x 2 intervals x 4x2 (alpha,m) x 1x1 weights x "
             "4 q x 4 theorems)\n"
@@ -718,6 +767,7 @@ class TestSweep:
                                  "-o", str(out_file))
         assert code == 0 and err == ""
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == PINNED[f"dense.{fmt}"]
+        assert_ok_slacks_finite(out_file)
         assert out == (
             "sweep: 28672 rows (8 functions x 4 intervals x 4x4 (alpha,m) x 2x1 weights x "
             "4 q x 7 theorems)\n"
@@ -735,6 +785,7 @@ class TestSweep:
                                  "-o", str(out_file))
         assert code == 0
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == PINNED[f"overflow.{fmt}"]
+        assert_ok_slacks_finite(out_file)
         assert out == (
             "sweep: 70560 rows (2 functions x 1 intervals x 2x2 (alpha,m) x 21x20 weights x "
             "3 q x 7 theorems)\n"
@@ -774,6 +825,7 @@ class TestSweep:
                                  "-o", str(out_file))
         assert code == 0 and err == ""
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == PINNED[f"trap.{fmt}"]
+        assert_ok_slacks_finite(out_file)
         assert out == (
             "sweep: 11520 rows (4 functions x 5 intervals x 3x4 (alpha,m) x 4x1 weights x "
             "3 q x 4 theorems)\n"
@@ -1083,6 +1135,16 @@ class TestTightness:
         (line,) = err.splitlines()
         assert line.startswith(f"warning: {fn_id} [1.0, 1e+300]: integrand returned a "
                                "non-finite value at x=")
+
+    def test_a_baseline_that_does_not_hold_is_a_violation(self, capsys, monkeypatch):
+        # an endpoint average of 1.0 on [1, 2] lies below pow2's mean 7/3
+        bound_hh = bounds.bound_hh
+        monkeypatch.setattr(bounds, "bound_hh", lambda fn, iv: (bound_hh(fn, iv)[0], 1.0))
+        code, out, err = run_cli(capsys, "tightness", "--fn", "pow2", "--a", "1", "--b", "2",
+                                 "--theorems", "da,thm11")
+        assert code == 1 and err == ""
+        (row,) = [line for line in out.splitlines() if "theorem=hh_upper" in line]
+        assert "status=violation" in row and "holds=false" in row
 
     def test_needs_two_theorems(self, capsys):
         code, _, err = run_cli(capsys, "tightness", "--fn", "pow2", "--a", "1",
