@@ -380,8 +380,8 @@ def cmd_tightness(args) -> int:
 
     plain = table.columns.plain()
     status, slack = plain.status, plain.slack
-    ranked = sorted((i for i, s in enumerate(status) if s in ("ok", "violation")),
-                    key=slack.__getitem__)
+    # only bounds that hold are ranked: a violation's negative slack is no tightness
+    ranked = sorted((i for i, s in enumerate(status) if s == "ok"), key=slack.__getitem__)
     _emit([table], args.format, sys.stdout)
     if ranked:  # a point table's rows are in cell order
         print(f"tightest: {table.cells[ranked[0]][-1]} (slack={_fmt(slack[ranked[0]])})")

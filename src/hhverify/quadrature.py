@@ -1,8 +1,8 @@
 """Adaptive Gauss-Kronrod 7-15 quadrature and the kernel-moment oracle.
 
 The integrator drives the exact side of every bound check; ``kernel_moment``
-is the brute-force cross-check for the closed-form coefficients and always
-splits at the kernel's single kink before integrating.  The integrand is
+is the brute-force cross-check for the closed-form coefficients; it
+integrates in u = t^(1/4), split at the kernel's single kink.  The integrand is
 called on arrays of nodes (node by node if it takes no arrays), and the
 stopping test keeps an exact running total of the panel errors.
 """
@@ -51,6 +51,7 @@ _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])  # 15 ascending nodes
 _KWEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _GMASK = np.zeros(15)
 _GMASK[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
+_KG = np.stack([_KWEIGHTS, _GMASK])
 
 MAX_EVALS = 1_000_000
 
@@ -64,15 +65,18 @@ class QuadResult:
 
 
 def _gk15(f: Callable, panels: list) -> Iterator[tuple[float, float]]:
-    """(value, error estimate) of Gauss-Kronrod 7-15 on each (lo, hi) panel."""
-    lo, hi = np.array(panels).T
-    half = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    """(value, error estimate) of Gauss-Kronrod 7-15 on each (lo, hi) panel.
+
+    One vecdot scores every panel against both weight rows; each of its rows
+    is the same 1-D dot (BLAS ddot) as ``_KWEIGHTS @ yi``, so the sums carry
+    the same bits.  ``y @ _KG.T`` would not: with one panel it takes another
+    BLAS path that sums in another order.
+    """
+    ch = np.array([(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in panels])
+    x = ch[:, :1] + ch[:, 1:] * _NODES
     y = eval_points(f, x)
-    for h, yi in zip(half.tolist(), y):
-        # one 1-D dot per panel: a 2-D product would sum in another order
-        kronrod = h * float(_KWEIGHTS @ yi)
-        gauss = h * float(_GMASK @ yi)
+    for h, (k, g) in zip(ch[:, 1].tolist(), np.vecdot(y[:, None, :], _KG).tolist()):
+        kronrod, gauss = h * k, h * g
         if not (math.isfinite(kronrod) and math.isfinite(gauss)):
             bad = x[~np.isfinite(y)]
             raise NonFiniteError(f"integrand returned a non-finite value at x={bad[0]}"
@@ -82,8 +86,8 @@ def _gk15(f: Callable, panels: list) -> Iterator[tuple[float, float]]:
 
 def _units(x: float) -> int:
     """x >= 0 as an exact count of 2**-1074, the smallest subnormal."""
-    n, d = x.as_integer_ratio()
-    return n * ((1 << 1074) // d)
+    n, d = x.as_integer_ratio()  # d is a power of two, at most 2**1074
+    return n << (1075 - d.bit_length())
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite panel sum raises NonFiniteError
@@ -94,11 +98,12 @@ def integrate(f: Callable, iv: Interval | tuple[float, float], tol: float = 1e-9
     Always bisects the currently worst panel; known non-smooth points can be
     passed as ``breakpoints`` so every panel the rule sees is smooth.  f is
     called on the array of both halves' 30 nodes per bisection (node by node
-    if it takes no arrays), and the panel errors are totalled exactly.  When
-    the budget of ``MAX_EVALS`` evaluations runs out before the tolerance is
-    met, the best available estimate is returned flagged (``converged=False``)
-    instead of raising, so callers can widen their own tolerances by the
-    reported error.
+    if it takes no arrays), one vecdot gives both halves the same per-panel
+    Kronrod and Gauss dots as 1-D products would, and the panel errors are
+    totalled exactly.  When the budget of ``MAX_EVALS`` evaluations runs out
+    before the tolerance is met, the best available estimate is returned
+    flagged (``converged=False``) instead of raising, so callers can widen
+    their own tolerances by the reported error.
     """
     if not 0 < tol < math.inf:  # a tolerance the integrator can meet
         raise ParamError(f"tolerance must be positive and finite, got {tol}")
@@ -144,8 +149,13 @@ def kernel_moment(alpha: float, lam: float, mu: float, power_of_t: str = "1",
 
     Evaluates ``integral over [0,1] of |(lam+mu) t - s|^p_exp * w(t) dt``
     where s = lam or mu per ``switch`` and w(t) is one of t^alpha,
-    1 - t^alpha or 1.  The integrand has exactly one kink at t = s/(lam+mu)
-    and is split there, so the adaptive rule only ever sees smooth pieces.
+    1 - t^alpha or 1.  In t, the weight t^alpha with alpha < 1 is not smooth
+    at 0 and the adaptive rule bisects toward it.  So the moment is taken in
+    u = t^(1/4), as ``integral over [0,1] of 4u^3 |(lam+mu) u^4 - s|^p_exp
+    * w(u^4) du``: t^alpha dt becomes 4u^(4 alpha + 3) du, which is at least
+    three times continuously differentiable for every alpha in (0, 1].  The
+    kernel's one kink moves to u = (s/(lam+mu))^(1/4) and is split there, so
+    each piece the rule sees is smooth.
     alpha, lam, mu and p_exp are checked as Params' alpha, lam, mu and q.
     """
     Params(alpha=alpha, lam=lam, mu=mu, q=p_exp)
@@ -161,8 +171,9 @@ def kernel_moment(alpha: float, lam: float, mu: float, power_of_t: str = "1",
     total = lam + mu
     w = _WEIGHTS[power_of_t]
 
-    def integrand(t):
-        return abs(total * t - s) ** p_exp * w(t, alpha)
+    def integrand(u):
+        t = u ** 4
+        return 4.0 * u ** 3 * abs(total * t - s) ** p_exp * w(t, alpha)
 
-    kink = s / total
+    kink = (s / total) ** 0.25
     return integrate(integrand, (0.0, 1.0), tol=tol, breakpoints=(kink,)).value

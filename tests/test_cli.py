@@ -1146,6 +1146,19 @@ class TestTightness:
         (row,) = [line for line in out.splitlines() if "theorem=hh_upper" in line]
         assert "status=violation" in row and "holds=false" in row
 
+    @pytest.mark.parametrize("theorems, tightest", [
+        ("da,thm11", ["tightest: da (slack=0.5833333333333339)"]),
+        ("bogus,nope", []),  # no row holds: no ranking
+    ])
+    def test_only_bounds_that_hold_are_ranked(self, capsys, monkeypatch, theorems, tightest):
+        # the violated baseline's slack of -4/3 is the least, but it is no bound
+        bound_hh = bounds.bound_hh
+        monkeypatch.setattr(bounds, "bound_hh", lambda fn, iv: (bound_hh(fn, iv)[0], 1.0))
+        code, out, _ = run_cli(capsys, "tightness", "--fn", "pow2", "--a", "1", "--b", "2",
+                               "--theorems", theorems)
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("tightest:")] == tightest
+
     def test_needs_two_theorems(self, capsys):
         code, _, err = run_cli(capsys, "tightness", "--fn", "pow2", "--a", "1",
                                "--b", "2", "--theorems", "da")

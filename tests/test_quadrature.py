@@ -7,12 +7,18 @@ import pytest
 from hhverify import (Interval, NonFiniteError, ParamError, QuadResult, corpus_by_id,
                       integrate, kernel_moment, quadrature)
 from hhverify.cli import default_sweep_spec
-from hhverify.quadrature import _NODES
+from hhverify.quadrature import _GMASK, _KG, _KWEIGHTS, _NODES, _units
 
 SINGULAR_IDS = ("pown2", "recip", "xlogx")
 
 GRID = [0.0, 0.5, 1.0, 2.0, 5.0]
 WEIGHT_PAIRS = [(l, m) for l in GRID for m in GRID if l + m > 0]
+
+# kernel-moment edge cases: alpha down to 1e-100, and one switch per weight
+# pair, chosen so the kink lies at 0.5, 1, 2e-13, 0.997 and 0.3
+KM_ALPHAS = [1e-100, 1e-3, 0.1, 0.25, 0.9, 1.0]
+KM_KINKS = [(1.0, 1.0, "lambda"), (0.0, 1.0, "mu"), (5.0, 1e-12, "mu"), (1e3, 3.0, "lambda"),
+            (0.3, 0.7, "lambda")]
 
 
 class TestIntegrate:
@@ -132,6 +138,32 @@ class TestEvaluation:
         assert res == QuadResult(1.999936915012168, 9.729617365003226e-05, 585, False)
 
 
+class TestPanelSums:
+    """``_gk15`` scores all of a step's panels with one vecdot.  Its rows are the
+    per-panel 1-D dots (BLAS ddot) that ``integrate``'s pinned bits rest on.
+    ``y @ _KG.T`` is not used: with one row it takes the matrix-vector BLAS
+    path, which sums in another order."""
+
+    @staticmethod
+    def _rows(n):
+        rng = np.random.default_rng(n)
+        mixed = rng.standard_normal((n, 15)) * 10.0 ** rng.integers(-150, 150, (n, 15))
+        edges = np.linspace(1e-3, 1.0, n + 1)  # n panels of a singular integrand's nodes
+        x = (0.5 * (edges[:-1] + edges[1:]))[:, None] + (0.5 * np.diff(edges))[:, None] * _NODES
+        return mixed, corpus_by_id()["pown2"].f(x), corpus_by_id()["xlogx"].f(x)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 45])
+    def test_vecdot_rows_are_the_one_dimensional_dots(self, n):
+        for y in self._rows(n):
+            want = np.array([[_KWEIGHTS @ yi, _GMASK @ yi] for yi in y])
+            assert np.vecdot(y[:, None, :], _KG).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("x", [0.0, 5e-324, 1.0, 1.7976931348623157e308])
+    def test_units_shift_is_the_division(self, x):
+        n, d = x.as_integer_ratio()
+        assert _units(x) == n * ((1 << 1074) // d)
+
+
 def _sweep_cases():
     """Each corpus function on each default-sweep interval, the singular ones
     started at 1e-3 instead of 0."""
@@ -185,6 +217,37 @@ class TestKernelMoment:
         expected = (lam ** (p + 1) + mu ** (p + 1)) / ((p + 1) * (lam + mu))
         got = kernel_moment(1.0, lam, mu, "1", "lambda", p_exp=p)
         assert abs(got - expected) < 1e-10 * max(1.0, expected)
+
+    def test_smooth_weight_takes_one_pass(self, monkeypatch):
+        # in u = t^(1/4) the weight t^alpha is smooth at 0: no bisection at all
+        spent, run = [], quadrature.integrate
+
+        def counted(*args, **kw):
+            res = run(*args, **kw)
+            spent.append(res.evaluations)
+            return res
+
+        monkeypatch.setattr(quadrature, "integrate", counted)
+        kernel_moment(0.25, 1.0, 1.0, "t^alpha", "lambda", 2.0)
+        assert spent == [30]
+
+    @pytest.mark.parametrize("lam,mu,switch", KM_KINKS)
+    @pytest.mark.parametrize("alpha", KM_ALPHAS)
+    def test_against_mpmath_quad(self, alpha, lam, mu, switch):
+        mp = pytest.importorskip("mpmath")
+        misses = []
+        with mp.workdps(30):
+            total, a = mp.mpf(lam) + mp.mpf(mu), mp.mpf(alpha)
+            s = mp.mpf(lam if switch == "lambda" else mu)
+            cuts = [0, *([s / total] if 0 < s < total else []), 1]  # split at the kink
+            for weight, w in (("t^alpha", lambda t: t ** a), ("1-t^alpha", lambda t: 1 - t ** a),
+                              ("1", lambda t: 1)):
+                for p in (1.0, 1.5, 3.0):
+                    exact = float(mp.quad(lambda t: abs(total * t - s) ** p * w(t), cuts))
+                    got = kernel_moment(alpha, lam, mu, weight, switch, p)
+                    if abs(got - exact) > 1e-12 * max(1.0, abs(exact)):
+                        misses.append((weight, p, got, exact))
+        assert misses == []
 
     def test_invalid_inputs(self):
         with pytest.raises(ParamError):
