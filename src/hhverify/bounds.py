@@ -21,12 +21,11 @@ import numpy as np
 
 from .convexity import check_hypotheses
 from .coefficients import gamma_coeffs, nu_coeffs
-from .core import (BoundReport, CoefficientSet, DomainError, GateError, Interval, NonFiniteError,
-                   ParamError, Params, TestFunction, UnconvergedError, fail, judge, py_min)
-from .quadrature import integrate
+from .core import (BoundReport, DomainError, GateError, Interval, NonFiniteError, ParamError,
+                   Params, TestFunction, UnconvergedError, fail, judge, py_min)
+from .quadrature import ORACLE_TOL, integrate
 
 DEFAULT_LHS_TOL = 1e-9
-GATE_GRID_N = 16  # grid of the convexity gate (check_hypotheses' grid_n)
 
 
 @dataclass(frozen=True)
@@ -39,40 +38,45 @@ class Deviation:
     quad_error: float
 
 
+def _unconverged(res, what: str = "LHS integral"):
+    """The UnconvergedError of the integral ``res`` that did not converge, else None."""
+    return None if res.converged else UnconvergedError(
+        f"{what} did not converge: error estimate {res.error_estimate} after "
+        f"{res.evaluations} evaluations")
+
+
 def integral_mean(fn: TestFunction, iv: Interval):
     """The mean of f over ``iv``, its error estimate and, if the integral did not converge,
     the UnconvergedError of a row whose verdict the estimate could turn (else None)."""
     res = integrate(fn.f, iv, tol=DEFAULT_LHS_TOL)
-    unconverged = None if res.converged else UnconvergedError(
-        f"LHS integral did not converge: error estimate {res.error_estimate} after "
-        f"{res.evaluations} evaluations")
-    return res.value / iv.width, res.error_estimate / iv.width, unconverged
+    return res.value / iv.width, res.error_estimate / iv.width, _unconverged(res)
 
 
 def _weighted_endpoint(fn: TestFunction, iv: Interval, lam: float, mu: float) -> float:
     return (lam * fn.f(iv.a) + mu * fn.f(iv.b)) / (lam + mu)
 
 
-def deviation(fn: TestFunction, iv: Interval, lam: float, mu: float,
-              tol: float = DEFAULT_LHS_TOL) -> Deviation:
+def deviation(fn: TestFunction, iv: Interval, lam: float, mu: float) -> Deviation:
+    """The deviation at ``ORACLE_TOL``; an integral that does not converge raises."""
     Params(lam=lam, mu=mu)
     fn.require(iv.a)
     endpoint = _weighted_endpoint(fn, iv, lam, mu)
-    res = integrate(fn.f, iv, tol=tol)
+    res = integrate(fn.f, iv, tol=ORACLE_TOL)
+    if unconverged := _unconverged(res):
+        raise unconverged
     mean = res.value / iv.width
     return Deviation(weighted_endpoint_value=endpoint, integral_mean=mean,
                      lhs_abs=abs(endpoint - mean), quad_error=res.error_estimate / iv.width)
 
 
-def lemma21_residual(fn: TestFunction, iv: Interval, lam: float, mu: float,
-                     tol: float = 1e-10) -> float:
+def lemma21_residual(fn: TestFunction, iv: Interval, lam: float, mu: float) -> float:
     """|LHS - RHS| of the weighted trapezoid identity.
 
-    The right side rewrites the deviation as a kernel-weighted integral of
-    f' over [0, 1]; both sides are evaluated by independent quadratures and
-    the residual should sit at the combined quadrature noise level.
+    The right side rewrites the deviation as a kernel-weighted integral of f' over
+    [0, 1]; both sides are evaluated by independent quadratures at ``ORACLE_TOL``, and the
+    residual should sit at their combined noise level.  Either not converging raises.
     """
-    dev = deviation(fn, iv, lam, mu, tol=tol)
+    dev = deviation(fn, iv, lam, mu)
     lhs = dev.weighted_endpoint_value - dev.integral_mean
     total = lam + mu
     a, b = iv.a, iv.b
@@ -80,7 +84,9 @@ def lemma21_residual(fn: TestFunction, iv: Interval, lam: float, mu: float,
     def integrand(t):
         return (total * t - lam) * fn.df(t * b + (1.0 - t) * a)
 
-    res = integrate(integrand, (0.0, 1.0), tol=tol, breakpoints=(lam / total,))
+    res = integrate(integrand, (0.0, 1.0), tol=ORACLE_TOL, breakpoints=(lam / total,))
+    if unconverged := _unconverged(res, "Lemma 2.1 kernel integral"):
+        raise unconverged
     rhs = iv.width / total * res.value
     return abs(lhs - rhs)
 
@@ -103,8 +109,8 @@ def bound_hh(fn: TestFunction, iv: Interval) -> tuple[float, float]:
 # m-stretches) lies at or above a, so on a domain [domain_min, inf)
 # requiring a alone covers them all.  Each bound computes in float64, a point as
 # numpy scalars (``_float64``): out of float range a value is inf or NaN, and the
-# rules (a factor's ``CoefficientSet``, the thm22 kernel, then ``_finite`` on the
-# branches and the rhs) give its cell the first error, which a point raises.
+# rules (gamma's or nu's ``CoefficientSet``, the thm22 kernel, then ``_finite`` on the
+# branches, factors included, and the rhs) give its cell the first error, which a point raises.
 
 def _float64(*values):
     """Each of ``values`` as float64: a scalar as a numpy scalar, an array as is."""
@@ -114,6 +120,15 @@ def _float64(*values):
 def _dq(fn: TestFunction, x, q):
     """|f'(x)|^q at each cell."""
     return np.float_power(abs(fn.df(x)), q)
+
+
+def _split_factors(fn: TestFunction, a, b, z, alpha, m, q) -> tuple:
+    """thm211's M1, M2: min-of-averages factors of |f'|^q split at z (bop_m's mu at alpha 1)."""
+    da_, db_, dz = (_dq(fn, x, q) for x in (a, b, z))
+    dam, dbm, dzm = (_dq(fn, x / m, q) for x in (a, b, z))
+    denom = alpha + 1.0
+    return (py_min((da_ + alpha * m * dzm) / denom, (dz + alpha * m * dam) / denom),
+            py_min((db_ + alpha * m * dzm) / denom, (dz + alpha * m * dbm) / denom))
 
 
 def _finite(tid: str, p, rhs, branches: dict) -> tuple:
@@ -146,22 +161,14 @@ def sso_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
 
 @np.errstate(all="ignore")
 def bop_m_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
-    """m-convex midpoint bound; mu1/mu2 are min-of-averages factors of
-    |f'|^q over the two half-intervals."""
+    """m-convex midpoint bound; mu1/mu2 are ``_split_factors`` of |f'|^q at the midpoint."""
     p.p  # raises ParamError at q = 1
     fn.require(iv.a)
     a, b, m, q = _float64(iv.a, iv.b, p.m, p.q)
-    mid = 0.5 * (a + b)
-    da_, db_, dmid = (_dq(fn, x, q) for x in (a, b, mid))
-    dam, dbm, dmidm = (_dq(fn, x / m, q) for x in (a, b, mid))
-    coeffs = CoefficientSet({
-        "mu1": py_min((da_ + m * dmidm) / 2.0, (dmid + m * dam) / 2.0),
-        "mu2": py_min((db_ + m * dmidm) / 2.0, (dmid + m * dbm) / 2.0),
-    }, errors=p.errors)
-    spread = np.float_power(coeffs["mu1"], 1.0 / q) + np.float_power(coeffs["mu2"], 1.0 / q)
-    loose = (b - a) / 4.0 * spread
+    mu1, mu2 = _split_factors(fn, a, b, 0.5 * (a + b), 1.0, m, q)
+    loose = (b - a) / 4.0 * (np.float_power(mu1, 1.0 / q) + np.float_power(mu2, 1.0 / q))
     tight = loose * np.float_power((q - 1.0) / (2.0 * q - 1.0), (q - 1.0) / q)
-    return _finite("bop_m", p, tight, {"loose": loose, **coeffs.values})
+    return _finite("bop_m", p, tight, {"mu1": mu1, "mu2": mu2, "loose": loose})
 
 
 @np.errstate(all="ignore")
@@ -197,23 +204,16 @@ def thm11_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
 
 @np.errstate(all="ignore")
 def thm211_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
-    """Hoelder split bound; M1/M2 are per-segment factors of |f'|^q around
-    the interior node z = (lam*b + mu*a)/(lam + mu)."""
+    """Hoelder split bound; M1/M2: ``_split_factors`` at z = (lam*b + mu*a)/(lam + mu)."""
     a, b, alpha, m, lam, mu, q, conj = _float64(iv.a, iv.b, p.alpha, p.m, p.lam, p.mu, p.q, p.p)
     z = (lam * b + mu * a) / (lam + mu)
     fn.require(iv.a)
-    da_, db_, dz = (_dq(fn, x, q) for x in (a, b, z))
-    dam, dbm, dzm = (_dq(fn, x / m, q) for x in (a, b, z))
-    denom = alpha + 1.0
-    coeffs = CoefficientSet({
-        "M1": py_min((da_ + alpha * m * dzm) / denom, (dz + alpha * m * dam) / denom),
-        "M2": py_min((db_ + alpha * m * dzm) / denom, (dz + alpha * m * dbm) / denom),
-    }, errors=p.errors)
+    m1, m2 = _split_factors(fn, a, b, z, alpha, m, q)
     total = lam + mu
     rhs = ((b - a) / np.float_power(total, 2) * np.float_power(1.0 / (conj + 1.0), 1.0 / conj)
-           * (np.float_power(lam, 2) * np.float_power(coeffs["M1"], 1.0 / q)
-              + np.float_power(mu, 2) * np.float_power(coeffs["M2"], 1.0 / q)))
-    return _finite("thm211", p, rhs, coeffs.values)
+           * (np.float_power(lam, 2) * np.float_power(m1, 1.0 / q)
+              + np.float_power(mu, 2) * np.float_power(m2, 1.0 / q)))
+    return _finite("thm211", p, rhs, {"M1": m1, "M2": m2})
 
 
 @np.errstate(all="ignore")
@@ -221,10 +221,8 @@ def thm22_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     """Global Hoelder bound; K1/K2 are endpoint factors of |f'|^q."""
     a, b, alpha, m, lam, mu, q, conj = _float64(iv.a, iv.b, p.alpha, p.m, p.lam, p.mu, p.q, p.p)
     fn.require(iv.a)
-    coeffs = CoefficientSet({
-        "K1": _dq(fn, b, q) + m * alpha * _dq(fn, a / m, q),
-        "K2": _dq(fn, a, q) + m * alpha * _dq(fn, b / m, q),
-    }, errors=p.errors)
+    factors = {"K1": _dq(fn, b, q) + m * alpha * _dq(fn, a / m, q),
+               "K2": _dq(fn, a, q) + m * alpha * _dq(fn, b / m, q)}
     total = lam + mu
     kernel = np.float_power((np.float_power(lam, conj + 1.0) + np.float_power(mu, conj + 1.0))
                             / ((conj + 1.0) * total), 1.0 / conj)
@@ -232,8 +230,8 @@ def thm22_rhs(fn: TestFunction, iv: Interval, p) -> tuple[float, dict]:
     fail(p.errors, kernel == 0.0, lambda lam, mu: ParamError(
         f"thm22 kernel underflows to 0 at lambda = {lam}, mu = {mu}"), p.lam, p.mu)
     rhs = ((b - a) / total * kernel * np.float_power(1.0 / (alpha + 1.0), 1.0 / q)
-           * np.float_power(py_min(coeffs["K1"], coeffs["K2"]), 1.0 / q))
-    return _finite("thm22", p, rhs, coeffs.values)
+           * np.float_power(py_min(factors["K1"], factors["K2"]), 1.0 / q))
+    return _finite("thm22", p, rhs, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -277,26 +275,25 @@ THEOREM_IDS = tuple(THEOREMS)
 
 
 # A report row's computed columns, in row order (the CLI puts its inputs first):
-# ``status`` a code into ``STATUSES``, ``holds`` one into ``HOLDS`` (None: the
-# cell has no value) and the ``FLOAT_COLUMNS`` float64, each with a presence mask.
+# ``status`` a code into ``STATUSES``, ``holds`` the ``HOLDS`` of that code (None:
+# the cell has no verdict) and the ``FLOAT_COLUMNS`` float64, each with a presence mask.
 ROW_COLUMNS = ("status", "lhs", "rhs", "slack", "holds", "quad_error",
                "branch1", "branch2", "rhs_loose", "gate_violation")
 STATUSES = ("ok", "violation", "gate_skipped", "not_applicable", "input_error")
 OK, VIOLATION, GATE_SKIPPED, NOT_APPLICABLE, INPUT_ERROR = range(len(STATUSES))
-HOLDS = (False, True, None)
+HOLDS = (True, False, None, None, None)  # by status code
 FLOAT_COLUMNS = tuple(c for c in ROW_COLUMNS if c not in ("status", "holds"))
 PlainColumns = namedtuple("PlainColumns", ROW_COLUMNS)
 
 
 class Columns(NamedTuple):
-    """Cells' ``ROW_COLUMNS`` as typed arrays: the codes ``status`` and ``holds``, the
-    ``FLOAT_COLUMNS`` as the rows of ``values``, and ``present`` False where a value is
-    None.  ``assess_group`` adds each cell's exception (for ``verify``) and gate
+    """Cells' ``ROW_COLUMNS`` as typed arrays: the ``status`` codes (``holds`` is read
+    from them), the ``FLOAT_COLUMNS`` as the rows of ``values``, and ``present`` False
+    where a value is None.  ``assess_group`` adds each cell's exception (for ``verify``) and gate
     verdict; a sweep's tables carry the typed arrays alone.  Which branch of a bound
     fills branch1, branch2 and rhs_loose is its ``Theorem.branches``."""
 
     status: np.ndarray
-    holds: np.ndarray
     values: np.ndarray
     present: np.ndarray
     error: np.ndarray | None = None
@@ -306,9 +303,8 @@ class Columns(NamedTuple):
     def empty(cls, n: int) -> Columns:
         """n cells, each an input_error without a value, an error or a verdict."""
         shape = (len(FLOAT_COLUMNS), n)
-        return cls(np.full(n, INPUT_ERROR, np.int8), np.full(n, HOLDS.index(None), np.int8),
-                   np.full(shape, np.nan), np.zeros(shape, bool), np.full(n, None, object),
-                   np.full(n, None, object))
+        return cls(np.full(n, INPUT_ERROR, np.int8), np.full(shape, np.nan),
+                   np.zeros(shape, bool), np.full(n, None, object), np.full(n, None, object))
 
     def put(self, at, name: str, value) -> None:
         """The float column ``name`` holds ``value`` at the cells ``at``."""
@@ -318,8 +314,8 @@ class Columns(NamedTuple):
     def plain(self) -> PlainColumns:
         """The ``ROW_COLUMNS`` as lists of plain values: str, float, bool or None."""
         floats = np.where(self.present, self.values, None).tolist()
-        return PlainColumns(status=[STATUSES[s] for s in self.status.tolist()],
-                            holds=[HOLDS[h] for h in self.holds.tolist()],
+        status = self.status.tolist()
+        return PlainColumns(status=[STATUSES[s] for s in status], holds=[HOLDS[s] for s in status],
                             **dict(zip(FLOAT_COLUMNS, floats)))
 
 
@@ -379,12 +375,12 @@ def assess_group(fn: TestFunction, a: float, b: float, cells: Cells,
     """Evaluate one (function, interval) group's ``cells`` (``admit``) as ``Columns``,
     from their admitted status and error.  ``Interval(a, b)`` and ``fn.require(a)`` run
     once: a bad interval makes every cell but the q > 1 rule's input_error, a bad domain
-    the open cells not_applicable, with its error.  ``gate_of(fn, b, cells.hypotheses,
-    GATE_GRID_N)`` runs once (None skips the gate), ``integral_mean(fn, iv)`` once, and
-    each ``<id>_rhs`` once, on the ``cells.params.take`` of the cells that reach it.
-    The RHS does not raise over cells: a cell it fails (a value out of float range,
-    b / m among them) keeps the error its own call raises, in the ``error`` column, and
-    is input_error.  A row holds by ``core.judge``'s rule.
+    the open cells not_applicable, with its error.  ``gate_of(fn, b, cells.hypotheses)``
+    runs once (None skips the gate), ``integral_mean(fn, iv)`` once, and each ``<id>_rhs``
+    once, on the ``cells.params.take`` of the cells that reach it.  The RHS does not raise
+    over cells: a cell it fails (a value out of float range, b / m among them) keeps the
+    error its own call raises, in the ``error`` column, and is input_error.  A row is ok
+    or a violation by ``core.judge``'s rule; only ``status`` records it.
     """
     n, t = cells.status.shape
     cols = Columns.empty(n * t)
@@ -403,7 +399,7 @@ def assess_group(fn: TestFunction, a: float, b: float, cells: Cells,
 
     if gate_of is not None and open_.any():
         found = np.empty(len(cells.hypotheses), object)  # a verdict, or its grid's error
-        found[:] = gate_of(fn, b, cells.hypotheses, GATE_GRID_N)
+        found[:] = gate_of(fn, b, cells.hypotheses)
         of = cells.hypothesis[open_]
         failed, holds, worst = (np.array(x)[of] for x in zip(*(
             (isinstance(v, ArithmeticError), getattr(v, "holds", False),
@@ -433,12 +429,12 @@ def assess_group(fn: TestFunction, a: float, b: float, cells: Cells,
                         *zip(("branch1", "branch2", "rhs_loose"),
                              map(branches.__getitem__, thm.branches))):
             cols.put(at, name, v)
-        cols.holds[at], cols.status[at] = holds, np.where(holds, OK, VIOLATION)
+        cols.status[at] = np.where(holds, OK, VIOLATION)
         if unconverged is not None:  # no verdict rests on an estimate that did not converge
             fail(p.errors, unsettled, lambda q: unconverged, p.q)
         if p.errors:  # a cell the RHS or the LHS failed: its error and no values but its gate's
             bad = at[list(p.errors)]
-            cols.status[bad], cols.holds[bad] = INPUT_ERROR, HOLDS.index(None)
+            cols.status[bad] = INPUT_ERROR
             cols.error[bad], cols.present[:-1, bad] = list(p.errors.values()), False
     return cols
 

@@ -1,18 +1,17 @@
 """Batch verification harness: single checks, sweeps, tightness tables, means.
 
-Subcommands: verify | sweep | tightness | means.  A sweep admits its
-(params, theorem) cells once (``bounds.admit``) and runs in one process: every
-(function, interval) group of them goes through ``_assess``, the typed
-``bounds.Columns`` that ``bounds.assess_group`` (the path behind the library's
-``verify``) computes, status and holds codes and float64 values with presence
-masks.  ``run_sweep`` yields one ``Table`` per tie class of groups, in row
-order: the groups' heads (schema, fn, a, b), the sweep's one list of cells
-(alpha, m, lambda, mu, q, theorem), the row order and the typed columns in that
-order.  The writers format the cells once per sweep, a head once per group, a
-code once per writer and a float column once per distinct 64-bit value, floats
-in shortest round-trip form, and join the texts row by row, so identical inputs
-give identical files.  ``verify``, ``tightness``, ``eval_row`` and ``--format
-text`` read the columns as plain values through ``Columns.plain``.
+Subcommands: verify | sweep | tightness | means.  A sweep admits its (params,
+theorem) cells once (``bounds.admit``) and runs in one process: every (function,
+interval) group of them goes through ``_assess``, the typed ``bounds.Columns`` that
+``bounds.assess_group`` (the path behind the library's ``verify``) computes, status
+codes and float64 values with presence masks.  ``run_sweep`` yields one ``Table`` per
+tie class of groups, in row order: the groups' heads (schema, fn, a, b), the sweep's
+one list of cells (alpha, m, lambda, mu, q, theorem), the row order and the typed
+columns in that order.  The writers format the cells once per sweep, a head once per
+group, a status code's texts (holds among them) once per writer and a float column
+once per distinct 64-bit value, floats in shortest round-trip form, and join the
+texts row by row, so identical inputs give identical files.  ``verify``,
+``tightness``, ``eval_row`` and ``--format text`` read plain values (``Columns.plain``).
 The LHS quadrature tolerance (``bounds.DEFAULT_LHS_TOL``) and the slack a row
 may miss by (``core.HOLDS_SLACK``) are constants: no flag or spec key sets them.
 
@@ -69,7 +68,7 @@ def _assess(fn_id: str, a: float, b: float, cells: bounds.Cells) -> bounds.Colum
 def _take(parts, order) -> bounds.Columns:
     """The typed columns of ``parts`` one after another, taken in ``order``."""
     return bounds.Columns(*(np.concatenate(arrays, axis=-1)[..., order]
-                            for arrays in zip(*(part[:4] for part in parts))))
+                            for arrays in zip(*(part[:3] for part in parts))))
 
 
 def _rows(table: Table, heads: list, cells: list, columns):
@@ -241,8 +240,8 @@ def _float_texts(values, present, fmt) -> list:
 def _row_texts(tables, formats, sep: str):
     """Yield each row of the tables as its texts, value i by ``formats[i]`` (``COLUMNS``: 4
     of the head, 6 of the cell, then the computed ones), joined by ``sep``; the cells are
-    formatted once per cell list (a sweep has one), the heads once per table, a status or
-    holds code once, and a float column once per distinct value of a table."""
+    formatted once per cell list (a sweep has one), the heads once per table, the status
+    and holds texts of a status code once, and a float column once per distinct value."""
     fmt = dict(zip(bounds.ROW_COLUMNS, formats[10:]))
     code_texts = [np.array(list(map(fmt[c], codes)), object)
                   for c, codes in (("status", bounds.STATUSES), ("holds", bounds.HOLDS))]
@@ -252,10 +251,10 @@ def _row_texts(tables, formats, sep: str):
             cells = table.cells
             cell_texts = [sep.join(f(v) for f, v in zip(formats[4:10], cell)) for cell in cells]
         heads = [sep.join(f(v) for f, v in zip(formats, head)) for head in table.heads]
-        status, holds, values, present = table.columns[:4]
+        status, values, present = table.columns[:3]
         texts = dict(zip(bounds.FLOAT_COLUMNS, map(_float_texts, values, present,
                                                    map(fmt.get, bounds.FLOAT_COLUMNS))),
-                     status=code_texts[0][status].tolist(), holds=code_texts[1][holds].tolist())
+                     status=code_texts[0][status].tolist(), holds=code_texts[1][status].tolist())
         yield from map(sep.join, _rows(table, heads, cell_texts,
                                        map(texts.get, bounds.ROW_COLUMNS)))
 
@@ -364,7 +363,7 @@ def cmd_tightness(args) -> int:
         holds, unsettled = judge(mean, upper, err)
         if unconverged is not None and unsettled:
             raise unconverged
-        baseline.status[0], baseline.holds[0] = np.where(holds, bounds.OK, bounds.VIOLATION), holds
+        baseline.status[0] = bounds.OK if holds else bounds.VIOLATION
         for name, v in (("lhs", mean), ("rhs", upper), ("slack", upper - mean),
                         ("quad_error", err), ("branch1", lower)):
             baseline.put(0, name, v)

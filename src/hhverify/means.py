@@ -93,8 +93,8 @@ def proposition_check(k: int, a: float, b: float, p: Params,
     generic bound it substitutes into.  The two must agree to rounding,
     except proposition 6 whose display carries a spurious (1/2)^(1/q)
     factor relative to the bound it cites; that mismatch is reported in
-    ``note`` rather than normalized away.  Raises NonFiniteError when a
-    power of a or b leaves the float range.
+    ``note`` rather than normalized away.  Raises NonFiniteError, naming lam,
+    mu and q, when a value leaves the float range.
     """
     if not 0 < a < b:
         raise DomainError(f"propositions require 0 < a < b, got ({a}, {b})")
@@ -109,8 +109,8 @@ def proposition_check(k: int, a: float, b: float, p: Params,
     try:
         mean_lhs, mean_rhs, corollary_rhs, note = _mean_forms(k, a, b, p, n)
     except ArithmeticError as exc:
-        raise NonFiniteError(f"proposition {k}: a power of a or b is out of float "
-                             f"range on ({a}, {b}) ({str(*exc.args[-1:])})") from None
+        raise NonFiniteError(f"proposition {k}: out of float range on ({a}, {b}) at lambda = "
+                             f"{p.lam}, mu = {p.mu}, q = {p.q} ({str(*exc.args[-1:])})") from None
     residual = abs(mean_rhs - corollary_rhs)
     holds = mean_lhs <= corollary_rhs + HOLDS_SLACK
     return PropositionResult(prop=k, mean_lhs=mean_lhs, mean_rhs=mean_rhs,

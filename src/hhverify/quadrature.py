@@ -54,6 +54,7 @@ _GMASK[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 _KG = np.stack([_KWEIGHTS, _GMASK])
 
 MAX_EVALS = 1_000_000
+ORACLE_TOL = 1e-10  # of the oracles: kernel_moment here, deviation and lemma21_residual
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,7 @@ _WEIGHTS = {
 
 
 def kernel_moment(alpha: float, lam: float, mu: float, power_of_t: str = "1",
-                  switch: str = "lambda", p_exp: float = 1.0,
-                  tol: float = 1e-10) -> float:
+                  switch: str = "lambda", p_exp: float = 1.0) -> float:
     """Oracle for the kernel moments behind every closed-form coefficient.
 
     Evaluates ``integral over [0,1] of |(lam+mu) t - s|^p_exp * w(t) dt``
@@ -176,4 +176,4 @@ def kernel_moment(alpha: float, lam: float, mu: float, power_of_t: str = "1",
         return 4.0 * u ** 3 * abs(total * t - s) ** p_exp * w(t, alpha)
 
     kink = (s / total) ** 0.25
-    return integrate(integrand, (0.0, 1.0), tol=tol, breakpoints=(kink,)).value
+    return integrate(integrand, (0.0, 1.0), tol=ORACLE_TOL, breakpoints=(kink,)).value

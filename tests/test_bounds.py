@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from hhverify import (DomainError, GateError, Interval, NonFiniteError, ParamError, Params,
-                      TestFunction, bound_hh, check_alpha_m_convex, check_hypotheses,
-                      corpus_by_id, derivative_power, deviation, kernel_moment,
-                      lemma21_residual, reflect, verify)
+                      TestFunction, UnconvergedError, bound_hh, check_alpha_m_convex,
+                      check_hypotheses, corpus_by_id, derivative_power, deviation,
+                      kernel_moment, lemma21_residual, reflect, verify)
 from hhverify import bounds, cli
 from hhverify.bounds import thm11_rhs
 
@@ -49,6 +49,11 @@ class TestDeviation:
         with pytest.raises(ParamError):
             deviation(POW2, Interval(0, 1), 0.0, 0.0)
 
+    def test_an_unconverged_integral_raises(self):
+        # 1/x over [1, 1e300] stops on a narrow panel with an error estimate of 1.8
+        with pytest.raises(UnconvergedError, match="^LHS integral did not converge: error "):
+            deviation(RECIP, Interval(1.0, 1e300), 1.0, 1.0)
+
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("call,arg", [
@@ -79,6 +84,12 @@ class TestLemmaResidual:
 
     def test_constant(self):
         assert lemma21_residual(CONST, Interval(0, 1), 2.0, 5.0) <= 1e-14
+
+    def test_an_unconverged_kernel_integral_raises(self):
+        # pown2's kernel integral on [1e-6, 1] stops after 149,130 evaluations unconverged
+        with pytest.raises(UnconvergedError, match="^Lemma 2.1 kernel integral did not "
+                                                   "converge: error estimate .* after 149130 "):
+            lemma21_residual(corpus_by_id()["pown2"], Interval(1e-6, 1.0), 1.0, 1.0)
 
     @pytest.mark.parametrize("lam,mu", [(0.0, 1.0), (1.0, 0.0), (0.5, 2.0), (5.0, 5.0)])
     def test_weight_grid(self, lam, mu):
@@ -351,7 +362,7 @@ class TestVerify:
         for (cell, theorem), verdict in zip(itertools.product(cells, theorems), cols.verdict):
             g, alpha, m, q = bounds.THEOREMS[theorem].hypothesis(Params(*cell))
             func = POW2.f if g == "f" else derivative_power(POW2, q)
-            assert verdict == check_alpha_m_convex(func, 2.0, [alpha], m, 16)[0]
+            assert verdict == check_alpha_m_convex(func, 2.0, [alpha], m)[0]
 
     def test_a_failing_factor_fails_only_its_cell(self):
         # |f'|^3 = e^900 overflows to inf on [1, 300]; at q = 2 it does not
@@ -362,7 +373,7 @@ class TestVerify:
             verify(EXP, Interval(1.0, 300.0), Params(q=3.0), "bop_m", gate=False)
         assert cols.plain().status == ["ok", "input_error"]
         assert cols.plain().rhs[1] is None and cols.error[0] is None
-        assert str(err.value) == str(cols.error[1]) == "coefficient mu2 is not finite: inf"
+        assert str(err.value) == str(cols.error[1]) == "bop_m mu2 is not finite: inf"
 
     @pytest.mark.parametrize("theorem, error", [("thm11", NonFiniteError),
                                                 ("thm22", ParamError)])
@@ -408,10 +419,11 @@ class TestVerify:
         assert len(calls) == 1
 
     def test_gate_runs_on_the_fixed_grid(self):
+        # the seam is gate_of(fn, b, hypotheses): the grid is the gate's own
         seen = []
 
         def gate_of(*args):
-            seen.append(args[-1])
+            seen.append(args)
             return check_hypotheses(*args)
 
         cols = bounds.assess_group(POW2, 1.0, 2.0,
@@ -419,8 +431,19 @@ class TestVerify:
                                    gate_of=gate_of)
         assert cols.plain().status == ["ok"]
         assert cols.verdict.tolist() == list(check_alpha_m_convex(
-            derivative_power(POW2, 2.0), 2.0, [1.0], 1.0, 16))
-        assert seen == [bounds.GATE_GRID_N] == [16]
+            derivative_power(POW2, 2.0), 2.0, [1.0], 1.0))
+        assert seen == [(POW2, 2.0, [("df", 1.0, 1.0, 2.0)])]
+
+    def test_a_gate_failure_is_the_direct_call_at_its_default(self):
+        # |f'|^2 of pow2 is not (0.25, 1)-convex: verify's gate failure names the witness
+        # and worst violation of check_hypotheses called with no grid argument (a grid
+        # of 33 points per axis would find (0.3125, 2.0, 0.09375) instead)
+        with pytest.raises(GateError) as err:
+            verify(POW2, Interval(1.0, 2.0), Params(alpha=0.25, q=2.0), "bop_am")
+        (direct,) = check_hypotheses(POW2, 2.0, [("df", 0.25, 1.0, 2.0)])
+        assert not direct.holds and direct.witness == (0.25, 2.0, 0.0625)
+        assert (err.value.witness, err.value.worst_violation) == (direct.witness,
+                                                                  direct.worst_violation)
 
     def test_swap_symmetry_sample(self):
         iv = Interval(1.0, 2.0)

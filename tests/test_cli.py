@@ -111,14 +111,13 @@ def table_rows(tables):
     return rows
 
 
-def typed(columns):
-    """The ``bounds.Columns`` of the ``bounds.ROW_COLUMNS`` given as lists of plain values:
-    a status, a holds value (True, False or None) and a float or None per cell."""
-    named = dict(zip(bounds.ROW_COLUMNS, columns))
+def typed(named):
+    """The ``bounds.Columns`` of lists of plain values keyed by column name: a status and
+    a float or None per cell for "status" and each ``bounds.FLOAT_COLUMNS``.  holds is
+    read from the status, so a "holds" list is not used."""
     floats = [named[c] for c in bounds.FLOAT_COLUMNS]
     return bounds.Columns(
         np.array([bounds.STATUSES.index(s) for s in named["status"]], np.int8),
-        np.array([bounds.HOLDS.index(h) for h in named["holds"]], np.int8),
         np.array([[math.nan if v is None else v for v in column] for column in floats], float),
         np.array([[v is not None for v in column] for column in floats], bool))
 
@@ -700,7 +699,7 @@ class TestSweep:
         assert row["lhs"] is None and row["gate_violation"] is not None
         values = list(row.values())
         one_row = cli.Table([tuple(values[:4])], [tuple(values[4:10])], [0],
-                            typed([[v] for v in values[10:]]))
+                            typed({c: [v] for c, v in zip(bounds.ROW_COLUMNS, values[10:])}))
         for case in (tables, [one_row], []):
             text = io.StringIO()
             cli.write_json(case, text)
@@ -795,6 +794,23 @@ class TestSweep:
             "('pow2', 1.0, 2.0, 1.0, 0.5, 1.75, 0.0, 1.0, 'thm11')\n")
         assert err == ("warning: exp [1.0, 2.0]: coefficient gamma1 is not finite: nan\n"
                        "warning: pow2 [1.0, 2.0]: coefficient gamma1 is not finite: nan\n")
+
+    @pytest.mark.parametrize("spec, slack", [
+        ("default", None), (TRAP_SPEC, None), (GATE_SPEC, None), (OVERFLOW_SPEC, None),
+        (DENSE_SPEC, None), (PRECEDENCE_SPEC, None), (TRAP_SPEC, -0.5)],
+        ids=["default", "trap", "gate", "overflow", "dense", "precedence", "trap_violations"])
+    def test_holds_is_read_from_the_status(self, tmp_path, capsys, monkeypatch, spec, slack):
+        # holds is true exactly on ok rows, false on violation rows and empty otherwise;
+        # the pinned sweeps have no violation, so a negative slack makes some
+        if slack is not None:
+            monkeypatch.setattr(hhverify.core, "HOLDS_SLACK", slack)
+        out_file = tmp_path / "rows.csv"
+        run_cli(capsys, "sweep", str(spec), "-o", str(out_file))
+        with open(out_file, newline="") as fh:
+            pairs = Counter((row["status"], row["holds"]) for row in csv.DictReader(fh))
+        assert all(holds == {"ok": "true", "violation": "false"}.get(status, "")
+                   for status, holds in pairs)
+        assert (pairs.keys() >= {("ok", "true"), ("violation", "false")}) == (slack is not None)
 
     def test_default_sweep_gates_once_per_group(self, monkeypatch):
         # one gate call per group that has a cell open after the interval, parameter,
@@ -932,12 +948,12 @@ def test_grouped_sweep_equals_one_cell_rows(spec):
 # Tables whose 10 input columns are drawn from per-column pools of plain values:
 # the first 4 pools give a table's heads (one per group, ``sizes`` of them), the
 # next 6 the cells of one of two cell lists (each table takes one, so a list is
-# shared by several tables as in a sweep, or changes between them).  The 10
-# computed columns are typed, each drawn from a pool of its own: status and holds
-# codes, and floats or None from ``_FLOATS``, so that a float column can hold -0.0
-# beside 0.0, NaNs of other payloads, the infinities and a subnormal beside absent
-# cells.  The order is a random permutation.  The writers must write the bytes of
-# csv.writer and json.dumps over the concatenated rows.
+# shared by several tables as in a sweep, or changes between them).  The 9 typed
+# computed columns are each drawn from a pool of their own: status codes, and floats
+# or None from ``_FLOATS``, so that a float column can hold -0.0 beside 0.0, NaNs of
+# other payloads, the infinities and a subnormal beside absent cells; each row's
+# holds is read from its status.  The order is a random permutation.  The writers
+# must write the bytes of csv.writer and json.dumps over the concatenated rows.
 _CELLS = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300, 0.1, math.nan, math.inf, -math.inf,
           0, 1, True, False, None, "", 'say "hi"', "a,b", "two\nlines", "cr\r", "é", "∑"]
 _MIXED = [[0.0, -0.0, None], [0, 1], [True, False, None], [1, 1.0, True], [0.0, -0.0, 0, False],
@@ -949,12 +965,13 @@ _PAYLOAD_NAN = np.array([0x7FF8_0000_0000_0001, 0xFFF8_0000_0000_0000], np.uint6
     float).tolist()
 _FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300, 0.1, 2.0, math.nan, *_PAYLOAD_NAN,
            math.inf, -math.inf, None]
-_COMPUTED_POOLS = {"status": bounds.STATUSES, "holds": bounds.HOLDS}
-# every status and holds code, and every value of _FLOATS in some float column, in
-# the order of bounds.ROW_COLUMNS
+_TYPED = ("status", *bounds.FLOAT_COLUMNS)
+_HOLDS_OF = {"ok": True, "violation": False}  # by status; None for the others
+# every status code, and every value of _FLOATS in some float column, in the order of
+# _TYPED
 _EVERY_VALUE = [list(bounds.STATUSES), _FLOATS[::2], _FLOATS[1::2], [0.0, -0.0, None],
-                list(bounds.HOLDS), [math.nan, *_PAYLOAD_NAN], [math.inf, -math.inf, 5e-324],
-                [-0.0, 0.0], [0.1, None, 2.0], [None, 1e300, -1e-300]]
+                [math.nan, *_PAYLOAD_NAN], [math.inf, -math.inf, 5e-324], [-0.0, 0.0],
+                [0.1, None, 2.0], [None, 1e300, -1e-300]]
 
 
 def _pools(values):
@@ -963,7 +980,8 @@ def _pools(values):
 
 @hypothesis.given(
     pools=_st.lists(_pools(_CELLS), min_size=10, max_size=10),
-    computed=_st.tuples(*(_pools(_COMPUTED_POOLS.get(c, _FLOATS)) for c in bounds.ROW_COLUMNS)),
+    computed=_st.tuples(*(_pools(bounds.STATUSES if c == "status" else _FLOATS)
+                          for c in _TYPED)),
     sizes=_st.lists(_st.integers(0, 4), max_size=4), seed=_st.integers(0, 2**32))
 @hypothesis.example(pools=_MIXED, computed=_EVERY_VALUE, sizes=[1, 300, 1, 0], seed=0)
 @hypothesis.example(pools=_MIXED, computed=_EVERY_VALUE, sizes=[300, 1], seed=1)
@@ -980,8 +998,11 @@ def test_writers_equal_csv_and_json(pools, computed, sizes, seed):
         cells = rng.choice(cell_lists)
         order = rng.sample(range(k * len(cells)), k * len(cells))
         tables.append(cli.Table([draw(pools[:4]) for _ in range(k)], cells, order,
-                                typed([[rng.choice(pool) for _ in order] for pool in computed])))
+                                typed({c: [rng.choice(pool) for _ in order]
+                                       for c, pool in zip(_TYPED, computed)})))
     rows = table_rows(tables)
+    status, holds = cli.COLUMNS.index("status"), cli.COLUMNS.index("holds")
+    assert all(r[holds] is _HOLDS_OF.get(r[status]) for r in rows)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cli.COLUMNS)
@@ -1210,8 +1231,8 @@ class TestMeansCommand:
         code, out, err = run_cli(capsys, "means", "--prop", "1", "--a", "1", "--b", "2",
                                  "--n", "2", "--q", "1e308")
         assert code == 3 and out == ""
-        assert err == ("error: proposition 1: a power of a or b is out of float range on "
-                       "(1.0, 2.0) (Numerical result out of range)\n")
+        assert err == ("error: proposition 1: out of float range on (1.0, 2.0) at lambda = 1.0, "
+                       "mu = 1.0, q = 1e+308 (Numerical result out of range)\n")
 
     @pytest.mark.parametrize("argv", [
         ("--prop", "4", "--a", "1e-200", "--b", "1"),
@@ -1224,7 +1245,7 @@ class TestMeansCommand:
         code, _, err = run_cli(capsys, "means", *argv)
         assert code == 3
         assert err.startswith(f"error: proposition {argv[1]}:")
-        assert "a power of a or b is out of float range" in err
+        assert "out of float range on" in err
 
     def test_underflowed_weight_is_an_input_error(self, capsys):
         code, _, err = run_cli(capsys, "means", "--prop", "1", "--a", "1", "--b", "2",

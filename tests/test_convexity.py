@@ -6,24 +6,25 @@ import pytest
 
 from hhverify import (NonFiniteError, ParamError, check_alpha_m_convex, check_hypotheses,
                       corpus_by_id, derivative_power)
+from hhverify.convexity import GRID_N
 
 
 class TestCheckAlphaMConvex:
     def test_square_is_convex(self):
-        (verdict,) = check_alpha_m_convex(lambda x: x ** 2, 2.0, [1.0], 1.0, grid_n=32)
+        (verdict,) = check_alpha_m_convex(lambda x: x ** 2, 2.0, [1.0], 1.0)
         assert verdict.holds
         assert verdict.worst_violation <= 1e-9
 
     def test_constant_fails_for_m_below_one(self):
         # at t=0, x=y: g(my) = 1 must not exceed m*g(y) = m < 1
         (verdict,) = check_alpha_m_convex(lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                                          1.0, [1.0], 0.5, grid_n=16)
+                                          1.0, [1.0], 0.5)
         assert not verdict.holds
         assert verdict.worst_violation >= 0.5 - 1e-12
 
     def test_linear_has_no_positive_violation(self):
         (verdict,) = check_alpha_m_convex(lambda x: np.asarray(x, dtype=float),
-                                          1.0, [1.0], 1.0, grid_n=16)
+                                          1.0, [1.0], 1.0)
         assert verdict.holds
         assert verdict.worst_violation <= 1e-12
 
@@ -31,39 +32,35 @@ class TestCheckAlphaMConvex:
     def test_power_functions_convex(self, s):
         for b in (0.5, 1.0, 4.0):
             (verdict,) = check_alpha_m_convex(lambda x: np.asarray(x, dtype=float) ** s,
-                                              b, [1.0], 1.0, grid_n=16)
+                                              b, [1.0], 1.0)
             assert verdict.holds
-
-    def test_monotone_refinement(self):
-        g = lambda x: np.exp(np.asarray(x, dtype=float))  # not (1, 0.5)-convex near 0
-        (coarse,) = check_alpha_m_convex(g, 2.0, [1.0], 0.5, grid_n=8)
-        (fine,) = check_alpha_m_convex(g, 2.0, [1.0], 0.5, grid_n=16)
-        (finer,) = check_alpha_m_convex(g, 2.0, [1.0], 0.5, grid_n=32)
-        assert fine.worst_violation >= coarse.worst_violation - 1e-12
-        assert finer.worst_violation >= fine.worst_violation - 1e-12
 
     def test_alpha_below_one_is_a_genuinely_stronger_class(self):
         # x^2 is convex but not (0.5, 1)-convex: at x = 0, t = 0.25 the
         # condition needs (1 - t)^2 <= 1 - sqrt(t), which fails
         g = lambda x: np.asarray(x, dtype=float) ** 2
         assert check_alpha_m_convex(g, 2.0, [1.0], 1.0)[0].holds
-        assert not check_alpha_m_convex(g, 2.0, [0.5], 1.0, grid_n=32)[0].holds
+        assert not check_alpha_m_convex(g, 2.0, [0.5], 1.0)[0].holds
 
     def test_singular_function_is_clipped(self):
         g = derivative_power(corpus_by_id()["recip"], 1.0)
-        (verdict,) = check_alpha_m_convex(g, 2.0, [1.0], 1.0, grid_n=16)
+        (verdict,) = check_alpha_m_convex(g, 2.0, [1.0], 1.0)
         assert verdict.clipped
         assert verdict.holds  # 1/x^2 is convex on (0, inf)
 
     def test_witness_in_sampled_ranges(self):
         (verdict,) = check_alpha_m_convex(lambda x: np.exp(np.asarray(x, dtype=float)),
-                                          3.0, [1.0], 0.5, grid_n=16)
+                                          3.0, [1.0], 0.5)
         x, y, t = verdict.witness
         assert 0 <= x <= 3 and 0 <= y <= 3 and 0 <= t <= 1
 
-    def test_grid_too_small_rejected(self):
-        with pytest.raises(ParamError):
-            check_alpha_m_convex(lambda x: x, 1.0, [1.0], 1.0, grid_n=4)
+    def test_the_grid_is_fixed(self):
+        # every call samples the gate's one grid, GRID_N + 1 points per axis
+        assert GRID_N == 16
+        with pytest.raises(TypeError):
+            check_alpha_m_convex(lambda x: x ** 2, 1.0, [1.0], 1.0, grid_n=16)
+        with pytest.raises(TypeError):
+            check_hypotheses(corpus_by_id()["pow2"], 1.0, [("df", 1.0, 1.0, 1.0)], grid_n=16)
 
     @pytest.mark.parametrize("b", [math.inf, math.nan, -math.inf, 0.0])
     def test_non_finite_or_nonpositive_upper_bound_rejected(self, b):
@@ -90,7 +87,7 @@ def _verdicts_or_message(g, b, alphas, m):
     """Each verdict's bits as text, or the NonFiniteError's message."""
     try:
         return [(v.holds, v.clipped, repr(v.worst_violation), *map(repr, v.witness))
-                for v in check_alpha_m_convex(g, b, alphas, m, grid_n=16)]
+                for v in check_alpha_m_convex(g, b, alphas, m)]
     except NonFiniteError as exc:
         return str(exc)
 
@@ -132,7 +129,7 @@ def _checked_alone(fn, b, g, alpha, m, q):
         return f"gate grid end b / m is not finite: {b} / {m}"
     func = fn.f if g == "f" else derivative_power(fn, q)
     try:
-        return _result_text(check_alpha_m_convex(func, max(b, b / m), [alpha], m, 16)[0])
+        return _result_text(check_alpha_m_convex(func, max(b, b / m), [alpha], m)[0])
     except ArithmeticError as exc:
         return _result_text(exc)
 
@@ -153,7 +150,7 @@ def test_group_verdicts_equal_one_grid_verdicts(fn_id, b, ms, qs, alphas, data):
     hyps = [("f", alpha, m, 1.0) for m in ms for alpha in alphas]
     hyps += [("df", alpha, m, q) for m in ms for q in qs for alpha in alphas]
     hyps = data.draw(_st.permutations(hyps))
-    assert ([_result_text(r) for r in check_hypotheses(fn, b, hyps, 16)]
+    assert ([_result_text(r) for r in check_hypotheses(fn, b, hyps)]
             == [_checked_alone(fn, b, *hyp) for hyp in hyps])
 
 

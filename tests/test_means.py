@@ -163,8 +163,16 @@ class TestPropositions:
     @pytest.mark.parametrize("k", [4, 5, 6])
     def test_underflowed_power_is_out_of_range(self, k):
         # a^(2q) underflows to 0.0: a float range failure, not a domain error
-        with pytest.raises(NonFiniteError, match="a power of a or b is out of float range"):
+        with pytest.raises(NonFiniteError, match=r"out of float range on \(1e-200, 1.0\)"):
             proposition_check(k, 1e-200, 1.0, Params(q=2.0))
+
+    def test_a_weight_fault_names_the_weights(self):
+        # lambda = 1e-200 makes gamma1 NaN: the weights fail, not a power of a or b
+        with pytest.raises(NonFiniteError) as err:
+            proposition_check(1, 1.0, 2.0, Params(lam=1e-200, mu=0.0), n=2)
+        assert str(err.value) == ("proposition 1: out of float range on (1.0, 2.0) at lambda = "
+                                  "1e-200, mu = 0.0, q = 1.0 (coefficient gamma1 is not finite: "
+                                  "nan)")
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_substitution_identity(self, k):
