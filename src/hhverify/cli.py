@@ -15,8 +15,8 @@ texts row by row, so identical inputs give identical files.  ``verify``,
 The LHS quadrature tolerance (``bounds.DEFAULT_LHS_TOL``) and the slack a row
 may miss by (``core.HOLDS_SLACK``) are constants: no flag or spec key sets them.
 
-Exit codes: 0 all bounds hold, 1 a violation was found, 2 a convexity gate
-failed (hypothesis not satisfied, not a violation), 3 input error.
+Exit codes: 0 all bounds hold, 1 a violation was found, 2 a convexity gate failed (not a
+violation), 3 an input error or output that cannot be written (a full disk, a closed pipe).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from contextlib import nullcontext
@@ -324,16 +325,11 @@ def crosscheck_coefficients(alpha: float, lam: float, mu: float) -> float:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        spec = default_sweep_spec() if args.spec == "default" else parse_sweep_file(args.spec)
-        if args.jobs < 1:
-            raise ParamError(f"--jobs must be at least 1, got {args.jobs}")
-        output = (open(args.output, "w", encoding="utf-8", newline="") if args.output
-                  else nullcontext(sys.stdout))
-    except (ParamError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    with output as out:
+    spec = default_sweep_spec() if args.spec == "default" else parse_sweep_file(args.spec)
+    if args.jobs < 1:
+        raise ParamError(f"--jobs must be at least 1, got {args.jobs}")
+    with (open(args.output, "w", encoding="utf-8", newline="") if args.output
+          else nullcontext(sys.stdout)) as out:
         print(f"sweep: {spec.size()} rows ({len(spec.functions)} functions x "
               f"{len(spec.intervals)} intervals x {len(spec.alpha)}x{len(spec.m)} (alpha,m) x "
               f"{len(spec.lam)}x{len(spec.mu)} weights x {len(spec.q)} q x {len(spec.theorems)} "
@@ -351,8 +347,7 @@ def cmd_sweep(args) -> int:
 def cmd_tightness(args) -> int:
     theorems = [t.strip() for t in args.theorems.split(",") if t.strip()]
     if len(theorems) < 2:
-        print("error: tightness needs at least two theorems", file=sys.stderr)
-        return 3
+        raise ParamError("tightness needs at least two theorems")
     # Baseline: the classical endpoint-average upper bound on the integral mean.
     baseline, named = bounds.Columns.empty(1), ()
     try:
@@ -388,12 +383,8 @@ def cmd_tightness(args) -> int:
 
 
 def cmd_means(args) -> int:
-    try:
-        p = Params(alpha=1.0, m=1.0, lam=args.lam, mu=args.mu, q=args.q)
-        result = proposition_check(args.prop, args.a, args.b, p, n=args.n)
-    except (ParamError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    p = Params(alpha=1.0, m=1.0, lam=args.lam, mu=args.mu, q=args.q)
+    result = proposition_check(args.prop, args.a, args.b, p, n=args.n)
     payload = {"schema": SCHEMA_VERSION, **asdict(result)}
     print(json.dumps(payload, indent=2) if args.format == "json"
           else "\n".join(f"{key}={_fmt(value)}" for key, value in payload.items()))
@@ -458,9 +449,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return 3 if exc.code else 0
     try:
-        return args.func(args)
-    except (ParamError, DomainError, ArithmeticError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # output that cannot be written fails here, not at exit
+        return code
+    except (ParamError, DomainError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout keeps what it could not write: drop it, or exit fails again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 3
 
 

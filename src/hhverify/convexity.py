@@ -56,16 +56,13 @@ def _grid_verdicts(h: Callable, b: float, m: float, powers) -> list:
         points = ts * xs[:, None, None] + m * (1.0 - ts) * xs[None, :, None] if at_mix else xs
         return points, eval_points(h, points)
 
-    clipped = []  # whether g = h ** q is singular at 0: its grid then starts at 1e-8*b
-    with np.errstate(all="ignore"):
-        for q, _ in powers:
-            try:
-                clipped.append(not np.isfinite(float(h(0.0) ** q)))
-            except (ArithmeticError, ValueError):
-                clipped.append(True)
     found = []
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for (q, alphas), clip in zip(powers, clipped):
+    with np.errstate(all="ignore"):
+        for q, alphas in powers:
+            try:  # whether g = h ** q is singular at 0: its grid then starts at 1e-8*b
+                clip = not np.isfinite(float(h(0.0) ** q))
+            except (ArithmeticError, ValueError):
+                clip = True
             try:
                 xs, gx = sampled(clip, False)
                 gx = _finite(xs, gx, q)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from . import bounds
-from .core import (HOLDS_SLACK, DomainError, Interval, NonFiniteError, ParamError, Params,
+from .core import (DomainError, Interval, NonFiniteError, ParamError, Params, judge,
                    power_function)
 from .coefficients import gamma_coeffs
 
@@ -63,11 +63,7 @@ def mean(kind: MeanKind | str, a: float, b: float, weight: float | None = None,
 
 
 def power_log_mean_pow(a: float, b: float, n: int) -> float:
-    """L_n(a, b)^n, which equals the integral mean of x^n over [a, b]."""
-    if n in (-1, 0):
-        raise DomainError(f"n must be a nonzero integer other than -1, got {n}")
-    if a == b:
-        return float(b) ** n
+    """L_n(a, b)^n, the integral mean of x^n over [a, b]: a != b, and n is not -1 or 0."""
     return (b ** (n + 1) - a ** (n + 1)) / ((n + 1) * (b - a))
 
 
@@ -112,7 +108,7 @@ def proposition_check(k: int, a: float, b: float, p: Params,
         raise NonFiniteError(f"proposition {k}: out of float range on ({a}, {b}) at lambda = "
                              f"{p.lam}, mu = {p.mu}, q = {p.q} ({str(*exc.args[-1:])})") from None
     residual = abs(mean_rhs - corollary_rhs)
-    holds = mean_lhs <= corollary_rhs + HOLDS_SLACK
+    holds, _ = judge(mean_lhs, corollary_rhs, 0.0)
     return PropositionResult(prop=k, mean_lhs=mean_lhs, mean_rhs=mean_rhs,
                              corollary_rhs=corollary_rhs, residual=residual,
                              holds=holds, note=note)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import itertools
@@ -570,6 +571,15 @@ class TestSweep:
         assert err.startswith("error:") and "/no/such/dir/out.csv" in err
         assert out == ""  # rejected before the sweep runs
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_full_disk_is_an_input_error(self, tmp_path, capsys):
+        # the rows fail where the file is closed: one error: line, not a traceback and exit 1
+        spec = tmp_path / "one.spec"
+        spec.write_text("functions = pow2\nintervals = 1:2\ntheorems = da\n")
+        code, _, err = run_cli(capsys, "sweep", str(spec), "-o", "/dev/full")
+        assert code == 3
+        assert err == f"error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"
+
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_jobs_below_one_is_an_input_error(self, capsys, jobs):
         code, out, err = run_cli(capsys, "sweep", "default", "--jobs", jobs)
@@ -1104,6 +1114,54 @@ def test_tol_flag_is_checked_before_evaluating(capsys, command, tol):
                              *command[1:], f"--tol={tol}")
     assert code == 3 and out == ""
     assert err.endswith(f"hh-verify: error: unrecognized arguments: --tol={tol}\n")
+
+
+POINT_COMMANDS = [
+    ["verify", "--fn", "pow2", "--a", "1", "--b", "2", "--theorem", "da"],
+    ["tightness", "--fn", "pow2", "--a", "1", "--b", "2", "--q", "2", "--theorems", "da,thm11"],
+    ["means", "--prop", "1", "--a", "1", "--b", "2", "--n", "2"]]
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: each write fails as on a closed pipe."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+@pytest.mark.parametrize("argv", POINT_COMMANDS, ids=itemgetter(0))
+def test_a_closed_stdout_is_an_input_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = cli.main(argv)
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {OSError(errno.EPIPE, os.strerror(errno.EPIPE))}\n"
+
+
+@pytest.mark.parametrize("sink", ["full", "closed_pipe"])
+@pytest.mark.parametrize("argv", [*POINT_COMMANDS, ["sweep", "TINY"]], ids=itemgetter(0))
+def test_unwritable_stdout_exits_3_with_one_line(tmp_path, argv, sink):
+    # stdout to a file or a pipe is block-buffered, so a short output fails only where it
+    # is flushed: in main, and not again at the interpreter's exit (a traceback, exit 120)
+    if sink == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    spec = tmp_path / "one.spec"
+    spec.write_text("functions = pow2\nintervals = 1:2\ntheorems = da\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(pathlib.Path(cli.__file__).parent.parent)
+    if sink == "full":
+        stdout = os.open("/dev/full", os.O_WRONLY)
+    else:
+        reader, stdout = os.pipe()
+        os.close(reader)
+    argv = [str(spec) if a == "TINY" else a for a in argv]
+    try:
+        result = subprocess.run([sys.executable, "-m", "hhverify.cli", *argv], stdout=stdout,
+                                stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(stdout)
+    code = errno.ENOSPC if sink == "full" else errno.EPIPE
+    assert result.returncode == 3
+    assert result.stderr == f"error: {OSError(code, os.strerror(code))}\n"
 
 
 class TestTightness:
